@@ -179,23 +179,6 @@ def _add_jobs(parser):
         "of through shared-memory segments (results are identical "
         "either way)",
     )
-    engine.add_argument(
-        "--backend",
-        choices=("numpy", "numba", "cupy"),
-        default=None,
-        help="array-compute backend for the hot kernels (default: "
-        "numpy, or REPRO_BACKEND; unavailable backends fall back to "
-        "numpy; the numpy path is bit-identical to the historical "
-        "kernels)",
-    )
-    engine.add_argument(
-        "--fuse",
-        action="store_true",
-        default=False,
-        help="fuse a whole sweep's campaigns into one batched "
-        "parallel map (bit-identical results, fewer fan-outs; "
-        "ignored by adaptive allocation)",
-    )
 
 
 def _retry_policy(args):
@@ -362,8 +345,6 @@ def _exec_options(args):
         resume=getattr(args, "resume", True),
         warm_pool=getattr(args, "warm_pool", None),
         shm=getattr(args, "shm", None),
-        backend=getattr(args, "backend", None),
-        fuse=getattr(args, "fuse", False),
     )
 
 

@@ -33,7 +33,6 @@ from ..parallel import (
     RetryPolicy,
     ShardJournal,
     pack_payload,
-    parallel_map,
     resolve_jobs,
     shm_enabled,
 )
@@ -53,8 +52,9 @@ from ..ser import (
     AdaptiveCampaignController,
     AdaptiveConfig,
     ArrayMcConfig,
-    ArrayPofResult,
     ArraySerSimulator,
+    BatchPlan,
+    CampaignPoint,
     FitResult,
     SerSweep,
     integrate_fit,
@@ -153,24 +153,6 @@ class FlowConfig:
         )
 
 
-def _flow_campaign_task(payload, task):
-    """Pool worker: one array-MC campaign of a flow-level scan.
-
-    The payload holds only the (scan-invariant) simulator; everything
-    that varies per scan -- particle, vdd, budget -- rides in the task
-    tuple, so every map of a sweep ships the *same* payload and warm
-    workers reuse the one they already rebuilt.
-    """
-    particle_name, vdd_v, n_particles, energy_mev, seed = task
-    return payload["simulator"].run(
-        get_particle(particle_name),
-        float(energy_mev),
-        float(vdd_v),
-        int(n_particles),
-        np.random.default_rng(seed),
-    )
-
-
 class SerFlow:
     """End-to-end SER estimation for one cell design + array geometry.
 
@@ -195,14 +177,11 @@ class SerFlow:
     either way, so they live outside :class:`FlowConfig` and never
     perturb cache keys.
 
-    ``backend`` names the array-compute backend for the hot kernels
-    (``None`` = process default; see :mod:`repro.backend`) and
-    ``fuse`` turns on cross-campaign batch fusion for :meth:`sweep`
-    (:mod:`repro.ser.fusion`): the whole sweep's draw blocks run as
-    one parallel map instead of one map per campaign.  Both are
-    execution knobs in the same sense -- the numpy backend path and
-    the fused schedule are bit-identical to the defaults, so neither
-    lives on :class:`FlowConfig` nor perturbs cache keys.
+    Every uniform array-MC scan -- :meth:`fit`, :meth:`sweep` and
+    :meth:`pof_vs_energy` -- runs as one
+    :class:`~repro.ser.fusion.BatchPlan` over its campaigns (see
+    :meth:`_run_plan`); adaptive allocation keeps its own round
+    controller.
     """
 
     def __init__(
@@ -215,8 +194,6 @@ class SerFlow:
         resume: bool = True,
         warm_pool: Optional[bool] = None,
         shm: Optional[bool] = None,
-        backend: Optional[str] = None,
-        fuse: bool = False,
     ):
         self.config = config if config is not None else FlowConfig()
         self.design = design if design is not None else SramCellDesign()
@@ -226,8 +203,6 @@ class SerFlow:
         self.resume = resume
         self.warm_pool = warm_pool
         self.shm = shm
-        self.backend = backend
-        self.fuse = bool(fuse)
         self._yield_luts: Optional[Dict[str, ElectronYieldLUT]] = None
         self._pof_table: Optional[PofTable] = None
         self._layout: Optional[SramArrayLayout] = None
@@ -369,7 +344,6 @@ class SerFlow:
                     journal=journal,
                     warm_pool=self.warm_pool,
                     shm=self.shm,
-                    backend=self.backend,
                 )
 
             with span(
@@ -422,7 +396,6 @@ class SerFlow:
                     n_jobs=self.n_jobs,
                     warm_pool=self.warm_pool,
                     shm=self.shm,
-                    backend=self.backend,
                 ),
             )
         return self._simulator
@@ -435,7 +408,7 @@ class SerFlow:
         n_particles: Optional[int] = None,
     ) -> list:
         """Array POF at explicit energies (the paper's Fig. 8 scan)."""
-        particle = get_particle(particle_name)
+        get_particle(particle_name)  # validates
         n = n_particles if n_particles is not None else self.config.mc_particles_per_bin
         energies = [float(e) for e in energies_mev]
         with span(
@@ -444,9 +417,13 @@ class SerFlow:
             vdd=vdd_v,
             energies=len(energies),
         ):
-            return self._run_campaigns(
-                "pof-vs-energy", particle, vdd_v, energies, n
+            (results,) = self._run_plan(
+                f"pof-vs-energy-{particle_name}",
+                "pof-vs-energy",
+                [(particle_name, vdd_v, energies)],
+                n,
             )
+            return results
 
     def _campaign_payload(self):
         """The campaign fan-out payload, packed once per (flow, shm mode).
@@ -471,63 +448,79 @@ class SerFlow:
             self._campaign_packs[use_shm] = packed
         return packed
 
-    def _run_campaigns(self, stage, particle, vdd_v, energies, n_particles):
-        """Independent array-MC campaigns, one per energy, fanned out.
+    def _run_plan(self, name, stage, cases, n_particles):
+        """Uniform array-MC campaigns of several cases, as one plan.
 
-        Each campaign draws from its own :meth:`_campaign_seed` stream,
-        so the list of results is a pure function of the flow seed --
-        independent of execution order, worker count, and whichever
-        campaigns ran earlier in the process.  The campaigns are spread
-        across workers here; inside a worker the simulator's own
-        (inner) parallelism stands down automatically.
+        ``cases`` is a sequence of ``(particle_name, vdd_v, energies)``;
+        the result is one list of :class:`~repro.ser.ArrayPofResult`
+        per case, one entry per energy, in order.  Every campaign draws
+        from its own :meth:`_campaign_seed` stream keyed on ``stage``,
+        so each result is a pure function of the flow seed --
+        independent of execution order, worker count, and which other
+        campaigns share the plan.  All draw blocks of all cases run as
+        one :class:`~repro.ser.fusion.BatchPlan` map over the flow's
+        packed payload.
 
-        Fault tolerance operates at this level on whole campaigns:
-        completed (energy-point) campaigns are journaled so a crashed
-        scan resumes bit-identically, and the retry policy is forced
-        strict -- downstream :func:`~repro.ser.fit.integrate_fit`
-        needs one result per bin, so unrecoverable loss must raise
-        rather than degrade to a hole in the spectrum.
+        Completed pool tasks are journaled under ``name`` so an
+        interrupted scan resumes bit-identically; the plan's retry
+        policy is strict, since :func:`~repro.ser.fit.integrate_fit`
+        needs one result per bin.
         """
-        tasks = [
-            (
-                particle.name,
-                vdd_v,
-                n_particles,
-                energy,
-                self._campaign_seed(
-                    stage, particle.name, f"{vdd_v:g}", f"{energy:.9g}"
-                ),
-            )
-            for energy in energies
-        ]
+        if n_particles < 1:
+            raise ConfigError("need at least one particle")
+        points = []
+        for particle_name, vdd_v, energies in cases:
+            for energy in energies:
+                if energy <= 0:
+                    raise ConfigError("energy must be positive")
+                points.append(
+                    CampaignPoint(
+                        index=len(points),
+                        particle_name=particle_name,
+                        energy_mev=float(energy),
+                        vdd_v=float(vdd_v),
+                        n_particles=int(n_particles),
+                        seed=self._campaign_seed(
+                            stage,
+                            particle_name,
+                            f"{vdd_v:g}",
+                            f"{energy:.9g}",
+                        ),
+                    )
+                )
         journal = self._journal_for(
-            f"{stage}-{particle.name}",
-            lambda result: result.to_dict(),
-            ArrayPofResult.from_dict,
+            name,
+            array_shard_encode,
+            array_shard_decode,
             self.config,
             self.design.tech,
             {
                 "stage": stage,
-                "particle": particle.name,
-                "vdd": f"{vdd_v:g}",
-                "energies": [f"{energy:.9g}" for energy in energies],
+                "cases": [
+                    [
+                        particle_name,
+                        f"{vdd_v:g}",
+                        [f"{energy:.9g}" for energy in energies],
+                    ]
+                    for particle_name, vdd_v, energies in cases
+                ],
                 "n_particles": int(n_particles),
             },
         )
-        results = parallel_map(
-            _flow_campaign_task,
-            tasks,
-            payload=self._campaign_payload(),
+        results = BatchPlan(
+            self.simulator(),
+            points,
             n_jobs=self.n_jobs,
-            label="flow_campaigns",
-            retry=self.retry.strict() if self.retry is not None else None,
+            retry=self.retry,
             journal=journal,
             warm_pool=self.warm_pool,
             shm=self.shm,
-        )
+            payload=self._campaign_payload(),
+        ).execute()
         if journal is not None:
             journal.clear()
-        return results
+        merged = iter(results)
+        return [[next(merged) for _ in energies] for _, _, energies in cases]
 
     def pair_offsets(
         self,
@@ -566,12 +559,21 @@ class SerFlow:
                 ),
             )
 
+    def _fit_bins(self, particle_name: str):
+        """The FIT energy bins of one particle (eq. 8 discretization)."""
+        spectrum = spectrum_for(particle_name)
+        e_lo, e_hi = self.config.energy_range_for(particle_name)
+        return spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
+
+    def _integrate(self, particle_name, vdd_v, bins, results) -> FitResult:
+        """Record per-bin convergence, then fold the bins into a FIT."""
+        self._record_convergence(particle_name, vdd_v, results)
+        return integrate_fit(particle_name, vdd_v, bins, results)
+
     def fit(self, particle_name: str, vdd_v: float) -> FitResult:
         """FIT rate of one (particle, vdd) case (eqs. 7-8)."""
         particle = get_particle(particle_name)
-        spectrum = spectrum_for(particle_name)
-        e_lo, e_hi = self.config.energy_range_for(particle_name)
-        bins = spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
+        bins = self._fit_bins(particle_name)
         with span("fit", particle=particle_name, vdd=vdd_v, bins=len(bins)):
             energies = [float(energy) for energy in bins.representative_mev]
             if self.config.adaptive is not None:
@@ -579,19 +581,17 @@ class SerFlow:
                     "fit", particle, vdd_v, energies
                 )
             else:
-                results = self._run_campaigns(
+                (results,) = self._run_plan(
+                    f"fit-{particle_name}",
                     "fit",
-                    particle,
-                    vdd_v,
-                    energies,
+                    [(particle_name, vdd_v, energies)],
                     self.config.mc_particles_per_bin,
                 )
-            self._record_convergence(particle_name, vdd_v, results)
-            return integrate_fit(particle_name, vdd_v, bins, results)
+            return self._integrate(particle_name, vdd_v, bins, results)
 
     def _run_campaigns_adaptive(self, stage, particle, vdd_v, energies):
-        """Adaptive replacement for :meth:`_run_campaigns` (one result
-        per energy, in order).
+        """Adaptive counterpart of :meth:`_run_plan` for one case (one
+        result per energy, in order).
 
         One :class:`~repro.ser.AdaptiveCampaignController` drives all
         energy bins of the (particle, vdd) case together, so rounds
@@ -707,23 +707,37 @@ class SerFlow:
         cached (keyed by the full flow configuration), so repeated
         analysis/example runs skip the Monte Carlo entirely.
 
-        With ``fuse=True`` the sweep's campaigns run as one fused
-        :class:`~repro.ser.fusion.BatchPlan` instead of one map per
-        (particle, energy, Vdd) point -- bit-identical results (same
-        campaign seeds, same block partition, same merge order), same
-        cache key, fewer fan-outs.  Adaptive allocation does its own
-        cross-bin scheduling, so it keeps the per-case path.
+        Every (particle, Vdd, energy-bin) campaign of the sweep runs in
+        one :meth:`_run_plan` with the ``"fit"`` seed keys, so each case
+        is bit-identical to :meth:`fit`.  Adaptive allocation does its
+        own cross-bin scheduling, so it keeps the per-case path.
         """
         particles = list(particles or self.config.particles)
         vdd_list = list(vdd_list or self.config.vdd_list)
 
         def build():
-            if self.fuse and self.config.adaptive is None:
-                return self._sweep_fused(particles, vdd_list)
             sweep = SerSweep()
-            for particle_name in particles:
-                for vdd in vdd_list:
-                    sweep.add(self.fit(particle_name, float(vdd)))
+            if self.config.adaptive is not None:
+                for particle_name in particles:
+                    for vdd in vdd_list:
+                        sweep.add(self.fit(particle_name, float(vdd)))
+                return sweep
+            cases = [
+                (particle_name, float(vdd), self._fit_bins(particle_name))
+                for particle_name in particles
+                for vdd in vdd_list
+            ]
+            per_case = self._run_plan(
+                "sweep",
+                "fit",
+                [
+                    (particle_name, vdd, [float(e) for e in bins.representative_mev])
+                    for particle_name, vdd, bins in cases
+                ],
+                self.config.mc_particles_per_bin,
+            )
+            for (particle_name, vdd, bins), results in zip(cases, per_case):
+                sweep.add(self._integrate(particle_name, vdd, bins, results))
             return sweep
 
         with span(
@@ -740,84 +754,3 @@ class SerFlow:
                     {"particles": particles, "vdds": vdd_list},
                 )
             return build()
-
-    def _sweep_fused(self, particles, vdd_list) -> SerSweep:
-        """Fused replacement for the per-case :meth:`fit` loop.
-
-        Queues every (particle, vdd, energy-bin) campaign of the sweep
-        into one :class:`~repro.ser.fusion.BatchPlan` -- same campaign
-        seeds (:meth:`_campaign_seed` with the ``"fit"`` stage key),
-        same uniform ``mc_particles_per_bin`` budget, so each merged
-        point is bit-identical to the per-campaign result -- then
-        integrates per case exactly as :meth:`fit` does.
-        """
-        from ..ser.fusion import BatchPlan, CampaignPoint
-
-        points = []
-        case_bins = {}
-        case_indices = {}
-        for particle_name in particles:
-            spectrum = spectrum_for(particle_name)
-            e_lo, e_hi = self.config.energy_range_for(particle_name)
-            bins = spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
-            case_bins[particle_name] = bins
-            energies = [float(energy) for energy in bins.representative_mev]
-            for vdd in vdd_list:
-                vdd = float(vdd)
-                indices = []
-                for energy in energies:
-                    indices.append(len(points))
-                    points.append(
-                        CampaignPoint(
-                            index=len(points),
-                            particle_name=particle_name,
-                            energy_mev=energy,
-                            vdd_v=vdd,
-                            n_particles=self.config.mc_particles_per_bin,
-                            seed=self._campaign_seed(
-                                "fit",
-                                particle_name,
-                                f"{vdd:g}",
-                                f"{energy:.9g}",
-                            ),
-                        )
-                    )
-                case_indices[(particle_name, vdd)] = indices
-
-        journal = self._journal_for(
-            "sweep-fused",
-            array_shard_encode,
-            array_shard_decode,
-            self.config,
-            self.design.tech,
-            {
-                "particles": particles,
-                "vdds": [f"{float(vdd):g}" for vdd in vdd_list],
-                "n_particles": int(self.config.mc_particles_per_bin),
-            },
-        )
-        plan = BatchPlan(
-            self.simulator(),
-            points,
-            n_jobs=self.n_jobs,
-            retry=self.retry,
-            journal=journal,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
-            payload=self._campaign_payload(),
-        )
-        results = plan.execute()
-        if journal is not None:
-            journal.clear()
-
-        sweep = SerSweep()
-        for particle_name in particles:
-            bins = case_bins[particle_name]
-            for vdd in vdd_list:
-                vdd = float(vdd)
-                case = [
-                    results[i] for i in case_indices[(particle_name, vdd)]
-                ]
-                self._record_convergence(particle_name, vdd, case)
-                sweep.add(integrate_fit(particle_name, vdd, bins, case))
-        return sweep

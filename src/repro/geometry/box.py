@@ -119,13 +119,15 @@ def _slab_interval(origins, directions, lo, hi):
     # Accumulate the slab interval one axis at a time with (n, m)
     # scratch arrays -- avoids (n, m, 3) temporaries, which dominate
     # the array-MC runtime.  Guard zero direction components: a ray
-    # parallel to a slab either always or never satisfies it; emulate
-    # with +/- inf via errstate-protected division.
+    # parallel to a slab either always or never satisfies it.  A
+    # subnormal component overflows its inverse to inf just like an
+    # exact zero, so both count as parallel (the interval arithmetic
+    # would otherwise hit 0 * inf = nan on a ray touching the plane).
     n = origins.shape[0]
     m = lo.shape[0]
     t_near = np.full((n, m), -np.inf, dtype=np.float64)
     t_far = np.full((n, m), np.inf, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_all = 1.0 / directions  # (n, 3); inf where parallel
     # Large finite sentinel: +/- inf would turn into nan under the
     # interval arithmetic (inf - inf) when a parallel-outside slab
@@ -136,12 +138,12 @@ def _slab_interval(origins, directions, lo, hi):
         inv = inv_all[:, axis][:, np.newaxis]
         # 0 * inf -> nan is possible when a parallel ray origin touches
         # a slab plane; the parallel branch below overwrites those rows.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             t1 = (lo[np.newaxis, :, axis] - o) * inv
             t2 = (hi[np.newaxis, :, axis] - o) * inv
         axis_lo = np.minimum(t1, t2)
         axis_hi = np.maximum(t1, t2)
-        parallel = directions[:, axis] == 0.0
+        parallel = ~np.isfinite(inv_all[:, axis])
         if np.any(parallel):
             # A ray parallel to this slab pair either satisfies it for
             # all t (origin inside the slab) or for no t (outside).

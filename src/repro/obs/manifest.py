@@ -38,7 +38,6 @@ from .registry import get_registry
 TRACKED_ENV = (
     "REPRO_NO_WARM_POOL",
     "REPRO_NO_SHM",
-    "REPRO_BACKEND",
     "REPRO_PARALLEL_KILL",
 )
 
@@ -52,9 +51,8 @@ def capture_environment(config: Optional[dict] = None) -> dict:
     resolved job count from the run config, the host CPU count, and
     the multiprocessing start method.
     """
-    # local imports: repro.parallel / repro.backend import repro.obs at
-    # module load, so the reverse edges must stay call-time only.
-    from ..backend import resolve_backend
+    # local imports: repro.parallel imports repro.obs at module load,
+    # so the reverse edges must stay call-time only.
     from ..parallel.pool import warm_pool_enabled
     from ..parallel.shm import shm_enabled
 
@@ -74,9 +72,6 @@ def capture_environment(config: Optional[dict] = None) -> dict:
         "n_jobs": config.get("jobs"),
         "cpu_count": os.cpu_count(),
         "start_method": multiprocessing.get_start_method(allow_none=True),
-        # the *effective* backend after env/override/availability
-        # resolution -- not merely what the config asked for
-        "backend": resolve_backend(config.get("backend")),
     }
 
 __all__ = [
@@ -118,7 +113,6 @@ class RunManifest:
     parallel: dict = field(default_factory=dict)
     adaptive: dict = field(default_factory=dict)
     service: dict = field(default_factory=dict)
-    backend: dict = field(default_factory=dict)
     environment: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
 
@@ -144,7 +138,6 @@ class RunManifest:
             "parallel": self.parallel,
             "adaptive": self.adaptive,
             "service": self.service,
-            "backend": self.backend,
             "environment": self.environment,
             "metrics": self.metrics,
         }
@@ -193,7 +186,6 @@ class RunManifest:
             parallel=dict(payload.get("parallel", {})),
             adaptive=dict(payload.get("adaptive", {})),
             service=dict(payload.get("service", {})),
-            backend=dict(payload.get("backend", {})),
             environment=dict(payload.get("environment", {})),
             metrics=dict(payload.get("metrics", {})),
         )
@@ -265,6 +257,8 @@ def build_manifest(
         "array_hits": counters.get("array_mc.hits", 0),
         "fin_strikes": counters.get("array_mc.strikes", 0),
         "array_runs": counters.get("array_mc.runs", 0),
+        "array_plans": counters.get("array_mc.plans", 0),
+        "array_plan_blocks": counters.get("array_mc.plan_blocks", 0),
         "transport_trials": counters.get("transport.trials", 0),
         "characterization_points": counters.get(
             "characterize.grid_points", 0
@@ -309,21 +303,6 @@ def build_manifest(
         "bins_converged": counters.get("adaptive.bins_converged", 0),
         "bins_at_ceiling": counters.get("adaptive.bins_ceiling", 0),
     }
-    _RUNS_PREFIX = "backend.runs."
-    backend = {
-        "runs": {
-            name[len(_RUNS_PREFIX):]: value
-            for name, value in counters.items()
-            if name.startswith(_RUNS_PREFIX)
-        },
-        "fallbacks": counters.get("backend.fallbacks", 0),
-        "uploads": counters.get("backend.uploads", 0),
-        "upload_hits": counters.get("backend.upload_hits", 0),
-        "upload_bytes": counters.get("backend.upload_bytes", 0),
-        "fused_plans": counters.get("backend.fused_plans", 0),
-        "fused_campaigns": counters.get("backend.fused_campaigns", 0),
-        "fused_blocks": counters.get("backend.fused_blocks", 0),
-    }
     from .convergence import get_convergence_tracker
 
     convergence_bins = get_convergence_tracker().summary()
@@ -360,7 +339,6 @@ def build_manifest(
         parallel=parallel,
         adaptive=adaptive,
         service=service,
-        backend=backend,
         environment=capture_environment(config),
         metrics=snapshot,
     )

@@ -90,10 +90,8 @@ _DEFAULT_ENABLED = True
 def array_fingerprint(array: np.ndarray) -> str:
     """Content-addressed identity of one ndarray (sha256 hex digest).
 
-    Covers dtype, shape and the exact C-contiguous bytes -- the same
-    key the shared-memory segment registry dedupes on, reused by the
-    cupy backend's device upload cache so both planes agree on what
-    "the same table" means.
+    Covers dtype, shape and the exact C-contiguous bytes -- the key
+    the shared-memory segment registry dedupes on.
     """
     data = np.ascontiguousarray(array)
     header = f"{data.dtype.str}|{data.shape}|".encode("ascii")

@@ -136,7 +136,7 @@ def _pair_streams(pof_cells, n_cols: int):
     within each event (``np.nonzero`` is row-major, so its flat
     element order *is* that order) -- which is what keeps the
     vectorized accumulation bit-identical (see
-    ``tests/test_backend.py``).
+    ``tests/test_fusion.py``).
     """
     event_idx, cell_idx = np.nonzero(pof_cells)
     n_el = len(event_idx)

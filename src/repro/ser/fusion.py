@@ -1,31 +1,26 @@
-"""Cross-campaign batch fusion for flow-level sweeps.
+"""Batch plans: the one driver of uniform flow-level array campaigns.
 
-The classic sweep path runs one :func:`~repro.parallel.parallel_map`
-per (particle, energy, Vdd) campaign: dozens of small fan-outs, each
-paying its own scheduling round-trip and each re-priming workers and
-device backends before the next point's map starts.  Fusion instead
-queues *every* draw block of the whole sweep into one
-:class:`BatchPlan` and executes them as a single map: draw blocks from
-different campaigns share pool tasks, the one broadcast payload (the
-simulator, shipped via the :mod:`repro.parallel.shm` plane) serves all
-points, and device backends upload the static tables -- I-V surfaces,
-POF grids -- once per sweep, keyed on the same
-:func:`~repro.parallel.shm.array_fingerprint` sha256 the shared-memory
-plane dedupes on.
+:class:`~repro.core.SerFlow` runs every uniform scan -- ``fit`` (one
+case), ``sweep`` (all cases) and ``pof_vs_energy`` (one case, explicit
+energies) -- by queuing every draw block of every campaign into one
+:class:`BatchPlan` and executing them as a single map: draw blocks from
+different campaigns share pool tasks, and the one broadcast payload
+(the simulator, shipped via the :mod:`repro.parallel.shm` plane)
+serves all points.
 
 Determinism is inherited, not re-proven: each point's draw blocks are
 the exact :func:`~repro.ser.mc._draw_blocks` partition, each block
 consumes the same :func:`~repro.parallel.spawn_seeds` child stream of
 the point's campaign seed, and per-point results merge in block order
--- so a fused sweep is bit-identical to the per-campaign path for any
-worker count (asserted by ``tests/test_backend.py``).
+-- so every point is bit-identical to ``simulator.run`` with the same
+seed, for any worker count (asserted by ``tests/test_fusion.py``).
 
 Fault tolerance: completed pool tasks journal through the standard
-array-shard codec so an interrupted fused sweep resumes
-bit-identically; any draw block lost past the retry budget raises
+array-shard codec so an interrupted plan resumes bit-identically; any
+draw block lost past the retry budget raises
 :class:`~repro.errors.WorkerCrashError` (the downstream FIT integral
-needs every energy bin, so degradation to a partial sweep is not
-meaningful here -- same reasoning as ``SerFlow._run_campaigns``).
+needs every energy bin, so degradation to a partial scan is not
+meaningful here).
 """
 
 from __future__ import annotations
@@ -91,7 +86,7 @@ def _fused_task(payload, task):
 
 
 class BatchPlan:
-    """A whole sweep's draw blocks, fused into one parallel map.
+    """The draw blocks of a list of campaigns, run as one parallel map.
 
     Parameters
     ----------
@@ -163,11 +158,10 @@ class BatchPlan:
 
         metrics = get_registry()
         if metrics.enabled:
-            metrics.counter("backend.fused_plans").inc()
-            metrics.counter("backend.fused_campaigns").inc(len(self.points))
-            metrics.counter("backend.fused_blocks").inc(len(units))
+            metrics.counter("array_mc.plans").inc()
+            metrics.counter("array_mc.plan_blocks").inc(len(units))
         _log.info(
-            "fused batch plan %s",
+            "batch plan %s",
             kv(
                 campaigns=len(self.points),
                 blocks=len(units),
@@ -177,7 +171,7 @@ class BatchPlan:
         )
 
         t0 = time.perf_counter()
-        with metrics.time("fused.plan"):
+        with metrics.time("array_mc.plan"):
             nested = parallel_map(
                 _fused_task,
                 tasks,
@@ -197,9 +191,9 @@ class BatchPlan:
             lost = sum(1 for group in nested if group is None)
             if lost:
                 raise WorkerCrashError(
-                    f"fused sweep lost {lost}/{len(tasks)} pool tasks to "
+                    f"batch plan lost {lost}/{len(tasks)} pool tasks to "
                     "worker crashes; the FIT integral needs every energy "
-                    "bin, so a fused plan cannot degrade"
+                    "bin, so a plan cannot degrade"
                 )
             flat = [result for group in nested for result in group]
         elapsed = time.perf_counter() - t0

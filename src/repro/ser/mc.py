@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..backend import BACKENDS, get_backend_instance, resolve_backend
 from ..constants import ELEMENTARY_CHARGE_C
 from ..errors import ConfigError, WorkerCrashError
 from ..geometry import RayBatch, chord_lengths
@@ -91,21 +90,11 @@ class ArrayMcConfig:
     #: Execution knobs only -- results are bit-identical either way.
     warm_pool: Optional[bool] = None
     shm: Optional[bool] = None
-    #: Array-compute backend for the strike kernel (``None`` = process
-    #: default; see :mod:`repro.backend`).  Another pure execution
-    #: knob: the numpy path is bit-identical to the inline kernels, so
-    #: this never participates in cache keys.
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.deposition_mode not in DEPOSITION_MODES:
             raise ConfigError(
                 f"unknown deposition mode {self.deposition_mode!r}"
-            )
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown array backend {self.backend!r}; "
-                f"choose from {BACKENDS}"
             )
         if self.margin_nm < 0:
             raise ConfigError("margin cannot be negative")
@@ -641,14 +630,6 @@ class ArraySerSimulator:
             [self._array_bbox.lo, self._array_bbox.hi]
         )[np.newaxis, :]
         self._empty_pmf = np.zeros(self.config.max_multiplicity + 1)
-        # resolve the array backend once, to a *name*: instances hold
-        # unpicklable state (JIT kernels, device caches), so workers
-        # receive the string and look the shared instance up lazily.
-        self._backend_name = resolve_backend(self.config.backend)
-
-    def _xp(self):
-        """The resolved array-compute backend instance (lazy lookup)."""
-        return get_backend_instance(self._backend_name)
 
     def run(
         self,
@@ -885,15 +866,13 @@ class ArraySerSimulator:
 
     # -- instrumentation -------------------------------------------------------
 
-    def _record_run_metrics(
-        self, metrics, n_particles, n_hits, n_strikes, elapsed
-    ):
+    @staticmethod
+    def _record_run_metrics(metrics, n_particles, n_hits, n_strikes, elapsed):
         """Fold one campaign into the registry (enabled state only)."""
         metrics.counter("array_mc.runs").inc()
         metrics.counter("array_mc.particles").inc(n_particles)
         metrics.counter("array_mc.hits").inc(n_hits)
         metrics.counter("array_mc.strikes").inc(n_strikes)
-        metrics.counter(f"backend.runs.{self._backend_name}").inc()
         if elapsed > 0:
             metrics.gauge("array_mc.rays_per_sec").set(n_particles / elapsed)
 
@@ -949,12 +928,10 @@ class ArraySerSimulator:
 
         Never allocates the dense ``(n_events, n_cells, 3)`` charge
         tensor of :meth:`_process_batch_dense` -- strikes are folded
-        into per-(event, cell) charge triples via the backend's
-        ``unique``/``scatter_add`` primitives, the POF table is queried
-        only on touched cells, and eqs. 4-6 plus the multiplicity PMF
-        are evaluated with the backend's segmented reductions over the
-        touched set (:mod:`repro.backend`; numpy path bit-identical to
-        the historical inline kernel).
+        into per-(event, cell) charge triples via ``np.unique``, the
+        POF table is queried only on touched cells, and eqs. 4-6 plus
+        the multiplicity PMF are evaluated with segmented reductions
+        over the touched set.
         """
         n_hits, n_strikes, n_events, strikes = self._gather_strikes(
             particle, energy_mev, rays, rng
@@ -962,45 +939,40 @@ class ArraySerSimulator:
         if strikes is None:
             return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
         ray_idx, cell_of, strike_of, charges = strikes
-        xp = self._xp()
 
-        # one row per touched (event, cell) pair; unique sorts the
+        # one row per touched (event, cell) pair; np.unique sorts the
         # keys, so rows come out event-major with cells ascending --
         # the same per-event cell order the dense kernel reduces in.
         key = ray_idx.astype(np.int64) * self.layout.n_cells + cell_of
-        unique_keys, inverse = xp.unique_inverse(xp.asarray(key))
-        cell_charges = xp.zeros((len(unique_keys), 3), dtype=np.float64)
-        xp.scatter_add(
-            cell_charges, (inverse, xp.asarray(strike_of)), xp.asarray(charges)
-        )
+        unique_keys, inverse = np.unique(key, return_inverse=True)
+        cell_charges = np.zeros((len(unique_keys), 3), dtype=np.float64)
+        np.add.at(cell_charges, (inverse, strike_of), charges)
 
-        # POF lookup only for pairs that actually collected charge;
-        # the table query is scipy-backed, so this is a host boundary.
-        cell_charges_h = xp.to_numpy(cell_charges)
-        touched = np.any(cell_charges_h > 0.0, axis=1)
+        # POF lookup only for pairs that actually collected charge
+        touched = np.any(cell_charges > 0.0, axis=1)
         if not np.any(touched):
             return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
-        pof = self.pof_table.query(vdd_v, cell_charges_h[touched])
-        event_of = xp.to_numpy(unique_keys)[touched] // self.layout.n_cells
+        pof = self.pof_table.query(vdd_v, cell_charges[touched])
+        event_of = unique_keys[touched] // self.layout.n_cells
 
         # segmented eqs. 4-6 over each event's touched cells
         starts = np.flatnonzero(
             np.r_[True, event_of[1:] != event_of[:-1]]
         )
-        pof_x = xp.asarray(pof)
-        starts_x = xp.asarray(starts)
-        total, seu, mbu = xp.segment_combine(pof_x, starts_x, _ONE_MINUS_EPS)
-
-        pmf = xp.to_numpy(
-            xp.segment_multiplicity(
-                pof_x, starts_x, self.config.max_multiplicity
-            )
+        total = 1.0 - np.multiply.reduceat(1.0 - pof, starts)
+        clipped = np.minimum(pof, _ONE_MINUS_EPS)
+        survive = 1.0 - clipped
+        seu = np.multiply.reduceat(survive, starts) * np.add.reduceat(
+            clipped / survive, starts
         )
+        mbu = np.maximum(total - seu, 0.0)
+
+        pmf = self._sparse_multiplicity(pof, starts)
         pmf[0] = 0.0  # the k=0 bin is dominated by misses; not tracked
         return (
-            float(np.sum(xp.to_numpy(total))),
-            float(np.sum(xp.to_numpy(seu))),
-            float(np.sum(xp.to_numpy(mbu))),
+            float(np.sum(total)),
+            float(np.sum(seu)),
+            float(np.sum(mbu)),
             n_hits,
             n_strikes,
             pmf,
@@ -1010,18 +982,29 @@ class ArraySerSimulator:
         """Summed Poisson-binomial PMF over variable-size event groups.
 
         The dynamic program of :func:`repro.ser.pof.multiplicity_pmf`
-        run rank-by-rank (see
-        :meth:`repro.backend.NumpyBackend.segment_multiplicity`, where
-        the kernel now lives); delegates to the resolved backend.
+        run rank-by-rank: step ``r`` folds the ``r``-th touched cell of
+        every event in at once, so the loop length is the largest
+        per-event cell count, not the cell total.
         """
-        xp = self._xp()
-        return xp.to_numpy(
-            xp.segment_multiplicity(
-                xp.asarray(pof),
-                xp.asarray(starts),
-                self.config.max_multiplicity,
-            )
-        )
+        max_k = self.config.max_multiplicity
+        n_groups = len(starts)
+        sizes = np.diff(np.append(starts, len(pof)))
+        group_of = np.repeat(np.arange(n_groups), sizes)
+        rank = np.arange(len(pof)) - starts[group_of]
+
+        pmf = np.zeros((n_groups, max_k + 1), dtype=np.float64)
+        pmf[:, 0] = 1.0
+        for r in range(int(sizes.max())):
+            selected = rank == r
+            rows = group_of[selected]
+            p = pof[selected][:, np.newaxis]
+            block = pmf[rows]
+            shifted = np.zeros_like(block)
+            shifted[:, 1:] = block[:, :-1]
+            # the top bin absorbs overflow (k >= max_k stays in place)
+            shifted[:, -1] += block[:, -1]
+            pmf[rows] = block * (1.0 - p) + shifted * p
+        return pmf.sum(axis=0)
 
     def _process_batch_dense(
         self, particle, energy_mev, vdd_v, rays: RayBatch, rng

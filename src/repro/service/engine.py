@@ -86,12 +86,6 @@ class ExecutionOptions:
     resume: bool = True
     warm_pool: Optional[bool] = None
     shm: Optional[bool] = None
-    #: Array-compute backend (``None`` = process default; see
-    #: :mod:`repro.backend`) and cross-campaign batch fusion for
-    #: sweeps (:mod:`repro.ser.fusion`) -- results-invariant like the
-    #: rest of the execution plane.
-    backend: Optional[str] = None
-    fuse: bool = False
 
 
 def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
@@ -112,8 +106,6 @@ def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
         resume=options.resume,
         warm_pool=options.warm_pool,
         shm=options.shm,
-        backend=options.backend,
-        fuse=options.fuse,
     )
 
 

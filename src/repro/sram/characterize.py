@@ -164,7 +164,6 @@ def _cell_for(
     vdd: float,
     config: CharacterizationConfig,
     tables: Optional[IVTables] = None,
-    backend: Optional[str] = None,
 ) -> FastCell:
     """A :class:`FastCell` configured per the characterization knobs."""
     return FastCell(
@@ -175,7 +174,6 @@ def _cell_for(
         table_points=config.table_points,
         early_exit=config.early_exit,
         early_exit_margin_v=config.early_exit_margin_v,
-        backend=backend,
     )
 
 
@@ -235,7 +233,6 @@ def characterize_cell(
     journal=None,
     warm_pool: Optional[bool] = None,
     shm: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> PofTable:
     """Build the full POF table for a cell design.
 
@@ -260,12 +257,6 @@ def characterize_cell(
     leasing and the shared-memory payload plane (the big per-Vdd
     :class:`~repro.sram.ivtab.IVTables` surfaces ride shared segments);
     pure transport knobs, results are bit-identical either way.
-
-    ``backend`` names the array-compute backend for the tabulated
-    kernel's I-V lookups (``None`` = process default; see
-    :mod:`repro.backend`) -- an execution knob deliberately outside
-    ``config``, since the config participates in cache keys and the
-    backend never changes the numpy-path result.
     """
     config = config if config is not None else CharacterizationConfig()
     rng = np.random.default_rng(config.seed)
@@ -292,7 +283,7 @@ def characterize_cell(
         # land on workers.
         per_vdd = {}
         for vdd in config.vdd_list:
-            cell = _cell_for(design, vdd, config, backend=backend)
+            cell = _cell_for(design, vdd, config)
             tables = (
                 cell._ensure_tables(shifts)
                 if config.kernel == "tabulated"

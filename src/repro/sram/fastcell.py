@@ -169,9 +169,6 @@ class FastCell:
         ``max(0.6 * vdd_v, 1.5 * max|dVth|)``.
     early_exit_check_every:
         Steps between early-exit checks.
-    backend:
-        Array-compute backend for lazily-built I-V tables (``None`` =
-        process default; see :mod:`repro.backend`).
     """
 
     def __init__(
@@ -184,7 +181,6 @@ class FastCell:
         early_exit: bool = False,
         early_exit_margin_v: Optional[float] = None,
         early_exit_check_every: int = 8,
-        backend: Optional[str] = None,
     ):
         if vdd_v <= 0:
             raise ConfigError("Vdd must be positive")
@@ -208,7 +204,6 @@ class FastCell:
         )
         self._ee_every = int(early_exit_check_every)
         self._table_points = int(table_points)
-        self.backend = backend
         self._nmos = design.tech.nmos
         self._pmos = design.tech.pmos
         self._idx = {role: design.role_index(role) for role in ROLES}
@@ -373,7 +368,6 @@ class FastCell:
                 shift_pad_v=_TABLE_PAD_HEADROOM * max_shift,
                 points=self._table_points,
                 clamp_margin_v=_CLAMP_MARGIN_V,
-                backend=self.backend,
             )
             get_registry().counter("characterize.kernel.table_builds").inc()
         return self._tables

@@ -30,11 +30,10 @@ curvature of the strong-inversion and triode regions (see
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..backend import get_backend_instance, resolve_backend
 from ..errors import ConfigError
 
 __all__ = ["IVTables", "DEFAULT_TABLE_POINTS", "I_SCALE_A"]
@@ -79,10 +78,6 @@ class IVTables:
     clamp_margin_v:
         Node-voltage clamp margin beyond the rails [V] (the ``u`` axis
         spans ``[-margin, vdd + margin]``).
-    backend:
-        Array-compute backend for the lookup (``None`` = process
-        default; see :mod:`repro.backend`).  Execution knob only --
-        the numpy path is bit-identical to the inline gather.
     """
 
     def __init__(
@@ -92,7 +87,6 @@ class IVTables:
         shift_pad_v: float = _MIN_W_PAD_V,
         points: int = DEFAULT_TABLE_POINTS,
         clamp_margin_v: float = 0.6,
-        backend: Optional[str] = None,
     ):
         if vdd_v <= 0:
             raise ConfigError("Vdd must be positive")
@@ -133,8 +127,6 @@ class IVTables:
         self._flat = z.ravel()
         # flat offset of each slab, as a column for (3, m) query batches
         self._slab = (np.arange(3) * n * n)[:, np.newaxis]
-        self.backend = backend
-        self._backend_name = resolve_backend(backend)
 
     def covers(self, max_shift_v: float) -> bool:
         """Whether the effective-gate axis absorbs ``max |dvth|``."""
@@ -168,18 +160,14 @@ class IVTables:
         jw = np.clip(tw.astype(np.int64), 0, n - 2)
         fw = tw - jw
         base = self._slab + iu * n + jw
-        # the backend's four-gather bilinear blend; the numpy path is
-        # the verbatim inline code (device backends upload the raveled
-        # table once per sweep, keyed on its content fingerprint)
-        xp = get_backend_instance(self._backend_name)
-        z = xp.bilinear_gather(
-            xp.upload(self._flat),
-            xp.asarray(base),
-            n,
-            xp.asarray(fw),
-            xp.asarray(fu),
-        )
-        return I_SCALE_A * np.sinh(xp.to_numpy(z))
+        flat = self._flat
+        v00 = flat[base]
+        v01 = flat[base + 1]
+        v10 = flat[base + n]
+        v11 = flat[base + n + 1]
+        z0 = v00 + (v01 - v00) * fw
+        z1 = v10 + (v11 - v10) * fw
+        return I_SCALE_A * np.sinh(z0 + (z1 - z0) * fu)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -190,7 +178,3 @@ class IVTables:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._flat = self.z.ravel()
-        # payloads pickled before the backend knob existed
-        self.__dict__.setdefault("backend", None)
-        if "_backend_name" not in self.__dict__:
-            self._backend_name = resolve_backend(self.backend)

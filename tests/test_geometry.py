@@ -142,6 +142,21 @@ class TestChordLengthsVectorized:
         chord = chord_lengths(batch, [box])[0, 0]
         assert 0.0 <= chord <= box.diagonal_nm + 1e-9
 
+    @pytest.mark.parametrize("face_y", [0.0, 10.0])
+    @pytest.mark.parametrize("dy", [0.0, 1e-310, -1e-310])
+    def test_subnormal_component_on_face_is_parallel(self, face_y, dy):
+        """A subnormal direction component chords like an exact zero.
+
+        ``1 / 1e-310`` overflows to inf, so a ray starting on the
+        ``y`` slab plane used to hit ``0 * inf = nan`` and miss.
+        """
+        box = Aabb((0, 0, 0), (10, 10, 10))
+        batch = RayBatch(
+            np.array([[5.0, face_y, 20.0]]), np.array([[0.0, dy, -1.0]])
+        )
+        assert chord_lengths(batch, [box])[0, 0] == 10.0
+        assert box.chord(batch[0]) == 10.0
+
     def test_empty_boxes_rejected(self):
         with pytest.raises(GeometryError):
             stack_boxes([])

@@ -488,12 +488,11 @@ class TestManifestEnvironment:
 
         monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
         monkeypatch.delenv("REPRO_NO_SHM", raising=False)
-        env = capture_environment({"jobs": 4, "backend": "numpy"})
+        env = capture_environment({"jobs": 4})
         assert env["env"]["REPRO_NO_WARM_POOL"] == "1"
         assert env["env"]["REPRO_NO_SHM"] is None  # recorded even unset
         assert env["warm_pool_enabled"] is False  # effective, post-env
         assert env["n_jobs"] == 4
-        assert env["backend"] == "numpy"
         assert env["cpu_count"] >= 1
 
     def test_build_manifest_embeds_environment_and_strips_samples(self):

@@ -439,3 +439,37 @@ class TestVectorizedMerge:
         assert merged.pof_seu == shard.pof_seu
         assert merged.pof_mbu == shard.pof_mbu
         assert np.array_equal(merged.multiplicity_pmf, shard.multiplicity_pmf)
+
+
+# -- selection precedence ------------------------------------------------------
+
+# One row per execution-plane switch: the env var must beat the
+# explicit override, which must beat the module set_*_default.
+PRECEDENCE = {
+    "warm_pool": dict(
+        query=warm_pool_enabled,
+        set_default=set_warm_pool_default,
+        env="REPRO_NO_WARM_POOL",
+    ),
+    "shm": dict(
+        query=shm_enabled,
+        set_default=set_shm_default,
+        env="REPRO_NO_SHM",
+    ),
+}
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("switch", sorted(PRECEDENCE))
+    def test_env_beats_override_beats_default(self, switch, monkeypatch):
+        knob = PRECEDENCE[switch]
+        monkeypatch.delenv(knob["env"], raising=False)
+        # layer 3: the module default applies when nothing else is set
+        knob["set_default"](False)
+        assert knob["query"]() is False
+        # layer 2: an explicit override beats the default
+        assert knob["query"](True) is True
+        # layer 1: the kill-switch environment beats both
+        monkeypatch.setenv(knob["env"], "1")
+        assert knob["query"](True) is False
+        assert knob["query"]() is False
