@@ -178,6 +178,15 @@ class TestBatchPlan:
         assert counters["array_mc.runs"] == 1
         assert not any(name.startswith("backend.") for name in counters)
 
+    def test_campaign_runs_counted(self, layout, pof_table, metrics):
+        """Every campaign counts once in array_mc.runs; no backend.* counter."""
+        run_campaign(layout, pof_table, n=4096)
+        run_campaign(layout, pof_table, n=4096, seed=43)
+        counters = get_registry().snapshot()["counters"]
+        assert counters["array_mc.runs"] == 2
+        assert counters["array_mc.particles"] == 2 * 4096
+        assert not any(name.startswith("backend.") for name in counters)
+
     def test_lost_task_raises(self, layout, pof_table, tmp_path, monkeypatch):
         """A plan cannot degrade: a lost block is fatal."""
         simulator = make_simulator(layout, pof_table)
@@ -373,6 +382,17 @@ class TestFlowKillResume:
 # -- inlined numpy kernels vs. their references --------------------------------
 
 
+class _FixedPof:
+    """POF-table stand-in answering every query with preset values."""
+
+    def __init__(self, pof):
+        self.pof = pof
+
+    def query(self, vdd_v, charges):
+        assert len(charges) == len(self.pof)
+        return self.pof
+
+
 class TestInlineKernels:
     def test_sparse_multiplicity_matches_sequential_dp(
         self, layout, pof_table
@@ -398,6 +418,51 @@ class TestInlineKernels:
                     pmf = pmf * (1.0 - p) + shifted * p
                 pmfs[g] = pmf
             assert np.array_equal(got, pmfs.sum(axis=0))
+
+    def test_segment_combine_matches_inline_eqs(self, layout, pof_table):
+        """``_process_batch`` folds eqs. 4-6 exactly as the historical code."""
+        simulator = make_simulator(layout, pof_table)
+        one_minus_eps = 1.0 - 1e-12
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            sizes = rng.integers(1, 7, size=40)
+            # distinct cells per event, event-major and ascending: the
+            # row order np.unique gives the touched (event, cell) keys
+            cells = np.concatenate(
+                [
+                    np.sort(rng.choice(layout.n_cells, size=s, replace=False))
+                    for s in sizes
+                ]
+            )
+            events = np.repeat(np.arange(len(sizes)), sizes)
+            pof = rng.random(len(cells))
+            pof[rng.random(len(cells)) < 0.05] = 1.0  # exercise the clip
+            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+
+            order = rng.permutation(len(cells))  # strikes arrive unsorted
+            strikes = (
+                events[order],
+                cells[order],
+                np.zeros(len(cells), dtype=np.int64),
+                rng.uniform(1e-16, 1e-14, size=len(cells)),
+            )
+            gathered = (len(sizes), len(cells), len(sizes), strikes)
+            simulator._gather_strikes = lambda *_, g=gathered: g
+            simulator.pof_table = _FixedPof(pof)
+            total, seu, mbu, *_ = simulator._process_batch(
+                ALPHA, 5.0, 0.7, None, rng
+            )
+            # the exact expressions the sparse kernel has always used
+            ref_total = 1.0 - np.multiply.reduceat(1.0 - pof, starts)
+            clipped = np.minimum(pof, one_minus_eps)
+            survive = 1.0 - clipped
+            ref_seu = np.multiply.reduceat(survive, starts) * np.add.reduceat(
+                clipped / survive, starts
+            )
+            ref_mbu = np.maximum(ref_total - ref_seu, 0.0)
+            assert total == float(np.sum(ref_total))
+            assert seu == float(np.sum(ref_seu))
+            assert mbu == float(np.sum(ref_mbu))
 
     def test_currents_stacked_matches_bilinear_blend(self):
         """The flat four-gather lookup equals a 3-D indexed blend."""
