@@ -50,17 +50,11 @@ class CircuitLevelSerModel:
         Width of the double-exponential used for Qcrit extraction
         (the baseline papers use ~100 ps collection tails; the flip
         outcome is width-insensitive per the paper's Section 4).
-    kernel / early_exit:
-        :class:`~repro.sram.fastcell.FastCell` evaluation strategy for
-        the pulse bisection; the defaults ("fused", off) are
-        bit-identical to the exact per-role kernel.
     """
 
     design: SramCellDesign
     collection_slope_c: float = 6.0e-17
     pulse_width_s: float = 1.0e-12
-    kernel: str = "fused"
-    early_exit: bool = False
 
     def __post_init__(self):
         if self.collection_slope_c <= 0:
@@ -70,10 +64,7 @@ class CircuitLevelSerModel:
 
     def critical_charge_c(self, vdd_v: float) -> float:
         """Qcrit via the nominal cell and a resolved current pulse."""
-        cell = FastCell(
-            self.design, vdd_v,
-            kernel=self.kernel, early_exit=self.early_exit,
-        )
+        cell = FastCell(self.design, vdd_v)
         shifts = np.zeros((1, 6))
         settled = cell.settle(shifts)
         lo, hi = 1.0e-18, 5.0e-14

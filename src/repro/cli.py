@@ -277,26 +277,11 @@ def _add_cell_kernel(parser):
     group = parser.add_argument_group("cell kernel")
     group.add_argument(
         "--cell-kernel",
-        choices=("exact", "fused", "tabulated"),
+        choices=("fused", "tabulated"),
         default="tabulated",
         help="FastCell current kernel for POF characterization "
-        "(default: tabulated; fused/exact are the bit-identical "
-        "reference paths)",
-    )
-    group.add_argument(
-        "--no-cell-early-exit",
-        dest="cell_early_exit",
-        action="store_false",
-        default=True,
-        help="integrate every strike to the full horizon instead of "
-        "freezing decided trajectories early",
-    )
-    group.add_argument(
-        "--cell-max-batch",
-        type=int,
-        default=200_000,
-        help="peak (grid point x variation sample) rows per cell "
-        "simulation batch (default: 200000)",
+        "(default: tabulated I-V lookups; fused evaluates the compact "
+        "model directly, within a 0.01 POF budget of tabulated)",
     )
 
 
@@ -322,8 +307,6 @@ def _spec_from_args(args, vdd_list=None):
         seed=args.seed,
         variation=not args.no_variation,
         cell_kernel=args.cell_kernel,
-        cell_early_exit=args.cell_early_exit,
-        cell_max_batch=args.cell_max_batch,
         adaptive=getattr(args, "adaptive", False),
         target_se=getattr(args, "target_se", 5e-4),
         target_se_relative=getattr(args, "target_se_relative", False),
@@ -400,12 +383,7 @@ def cmd_qcrit(args) -> int:
 
     vdds = [float(v) for v in args.vdd_list.split(",")]
     design = SramCellDesign()
-    qcrits = critical_charge_vs_vdd(
-        design,
-        vdds,
-        kernel=args.cell_kernel,
-        early_exit=args.cell_early_exit,
-    )
+    qcrits = critical_charge_vs_vdd(design, vdds)
     for vdd, qcrit in zip(vdds, qcrits):
         electrons = qcrit / 1.602176634e-19
         _say(f"vdd={vdd:.2f} V  Qcrit={qcrit * 1e15:.4f} fC  ({electrons:.0f} e-)")
@@ -765,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qcrit = sub.add_parser("qcrit", help="nominal critical charge vs Vdd")
     p_qcrit.add_argument("--vdd-list", default="0.7,0.8,0.9,1.0,1.1")
-    _add_cell_kernel(p_qcrit)
     p_qcrit.set_defaults(func=cmd_qcrit)
 
     p_report = sub.add_parser(

@@ -81,10 +81,8 @@ class QuerySpec:
     yield_points: int = 13
     seed: int = 2014
     variation: bool = True
-    # cell kernel
+    # cell kernel ("fused" | "tabulated")
     cell_kernel: str = "tabulated"
-    cell_early_exit: bool = True
-    cell_max_batch: int = 200_000
     # adaptive sampling (changes results => part of the key)
     adaptive: bool = False
     target_se: float = 5e-4
@@ -169,8 +167,6 @@ class QuerySpec:
                     vdd_list=self.vdd_list,
                     n_samples=self.samples,
                     kernel=self.cell_kernel,
-                    early_exit=self.cell_early_exit,
-                    max_batch=self.cell_max_batch,
                 ),
                 process_variation=self.variation,
                 array_rows=self.array_rows,

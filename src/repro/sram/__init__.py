@@ -8,7 +8,7 @@ from .access import (
 )
 from .cell import ROLES, SENSITIVE_ROLES, STRIKE_TARGETS, SramCellDesign
 from .characterize import CharacterizationConfig, characterize_cell
-from .fastcell import KERNELS, FastCell
+from .fastcell import FastCell
 from .ivtab import IVTables
 from .pof_cdf import QcritCdfModel
 from .pof_lut import PofTable
@@ -27,7 +27,6 @@ __all__ = [
     "SENSITIVE_ROLES",
     "STRIKE_TARGETS",
     "FastCell",
-    "KERNELS",
     "IVTables",
     "CharacterizationConfig",
     "characterize_cell",

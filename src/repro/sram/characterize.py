@@ -11,7 +11,7 @@ batched integration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,17 +22,36 @@ from ..obs import get_logger, get_registry, kv, span
 from ..obs.convergence import convergence_active, record_bin
 from ..parallel import parallel_map
 from .cell import SramCellDesign
-from .fastcell import KERNELS, FastCell
-from .ivtab import DEFAULT_TABLE_POINTS, IVTables
+from .fastcell import FastCell
+from .ivtab import IVTables
 from .pof_lut import PofTable
 from .strike import ALL_COMBOS
 
 _log = get_logger(__name__)
 
+#: Cell current kernels a characterization may select.
+KERNEL_CHOICES = ("fused", "tabulated")
+
+#: Cap on simultaneous (grid point x variation sample) rows per
+#: :meth:`FastCell.run_impulse` batch.  Dense grids with large MC are
+#: chunked to bound peak memory; chunks are independent row ranges of
+#: the same batch, so the POF is identical.  No default-scale grid
+#: splits: the largest, the 6^3 triple grid x 200 samples, is 43 200
+#: rows; at paper scale (1000 samples) only that grid splits, in two.
+MAX_BATCH_ROWS = 200_000
+
+#: Headroom factor on the variation sample's max |dVth| when sizing the
+#: tabulated kernel's I-V tables.
+_TABLE_PAD_HEADROOM = 1.5
+
 
 @dataclass(frozen=True)
 class CharacterizationConfig:
     """Knobs of the cell characterization.
+
+    Every field changes the POF table, so the whole config enters the
+    artifact-cache key; execution knobs (workers, pools, shared memory)
+    live elsewhere.
 
     Attributes
     ----------
@@ -61,27 +80,12 @@ class CharacterizationConfig:
         Clean MC noise by making POF non-decreasing along every charge
         axis (POF is physically monotone in each collected charge).
     kernel:
-        :class:`~repro.sram.fastcell.FastCell` current kernel.  The
-        default ``"tabulated"`` interpolates per-(role-type, Vdd) I-V
-        tables built once per Vdd in the parent; ``"fused"`` and
-        ``"exact"`` evaluate the compact model directly and are
-        bit-identical to each other (see ``docs/performance.md``).
-    early_exit:
-        Freeze decided trajectories during the strike relaxation and
-        compact the live batch (same POF, fewer integrated steps).
-    early_exit_margin_v:
-        Override of the early-exit separation margin [V]; ``None``
-        uses the validated per-batch default.
-    table_points:
-        Grid points per axis of the tabulated kernel's I-V tables.
-    max_batch:
-        Cap on simultaneous (grid point x variation sample) rows per
-        :meth:`FastCell.run_impulse` batch -- dense grids with large
-        MC are chunked to bound peak memory; POF output is identical.
-    hoist_settle:
-        Compute the settled baselines once per Vdd in the parent
-        (they depend only on (vdd, shifts)) instead of re-running the
-        80-step settle in all 7 per-combo tasks; bit-identical.
+        :class:`~repro.sram.fastcell.FastCell` current kernel, one of
+        :data:`KERNEL_CHOICES`.  The default ``"tabulated"``
+        interpolates per-(role-type, Vdd) I-V tables built once per Vdd
+        in the parent; ``"fused"`` evaluates the compact model directly
+        (max |dPOF| <= 0.01 between the two; see
+        ``docs/performance.md``).
     """
 
     vdd_list: Tuple[float, ...] = (0.7, 0.8, 0.9, 1.0, 1.1)
@@ -97,11 +101,6 @@ class CharacterizationConfig:
     dt_s: float = 2.5e-13
     enforce_monotone: bool = True
     kernel: str = "tabulated"
-    early_exit: bool = True
-    early_exit_margin_v: Optional[float] = None
-    table_points: int = DEFAULT_TABLE_POINTS
-    max_batch: int = 200_000
-    hoist_settle: bool = True
 
     def __post_init__(self):
         if not self.vdd_list or any(v <= 0 for v in self.vdd_list):
@@ -116,16 +115,15 @@ class CharacterizationConfig:
             raise ConfigError("need >= 1 variation sample")
         if self.max_pair_points < 3 or self.max_triple_points < 3:
             raise ConfigError("pair/triple grids need >= 3 points per axis")
-        if self.kernel not in KERNELS:
+        if not self.t_sim_s > 0:
+            raise ConfigError("t_sim_s must be positive")
+        if not 0 < self.dt_s <= self.t_sim_s:
+            raise ConfigError("need 0 < dt_s <= t_sim_s")
+        if self.kernel not in KERNEL_CHOICES:
             raise ConfigError(
-                f"unknown cell kernel {self.kernel!r}; choose from {KERNELS}"
+                f"unknown cell kernel {self.kernel!r}; "
+                f"choose from {KERNEL_CHOICES}"
             )
-        if self.early_exit_margin_v is not None and self.early_exit_margin_v <= 0:
-            raise ConfigError("early-exit margin must be positive")
-        if self.table_points < 8:
-            raise ConfigError("need >= 8 table points per axis")
-        if self.max_batch < 1:
-            raise ConfigError("max_batch must be >= 1")
 
     def charge_axis_c(self) -> np.ndarray:
         """The shared log-spaced charge axis [C]."""
@@ -157,24 +155,6 @@ def _enforce_monotone(grid: np.ndarray) -> np.ndarray:
     for axis in range(result.ndim):
         result = np.maximum.accumulate(result, axis=axis)
     return np.clip(result, 0.0, 1.0)
-
-
-def _cell_for(
-    design: SramCellDesign,
-    vdd: float,
-    config: CharacterizationConfig,
-    tables: Optional[IVTables] = None,
-) -> FastCell:
-    """A :class:`FastCell` configured per the characterization knobs."""
-    return FastCell(
-        design,
-        vdd,
-        kernel=config.kernel,
-        tables=tables if config.kernel == "tabulated" else None,
-        table_points=config.table_points,
-        early_exit=config.early_exit,
-        early_exit_margin_v=config.early_exit_margin_v,
-    )
 
 
 def _characterize_task(payload, task):
@@ -277,22 +257,21 @@ def characterize_cell(
         samples=n_samples,
     ):
         # Per-Vdd precomputation, shared by all 7 combo tasks: the I-V
-        # tables of the tabulated kernel and (when hoisted) the settled
-        # baselines.  Both depend only on (vdd, shifts), and computing
-        # them here keeps them deterministic regardless of how tasks
-        # land on workers.
+        # tables of the tabulated kernel and the settled baselines.
+        # Both depend only on (vdd, shifts), and computing them here
+        # keeps them deterministic regardless of how tasks land on
+        # workers.
+        shift_pad_v = _TABLE_PAD_HEADROOM * float(np.max(np.abs(shifts)))
         per_vdd = {}
         for vdd in config.vdd_list:
-            cell = _cell_for(design, vdd, config)
-            tables = (
-                cell._ensure_tables(shifts)
-                if config.kernel == "tabulated"
-                else None
-            )
-            settled = (
-                cell.settle(shifts, dt_s=config.dt_s)
-                if config.hoist_settle
-                else None
+            tables = None
+            if config.kernel == "tabulated":
+                tables = IVTables(design, vdd, shift_pad_v=shift_pad_v)
+                get_registry().counter(
+                    "characterize.kernel.table_builds"
+                ).inc()
+            settled = FastCell(design, vdd, tables).settle(
+                shifts, dt_s=config.dt_s
             )
             per_vdd[vdd] = (tables, settled)
 
@@ -385,8 +364,6 @@ def _task_cost_hint_s(config: CharacterizationConfig, n_samples: int) -> float:
         for combo in ALL_COMBOS
     ) / len(ALL_COMBOS)
     steps = max(int(round(config.t_sim_s / config.dt_s)), 1)
-    if not config.hoist_settle:
-        steps += 80
     return 2.5e-8 * mean_points * n_samples * steps + 0.005
 
 
@@ -397,22 +374,17 @@ def _pof_grid_for_combo(
     axis_c: np.ndarray,
     shifts: np.ndarray,
     config: CharacterizationConfig,
-    settled: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    tables: Optional[IVTables] = None,
+    settled: Tuple[np.ndarray, np.ndarray],
+    tables: Optional[IVTables],
 ) -> np.ndarray:
     """POF over the charge mesh of one (vdd, combo) case.
 
-    ``settled`` / ``tables`` are the per-Vdd precomputations hoisted
-    into the parent (computed here when absent, with identical
-    results).  The (grid point x variation sample) expansion is
-    chunked under ``config.max_batch`` rows; chunks are independent
-    row ranges of the same batch, so the POF is identical to the
-    unchunked evaluation.
+    ``settled`` / ``tables`` are the per-Vdd precomputations of the
+    parent.  The (grid point x variation sample) expansion is chunked
+    under :data:`MAX_BATCH_ROWS` rows.
     """
-    cell = _cell_for(design, vdd, config, tables=tables)
+    cell = FastCell(design, vdd, tables)
     n_samples = shifts.shape[0]
-    if settled is None:
-        settled = cell.settle(shifts, dt_s=config.dt_s)
 
     mesh = np.meshgrid(*([axis_c] * len(combo)), indexing="ij")
     n_points = mesh[0].size
@@ -421,8 +393,8 @@ def _pof_grid_for_combo(
         charges[:, strike_index] = mesh[dim].ravel()
 
     # tile: every grid point runs every variation sample -- in chunks
-    # of whole grid points so peak memory stays under max_batch rows
-    points_per_chunk = max(1, config.max_batch // n_samples)
+    # of whole grid points so peak memory stays under MAX_BATCH_ROWS
+    points_per_chunk = max(1, MAX_BATCH_ROWS // n_samples)
     flipped_chunks = []
     for start in range(0, n_points, points_per_chunk):
         chunk = charges[start : start + points_per_chunk]

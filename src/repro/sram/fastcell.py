@@ -24,25 +24,24 @@ Strike injection modes
 
 Current kernels
 ---------------
-The RK4 stage derivative is served by one of three pluggable kernels
-(``kernel=`` at construction; see ``docs/performance.md``):
+The RK4 stage derivative is served by one of two kernels, chosen by
+whether the cell is given I-V tables (see ``docs/performance.md``):
 
-* ``"exact"`` -- the reference: six per-role compact-model calls per
-  stage, exactly the original implementation.
-* ``"fused"`` (default) -- two stacked compact-model calls per stage
+* ``"fused"`` (no tables) -- two stacked compact-model calls per stage
   (one batched n-type for {pd_l, pg_l, pd_r, pg_r}, one batched p-type
-  for {pu_l, pu_r}).  Bit-identical to ``"exact"``: the model is purely
-  elementwise, so stacking rows changes nothing but the Python-call
-  count.
-* ``"tabulated"`` -- bilinear lookups into per-(role-type, Vdd)
-  :class:`~repro.sram.ivtab.IVTables` built once per cell and amortized
-  over every stage evaluation.  Approximate, with a tested accuracy
-  budget; keep ``"exact"`` for ground truth.
+  for {pu_l, pu_r}).  Bit-identical to six per-role calls: the model is
+  purely elementwise, so stacking rows changes nothing but the
+  Python-call count.  Qcrit extraction and the circuit baseline use it.
+* ``"tabulated"`` (``tables=``) -- bilinear lookups into per-(role-type,
+  Vdd) :class:`~repro.sram.ivtab.IVTables` built once per Vdd by the
+  characterization and amortized over every stage evaluation.
+  Approximate, with a tested POF accuracy budget.
 
-Independently, ``early_exit=True`` freezes trajectories whose node
+Strike relaxation always exits early: trajectories whose node
 separation has regeneratively latched (checked every
-``early_exit_check_every`` steps) and compacts the live batch, so the
-fixed integration horizon is only paid near the flip boundary.
+``_EARLY_EXIT_CHECK_EVERY`` steps) are frozen and the live batch is
+compacted, so the fixed integration horizon is only paid near the flip
+boundary.  Outcomes equal the full-horizon integration.
 """
 
 from __future__ import annotations
@@ -53,18 +52,14 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..obs import get_registry
-from ..devices import TechnologyCard
-from .cell import ROLES, SENSITIVE_ROLES, STRIKE_TARGETS, SramCellDesign
-from .ivtab import DEFAULT_TABLE_POINTS, IVTables
+from .cell import ROLES, SramCellDesign
+from .ivtab import IVTables
 
 #: Node-voltage clamp margin beyond the rails [V] -- the forward drop
 #: of the junctions that catch an overdriven storage node.
 _CLAMP_MARGIN_V = 0.6
 
-#: Selectable current kernels.
-KERNELS = ("exact", "fused", "tabulated")
-
-#: Default early-exit separation margin as a fraction of Vdd.  A
+#: Early-exit separation margin as a fraction of Vdd.  A
 #: trajectory whose |vq - vqb| stays beyond the margin with a stable
 #: sign across two consecutive checks is past the metastable point by
 #: more than any excursion the regenerative feedback can still undo,
@@ -72,31 +67,18 @@ KERNELS = ("exact", "fused", "tabulated")
 #: Stress integration over the reachable post-strike state space shows
 #: wrong-side excursions (a trajectory visiting s < -m yet ending
 #: unflipped, or vice versa) bounded by ~1.1x the worst per-device
-#: |dVth| of the batch, so the default margin is
+#: |dVth| of the batch, so the margin is
 #: max(0.6 * Vdd, 1.5 * max|dVth|); if mismatch is so extreme that the
 #: margin exceeds the latched separation, nothing freezes and the loop
 #: silently degrades to the full horizon (correct, just not faster).
 #: The equality tests compare against the full-horizon run.
 _EARLY_EXIT_MARGIN_FRAC = 0.6
 
-#: Safety factor on the batch's worst |dVth| in the default margin.
+#: Safety factor on the batch's worst |dVth| in the margin.
 _EARLY_EXIT_SHIFT_FACTOR = 1.5
 
-#: Headroom factor on max |dVth| when sizing lazily-built I-V tables,
-#: so small follow-up batches don't force a rebuild.
-_TABLE_PAD_HEADROOM = 1.5
-
-
-class _ExactCtx:
-    """Per-batch state for the exact per-role kernel."""
-
-    __slots__ = ("shifts",)
-
-    def __init__(self, shifts: np.ndarray):
-        self.shifts = shifts
-
-    def take(self, keep: np.ndarray) -> "_ExactCtx":
-        return _ExactCtx(self.shifts[keep])
+#: Integration steps between early-exit checks.
+_EARLY_EXIT_CHECK_EVERY = 8
 
 
 class _FusedCtx:
@@ -150,60 +132,25 @@ class FastCell:
     ----------
     design, vdd_v:
         Cell design and supply voltage.
-    kernel:
-        One of :data:`KERNELS`.  ``"fused"`` (default) and ``"exact"``
-        are bit-identical; ``"tabulated"`` trades a tested POF accuracy
-        budget for speed.
     tables:
-        Pre-built :class:`~repro.sram.ivtab.IVTables` for the
-        tabulated kernel (must match ``vdd_v``); built lazily from the
-        first batch's shift range when omitted.
-    table_points:
-        Grid points per axis for lazily-built tables.
-    early_exit:
-        Freeze decided trajectories during strike relaxation and
-        compact the live batch (see module docstring).
-    early_exit_margin_v:
-        Separation margin [V] beyond which a sign-stable |vq - vqb|
-        counts as decided; defaults per batch to
-        ``max(0.6 * vdd_v, 1.5 * max|dVth|)``.
-    early_exit_check_every:
-        Steps between early-exit checks.
+        :class:`~repro.sram.ivtab.IVTables` built for ``vdd_v``; given,
+        the cell runs the tabulated kernel, and every batch's shifts
+        must lie inside the tables' shift pad.  ``None`` runs the fused
+        compact-model kernel.
     """
 
     def __init__(
         self,
         design: SramCellDesign,
         vdd_v: float,
-        kernel: str = "fused",
         tables: Optional[IVTables] = None,
-        table_points: int = DEFAULT_TABLE_POINTS,
-        early_exit: bool = False,
-        early_exit_margin_v: Optional[float] = None,
-        early_exit_check_every: int = 8,
     ):
         if vdd_v <= 0:
             raise ConfigError("Vdd must be positive")
-        if kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown cell kernel {kernel!r}; choose from {KERNELS}"
-            )
-        if early_exit_margin_v is not None and early_exit_margin_v <= 0:
-            raise ConfigError("early-exit margin must be positive")
-        if early_exit_check_every < 1:
-            raise ConfigError("early-exit check interval must be >= 1")
         self.design = design
         self.vdd = float(vdd_v)
         self.cap_f = design.tech.node_cap_f
-        self.kernel = kernel
-        self.early_exit = bool(early_exit)
-        self._ee_margin = (
-            float(early_exit_margin_v)
-            if early_exit_margin_v is not None
-            else None
-        )
-        self._ee_every = int(early_exit_check_every)
-        self._table_points = int(table_points)
+        self.kernel = "fused" if tables is None else "tabulated"
         self._nmos = design.tech.nmos
         self._pmos = design.tech.pmos
         self._idx = {role: design.role_index(role) for role in ROLES}
@@ -222,55 +169,19 @@ class FastCell:
         self._nf_p = np.array(
             [[self._nfin["pu_l"]], [self._nfin["pu_r"]]], dtype=np.float64
         )
-        if tables is not None:
-            if abs(tables.vdd - self.vdd) > 1e-12:
-                raise ConfigError(
-                    "I-V tables were built for a different Vdd"
-                )
-            if kernel != "tabulated":
-                raise ConfigError(
-                    "I-V tables require kernel='tabulated'"
-                )
+        if tables is not None and abs(tables.vdd - self.vdd) > 1e-12:
+            raise ConfigError("I-V tables were built for a different Vdd")
         self._tables = tables
 
     # -- dynamics -------------------------------------------------------------
 
-    def node_currents(
-        self, vq: np.ndarray, vqb: np.ndarray, shifts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Currents [A] flowing *into* nodes q and qb (exact reference).
-
-        ``shifts`` has shape ``(n, 6)`` in :data:`~repro.sram.cell.ROLES`
-        order.  This is the per-role reference evaluation regardless of
-        the configured kernel.
-        """
-        vdd = self.vdd
-
-        def ids(role, vd, vg, vs):
-            model = self.design.model_of(role)
-            return self._nfin[role] * model.ids(
-                vd, vg, vs, vth_shift=shifts[:, self._idx[role]]
-            )
-
-        # Current into q: PU_L sources it, PD_L sinks it, PG_L leaks
-        # from BL (= vdd).  A device's ids flows drain -> source, i.e.
-        # *out of* its drain node.
-        i_q = (
-            -ids("pu_l", vq, vqb, vdd)
-            - ids("pd_l", vq, vqb, 0.0)
-            + ids("pg_l", vdd, 0.0, vq)
-        )
-        i_qb = (
-            -ids("pu_r", vqb, vq, vdd)
-            - ids("pd_r", vqb, vq, 0.0)
-            + ids("pg_r", vdd, 0.0, vqb)
-        )
-        return i_q, i_qb
-
     def _deriv_currents(self, a, b, ctx):
-        """Stage currents into (q, qb) under the configured kernel."""
-        if isinstance(ctx, _ExactCtx):
-            return self.node_currents(a, b, ctx.shifts)
+        """Stage currents [A] into (q, qb) under the cell's kernel.
+
+        A device's ids flows drain -> source, i.e. *out of* its drain
+        node: the pull-up sources current into its node, the pull-down
+        sinks it, and the pass-gate leaks it in from the bit line.
+        """
         if isinstance(ctx, _FusedCtx):
             vf = np.full_like(a, self.vdd)
             z = np.zeros_like(a)
@@ -316,10 +227,6 @@ class FastCell:
         vqb_new = vqb + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
         return self._clamp(vq_new), self._clamp(vqb_new)
 
-    def _rk4_step(self, vq, vqb, shifts, dt, extra_q=0.0, extra_qb=0.0):
-        """One exact-kernel RK4 step (reference; original signature)."""
-        return self._step(vq, vqb, _ExactCtx(shifts), dt, extra_q, extra_qb)
-
     def _clamp(self, v):
         return np.clip(v, -_CLAMP_MARGIN_V, self.vdd + _CLAMP_MARGIN_V)
 
@@ -327,9 +234,7 @@ class FastCell:
 
     def _make_ctx(self, shifts: np.ndarray):
         """Build the per-batch kernel context for validated ``shifts``."""
-        if self.kernel == "exact":
-            return _ExactCtx(shifts)
-        if self.kernel == "fused":
+        if self._tables is None:
             nsh = np.stack(
                 (
                     shifts[:, self._idx["pd_l"]],
@@ -342,7 +247,12 @@ class FastCell:
                 (shifts[:, self._idx["pu_l"]], shifts[:, self._idx["pu_r"]])
             )
             return _FusedCtx(nsh, psh)
-        tables = self._ensure_tables(shifts)
+        max_shift = float(np.max(np.abs(shifts))) if shifts.size else 0.0
+        if not self._tables.covers(max_shift):
+            raise ConfigError(
+                f"I-V tables cover |dVth| <= {self._tables.shift_pad_v:g} V "
+                f"but the batch reaches {max_shift:g} V"
+            )
         offsets = np.stack(
             (
                 -np.concatenate(
@@ -356,26 +266,10 @@ class FastCell:
                 ),
             )
         )
-        return _TabCtx(tables, offsets)
-
-    def _ensure_tables(self, shifts: np.ndarray) -> IVTables:
-        """Return I-V tables whose gate axes cover this shift batch."""
-        max_shift = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-        if self._tables is None or not self._tables.covers(max_shift):
-            self._tables = IVTables(
-                self.design,
-                self.vdd,
-                shift_pad_v=_TABLE_PAD_HEADROOM * max_shift,
-                points=self._table_points,
-                clamp_margin_v=_CLAMP_MARGIN_V,
-            )
-            get_registry().counter("characterize.kernel.table_builds").inc()
-        return self._tables
+        return _TabCtx(self._tables, offsets)
 
     def _ee_margin_for(self, shifts: np.ndarray) -> float:
         """Early-exit margin [V] for a batch (see module constants)."""
-        if self._ee_margin is not None:
-            return self._ee_margin
         max_shift = float(np.max(np.abs(shifts))) if shifts.size else 0.0
         return max(
             _EARLY_EXIT_MARGIN_FRAC * self.vdd,
@@ -387,15 +281,10 @@ class FastCell:
     ) -> np.ndarray:
         """Free relaxation for ``steps``; returns the flip mask.
 
-        With ``early_exit`` enabled, trajectories whose separation has
-        regeneratively latched are frozen at the checkpoints and the
-        live batch is compacted; outcomes equal the full-horizon run.
+        Trajectories whose separation has regeneratively latched are
+        frozen at the checkpoints and the live batch is compacted;
+        outcomes equal the full-horizon run.
         """
-        if not self.early_exit:
-            for _ in range(steps):
-                vq, vqb = self._step(vq, vqb, ctx, dt_s)
-            return vq < vqb
-
         n = vq.shape[0]
         outcome = np.zeros(n, dtype=bool)
         active = np.arange(n)
@@ -404,7 +293,7 @@ class FastCell:
         frozen_total = 0
         saved_total = 0
         while done < steps and active.size:
-            span = min(self._ee_every, steps - done)
+            span = min(_EARLY_EXIT_CHECK_EVERY, steps - done)
             for _ in range(span):
                 vq, vqb = self._step(vq, vqb, ctx, dt_s)
             done += span

@@ -43,8 +43,8 @@ __all__ = ["IVTables", "DEFAULT_TABLE_POINTS", "I_SCALE_A"]
 #: resulting critical-charge boundary shift is ~1.5e-4 in log charge,
 #: an order of magnitude below the spacing between Monte Carlo samples
 #: and the charge grid at characterization scale, which keeps the POF
-#: deviation versus the exact kernel inside the documented 0.01 budget
-#: (asserted by tests and the perf harness).
+#: deviation versus the per-role compact model inside the documented
+#: 0.01 budget (asserted by tests).
 DEFAULT_TABLE_POINTS = 769
 
 #: Current scale of the asinh compression [A].  Chosen between the
@@ -72,7 +72,7 @@ class IVTables:
     shift_pad_v:
         Threshold-shift headroom [V] widening the effective-gate axis;
         must cover ``max |dvth|`` of every query batch
-        (:meth:`covers` checks, callers rebuild when exceeded).
+        (:meth:`covers` checks; the cell rejects uncovered batches).
     points:
         Grid points per axis.
     clamp_margin_v:

@@ -19,10 +19,6 @@ from ..errors import ConfigError
 from .cell import SramCellDesign
 from .fastcell import FastCell
 
-#: Default current kernel of the Qcrit helpers: bit-identical to the
-#: exact per-role evaluation, just faster (``docs/performance.md``).
-DEFAULT_QCRIT_KERNEL = "fused"
-
 #: Canonical single-strike direction: all charge into I1 (the
 #: pull-down of the '1' node -- the classic SRAM-upset path).
 I1_DIRECTION = np.array([1.0, 0.0, 0.0])
@@ -32,16 +28,9 @@ def nominal_critical_charge_c(
     design: SramCellDesign,
     vdd_v: float,
     direction: Sequence[float] = I1_DIRECTION,
-    kernel: str = DEFAULT_QCRIT_KERNEL,
-    early_exit: bool = False,
 ) -> float:
-    """Qcrit [C] of the variation-free cell along a strike direction.
-
-    ``kernel`` / ``early_exit`` select the
-    :class:`~repro.sram.fastcell.FastCell` evaluation strategy; the
-    defaults reproduce the exact bisection bit-for-bit.
-    """
-    cell = FastCell(design, vdd_v, kernel=kernel, early_exit=early_exit)
+    """Qcrit [C] of the variation-free cell along a strike direction."""
+    cell = FastCell(design, vdd_v)
     shifts = np.zeros((1, 6))
     return float(
         cell.critical_charge_c(np.asarray(direction, dtype=np.float64), shifts)[0]
@@ -52,19 +41,12 @@ def critical_charge_vs_vdd(
     design: SramCellDesign,
     vdd_values: Sequence[float],
     direction: Sequence[float] = I1_DIRECTION,
-    kernel: str = DEFAULT_QCRIT_KERNEL,
-    early_exit: bool = False,
 ) -> np.ndarray:
     """Nominal Qcrit [C] at each supply voltage (monotone increasing)."""
     if not len(vdd_values):
         raise ConfigError("need at least one Vdd value")
     return np.array(
-        [
-            nominal_critical_charge_c(
-                design, v, direction, kernel=kernel, early_exit=early_exit
-            )
-            for v in vdd_values
-        ]
+        [nominal_critical_charge_c(design, v, direction) for v in vdd_values]
     )
 
 
@@ -75,8 +57,6 @@ def critical_charge_samples_c(
     rng: np.random.Generator,
     direction: Sequence[float] = I1_DIRECTION,
     variation: Optional[VariationModel] = None,
-    kernel: str = DEFAULT_QCRIT_KERNEL,
-    early_exit: bool = False,
 ) -> np.ndarray:
     """Qcrit distribution [C] under threshold-voltage variation.
 
@@ -90,7 +70,7 @@ def critical_charge_samples_c(
         else VariationModel(sigma_vth_v=design.tech.sigma_vth_v)
     )
     shifts = variation.sample_shifts(n_samples, design.nfins(), rng)
-    cell = FastCell(design, vdd_v, kernel=kernel, early_exit=early_exit)
+    cell = FastCell(design, vdd_v)
     return cell.critical_charge_c(
         np.asarray(direction, dtype=np.float64), shifts
     )
@@ -102,12 +82,9 @@ def critical_charge_statistics(
     n_samples: int,
     rng: np.random.Generator,
     direction: Sequence[float] = I1_DIRECTION,
-    kernel: str = DEFAULT_QCRIT_KERNEL,
-    early_exit: bool = False,
 ) -> Tuple[float, float]:
     """``(mean, std)`` of the Qcrit distribution [C]."""
     samples = critical_charge_samples_c(
-        design, vdd_v, n_samples, rng, direction,
-        kernel=kernel, early_exit=early_exit,
+        design, vdd_v, n_samples, rng, direction
     )
     return float(np.mean(samples)), float(np.std(samples))

@@ -1,0 +1,103 @@
+"""One cache-key rule: keys hash exactly the fields that change results.
+
+:class:`~repro.sram.CharacterizationConfig` and
+:class:`~repro.service.QuerySpec` hold only result-affecting fields, so
+hashing them wholesale is sound; results-invariant execution knobs
+live on :class:`~repro.service.ExecutionOptions` and never reach a key.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.io import config_hash
+from repro.service import ExecutionOptions, QueryError, QuerySpec, build_flow
+from repro.sram import CharacterizationConfig
+
+from .test_service import _tiny_spec
+
+#: Every characterization field, each with a valid non-default value.
+CHANGED_CHARACTERIZATION = dict(
+    vdd_list=(0.7, 0.9),
+    n_charge_points=11,
+    charge_min_fc=0.02,
+    charge_max_fc=2.0,
+    n_samples=100,
+    process_variation=False,
+    max_pair_points=7,
+    max_triple_points=5,
+    seed=7,
+    t_sim_s=4.0e-11,
+    dt_s=2.0e-13,
+    enforce_monotone=False,
+    kernel="fused",
+)
+
+
+class TestCharacterizationKey:
+    def test_fields_are_the_result_affecting_set(self):
+        names = {f.name for f in dataclasses.fields(CharacterizationConfig)}
+        assert names == set(CHANGED_CHARACTERIZATION)
+
+    @pytest.mark.parametrize("name", sorted(CHANGED_CHARACTERIZATION))
+    def test_every_field_changes_the_key(self, name):
+        base = CharacterizationConfig()
+        changed = dataclasses.replace(
+            base, **{name: CHANGED_CHARACTERIZATION[name]}
+        )
+        assert config_hash(changed) != config_hash(base)
+
+
+class TestQueryKey:
+    def test_cell_kernel_is_the_only_cell_field(self):
+        cell_fields = [
+            f.name
+            for f in dataclasses.fields(QuerySpec)
+            if f.name.startswith("cell_")
+        ]
+        assert cell_fields == ["cell_kernel"]
+
+    def test_cell_kernel_changes_the_key(self):
+        assert (
+            _tiny_spec(cell_kernel="fused").canonical_key()
+            != _tiny_spec(cell_kernel="tabulated").canonical_key()
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cell_early_exit", False),
+            ("cell_max_batch", 10),
+            ("cell_kernel", "exact"),
+        ],
+    )
+    def test_removed_cell_knobs_rejected(self, field, value):
+        payload = dict(_tiny_spec().to_dict(), **{field: value})
+        with pytest.raises(QueryError):
+            QuerySpec.from_dict(payload).canonical_key()
+
+
+class TestExecutionOptionsStayOutOfKeys:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(n_jobs=2),
+            dict(n_jobs=0, warm_pool=False),
+            dict(warm_pool=True, shm=False),
+            dict(shm=True),
+        ],
+    )
+    def test_sweep_path_independent_of_execution(self, tmp_path, options):
+        def sweep_path(**knobs):
+            flow = build_flow(
+                _tiny_spec(),
+                ExecutionOptions(cache_dir=str(tmp_path), **knobs),
+            )
+            return flow.cache.path_for(
+                "sweep",
+                flow.config,
+                flow.design.tech,
+                {"particles": ["alpha"], "vdds": [0.8]},
+            )
+
+        assert sweep_path(**options) == sweep_path()

@@ -54,6 +54,17 @@ class TestConfig:
             CharacterizationConfig(charge_min_fc=1.0, charge_max_fc=0.5)
         with pytest.raises(ConfigError):
             CharacterizationConfig(n_samples=0)
+        # a zero step divides by zero; a negative time or step would
+        # clamp to one backwards RK4 step
+        for times in (
+            dict(dt_s=0.0),
+            dict(dt_s=-2.5e-13),
+            dict(t_sim_s=-3e-11),
+            dict(t_sim_s=0.0),
+            dict(t_sim_s=1e-13, dt_s=2.5e-13),
+        ):
+            with pytest.raises(ConfigError):
+                CharacterizationConfig(**times)
 
     def test_charge_axis_log_spaced(self):
         axis = CharacterizationConfig(n_charge_points=11).charge_axis_c()
@@ -67,10 +78,11 @@ class TestConfig:
 
 
 class TestKernelEquivalence:
-    """End-to-end contracts of the cell-kernel rework: fused stacking,
-    settle hoisting, batch chunking and early exit reproduce the seed
-    exact pipeline bit-identically; the tabulated backend stays within
-    its POF accuracy budget."""
+    """End-to-end contracts of the shipped characterization (fused
+    stacking, early exit, settle hoisted into the parent, batch
+    chunking): each reproduces the original pipeline -- exact per-role
+    currents, full horizon, settle inside every task -- bit-identically;
+    the tabulated backend stays within its POF accuracy budget."""
 
     BASE = dict(
         vdd_list=(0.7,),
@@ -87,11 +99,31 @@ class TestKernelEquivalence:
             design, CharacterizationConfig(**cls.BASE, **overrides)
         )
 
+    @staticmethod
+    def _settle_in_task(monkeypatch, cell_cls):
+        """Make every task settle its own baseline with ``cell_cls``."""
+        from repro.sram import characterize as module
+
+        grid_for_combo = module._pof_grid_for_combo
+
+        def per_task(design, vdd, combo, axis, shifts, config, settled, tables):
+            settled = cell_cls(design, vdd).settle(shifts, dt_s=config.dt_s)
+            return grid_for_combo(
+                design, vdd, combo, axis, shifts, config, settled, tables
+            )
+
+        monkeypatch.setattr(module, "_pof_grid_for_combo", per_task)
+
     @pytest.fixture(scope="class")
     def seed_table(self, design):
-        return self._run(
-            design, kernel="exact", early_exit=False, hoist_settle=False
-        )
+        from repro.sram import characterize as module
+
+        from .cell_oracle import ExactCell
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(module, "FastCell", ExactCell)
+            self._settle_in_task(monkeypatch, ExactCell)
+            return self._run(design, kernel="fused")
 
     @staticmethod
     def _assert_identical(a, b):
@@ -99,35 +131,34 @@ class TestKernelEquivalence:
             assert np.array_equal(a.pof[combo], b.pof[combo])
 
     def test_fused_bit_identical(self, design, seed_table):
-        fused = self._run(
-            design, kernel="fused", early_exit=False, hoist_settle=False
-        )
-        self._assert_identical(fused, seed_table)
+        self._assert_identical(self._run(design, kernel="fused"), seed_table)
 
-    def test_hoisted_settle_bit_identical(self, design, seed_table):
-        hoisted = self._run(
-            design, kernel="exact", early_exit=False, hoist_settle=True
-        )
-        self._assert_identical(hoisted, seed_table)
+    def test_hoisted_settle_bit_identical(self, design, monkeypatch):
+        from repro.sram import FastCell
 
-    def test_chunked_bit_identical(self, design, seed_table):
-        chunked = self._run(
-            design,
-            kernel="exact",
-            early_exit=False,
-            hoist_settle=False,
-            max_batch=10,  # forces one grid point per chunk (6 samples)
-        )
+        hoisted = self._run(design, kernel="fused")
+        self._settle_in_task(monkeypatch, FastCell)
+        self._assert_identical(hoisted, self._run(design, kernel="fused"))
+
+    def test_chunked_bit_identical(self, design, seed_table, monkeypatch):
+        from repro.sram import characterize as module
+
+        # one grid point (6 samples) per chunk
+        monkeypatch.setattr(module, "MAX_BATCH_ROWS", 10)
+        chunked = self._run(design, kernel="fused")
         self._assert_identical(chunked, seed_table)
 
-    def test_early_exit_bit_identical(self, design, seed_table):
-        early = self._run(
-            design, kernel="fused", early_exit=True, hoist_settle=False
-        )
-        self._assert_identical(early, seed_table)
+    def test_early_exit_bit_identical(self, design, monkeypatch):
+        from repro.sram import characterize as module
+
+        from .cell_oracle import FullHorizonCell
+
+        early = self._run(design)
+        monkeypatch.setattr(module, "FastCell", FullHorizonCell)
+        self._assert_identical(early, self._run(design))
 
     def test_tabulated_within_budget(self, design, seed_table):
-        tabulated = self._run(design)  # the defaults: tabulated + all opts
+        tabulated = self._run(design)  # the default kernel
         for combo in seed_table.pof:
             dev = np.max(
                 np.abs(tabulated.pof[combo] - seed_table.pof[combo])
@@ -138,11 +169,7 @@ class TestKernelEquivalence:
         with pytest.raises(ConfigError):
             CharacterizationConfig(kernel="magic")
         with pytest.raises(ConfigError):
-            CharacterizationConfig(early_exit_margin_v=0.0)
-        with pytest.raises(ConfigError):
-            CharacterizationConfig(table_points=4)
-        with pytest.raises(ConfigError):
-            CharacterizationConfig(max_batch=0)
+            CharacterizationConfig(kernel="exact")  # a test oracle only
 
     def test_kernel_metrics_recorded(self, design):
         from repro.obs.registry import disable_metrics, enable_metrics

@@ -11,6 +11,8 @@ from repro.sram.qcrit import (
     nominal_critical_charge_c,
 )
 
+from .cell_oracle import ExactCell, FullHorizonCell, exact_node_currents
+
 
 @pytest.fixture(scope="module")
 def design():
@@ -143,17 +145,24 @@ def _boundary_charges(design, vdd, n=24, lo=0.3, hi=2.5, seed=9):
     return charges
 
 
+def _tables_for(design, vdd, shifts):
+    """I-V tables covering ``shifts``, padded as the characterization pads."""
+    from repro.sram import IVTables
+
+    return IVTables(
+        design, vdd, shift_pad_v=1.5 * float(np.max(np.abs(shifts)))
+    )
+
+
 class TestFusedKernel:
     """The fused two-call kernel must be bit-identical to the exact
-    per-role reference -- the model is elementwise, so stacking rows
-    can only change the Python-call count."""
+    per-role oracle -- the model is elementwise, so stacking rows can
+    only change the Python-call count.  The shipped cell also exits
+    early, so the strike tests hold it to the full-horizon oracle."""
 
     @pytest.fixture(scope="class")
     def pair(self, design):
-        return (
-            FastCell(design, 0.8, kernel="exact"),
-            FastCell(design, 0.8, kernel="fused"),
-        )
+        return ExactCell(design, 0.8), FastCell(design, 0.8)
 
     def test_settle_bit_identical(self, pair):
         exact, fused = pair
@@ -162,6 +171,17 @@ class TestFusedKernel:
         vq_f, vqb_f = fused.settle(shifts)
         assert np.array_equal(vq_e, vq_f)
         assert np.array_equal(vqb_e, vqb_f)
+
+    def test_stage_currents_bit_identical(self, pair):
+        _, fused = pair
+        shifts = _variation_batch()
+        rng = np.random.default_rng(3)
+        vq = rng.uniform(-0.6, 1.4, len(shifts))
+        vqb = rng.uniform(-0.6, 1.4, len(shifts))
+        got = fused._deriv_currents(vq, vqb, fused._make_ctx(shifts))
+        want = exact_node_currents(fused, vq, vqb, shifts)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_impulse_bit_identical(self, pair, design):
         exact, fused = pair
@@ -197,9 +217,9 @@ class TestTabulatedKernel:
     documented accuracy budget, not bit-identity."""
 
     def test_critical_charge_within_budget(self, design):
-        exact = FastCell(design, 0.8, kernel="exact")
-        tab = FastCell(design, 0.8, kernel="tabulated")
         shifts = _variation_batch(n=12)
+        exact = ExactCell(design, 0.8)
+        tab = FastCell(design, 0.8, _tables_for(design, 0.8, shifts))
         direction = np.array([1.0, 0.0, 0.0])
         q_e = exact.critical_charge_c(direction, shifts)
         q_t = tab.critical_charge_c(direction, shifts)
@@ -208,9 +228,9 @@ class TestTabulatedKernel:
         np.testing.assert_allclose(q_t, q_e, rtol=5e-3)
 
     def test_flips_agree_away_from_boundary(self, design):
-        exact = FastCell(design, 0.8, kernel="exact")
-        tab = FastCell(design, 0.8, kernel="tabulated")
         shifts = _variation_batch(n=16)
+        exact = ExactCell(design, 0.8)
+        tab = FastCell(design, 0.8, _tables_for(design, 0.8, shifts))
         qcrit = nominal_critical_charge_c(design, 0.8)
         for factor in (0.5, 2.0):
             charges = np.zeros((16, 3))
@@ -224,37 +244,32 @@ class TestTabulatedKernel:
         from repro.sram import IVTables
 
         tables = IVTables(design, 0.8, shift_pad_v=0.3)
-        cell = FastCell(design, 0.8, kernel="tabulated", tables=tables)
+        cell = FastCell(design, 0.8, tables)
         cell.run_impulse(np.zeros((2, 3)), np.zeros((2, 6)))
-        assert cell._tables is tables  # covered batch: no rebuild
+        assert cell._tables is tables  # covered batch: used as given
 
-    def test_tables_rebuilt_when_shifts_exceed_pad(self, design):
+    def test_uncovered_shifts_rejected(self, design):
         from repro.sram import IVTables
 
         tables = IVTables(design, 0.8, shift_pad_v=0.01)
-        cell = FastCell(design, 0.8, kernel="tabulated", tables=tables)
-        big = np.full((2, 6), 0.2)
-        cell.run_impulse(np.zeros((2, 3)), big)
-        assert cell._tables is not tables
-        assert cell._tables.covers(0.2)
+        cell = FastCell(design, 0.8, tables)
+        with pytest.raises(ConfigError, match="I-V tables cover"):
+            cell.run_impulse(np.zeros((2, 3)), np.full((2, 6), 0.2))
 
     def test_tables_must_match_vdd(self, design):
         from repro.sram import IVTables
 
         tables = IVTables(design, 0.8)
         with pytest.raises(ConfigError):
-            FastCell(design, 0.9, kernel="tabulated", tables=tables)
+            FastCell(design, 0.9, tables)
 
-    def test_tables_require_tabulated_kernel(self, design):
+    def test_kernel_follows_tables(self, design):
         from repro.sram import IVTables
 
-        tables = IVTables(design, 0.8)
-        with pytest.raises(ConfigError):
-            FastCell(design, 0.8, kernel="fused", tables=tables)
-
-    def test_unknown_kernel_rejected(self, design):
-        with pytest.raises(ConfigError):
-            FastCell(design, 0.8, kernel="magic")
+        assert FastCell(design, 0.8).kernel == "fused"
+        assert FastCell(design, 0.8, IVTables(design, 0.8)).kernel == (
+            "tabulated"
+        )
 
     def test_table_validation(self, design):
         from repro.sram import IVTables
@@ -284,8 +299,8 @@ class TestEarlyExit:
     """Freezing latched trajectories must not change any outcome."""
 
     def test_impulse_matches_full_horizon(self, design):
-        full = FastCell(design, 0.8, kernel="fused")
-        ee = FastCell(design, 0.8, kernel="fused", early_exit=True)
+        full = FullHorizonCell(design, 0.8)
+        ee = FastCell(design, 0.8)
         shifts = _variation_batch(n=48)
         charges = _boundary_charges(design, 0.8, n=48)
         assert np.array_equal(
@@ -293,9 +308,20 @@ class TestEarlyExit:
             ee.run_impulse(charges, shifts),
         )
 
+    def test_tabulated_impulse_matches_full_horizon(self, design):
+        shifts = _variation_batch(n=48)
+        tables = _tables_for(design, 0.8, shifts)
+        full = FullHorizonCell(design, 0.8, tables)
+        ee = FastCell(design, 0.8, tables)
+        charges = _boundary_charges(design, 0.8, n=48)
+        assert np.array_equal(
+            full.run_impulse(charges, shifts),
+            ee.run_impulse(charges, shifts),
+        )
+
     def test_pulse_matches_full_horizon(self, design):
-        full = FastCell(design, 0.8, kernel="fused")
-        ee = FastCell(design, 0.8, kernel="fused", early_exit=True)
+        full = FullHorizonCell(design, 0.8)
+        ee = FastCell(design, 0.8)
         shifts = _variation_batch(n=16)
         charges = _boundary_charges(design, 0.8, n=16)
         assert np.array_equal(
@@ -304,8 +330,8 @@ class TestEarlyExit:
         )
 
     def test_critical_charge_matches_full_horizon(self, design):
-        full = FastCell(design, 0.8, kernel="fused")
-        ee = FastCell(design, 0.8, kernel="fused", early_exit=True)
+        full = FullHorizonCell(design, 0.8)
+        ee = FastCell(design, 0.8)
         shifts = _variation_batch(n=12)
         direction = np.array([0.0, 1.0, 0.0])
         assert np.array_equal(
@@ -313,24 +339,21 @@ class TestEarlyExit:
             ee.critical_charge_c(direction, shifts),
         )
 
-    def test_explicit_margin_matches_full_horizon(self, design):
-        full = FastCell(design, 0.8, kernel="fused")
-        ee = FastCell(
-            design, 0.8, kernel="fused", early_exit=True,
-            early_exit_margin_v=0.55, early_exit_check_every=4,
-        )
+    def test_explicit_margin_matches_full_horizon(self, design, monkeypatch):
+        from repro.sram import fastcell
+
+        # a 0.55 V margin checked every 4 steps
+        monkeypatch.setattr(fastcell, "_EARLY_EXIT_MARGIN_FRAC", 0.55 / 0.8)
+        monkeypatch.setattr(fastcell, "_EARLY_EXIT_CHECK_EVERY", 4)
+        full = FullHorizonCell(design, 0.8)
+        ee = FastCell(design, 0.8)
         shifts = _variation_batch(n=32)
+        assert ee._ee_margin_for(shifts) == pytest.approx(0.55)
         charges = _boundary_charges(design, 0.8, n=32)
         assert np.array_equal(
             full.run_impulse(charges, shifts),
             ee.run_impulse(charges, shifts),
         )
-
-    def test_validation(self, design):
-        with pytest.raises(ConfigError):
-            FastCell(design, 0.8, early_exit=True, early_exit_margin_v=0.0)
-        with pytest.raises(ConfigError):
-            FastCell(design, 0.8, early_exit=True, early_exit_check_every=0)
 
     def test_actually_freezes(self, design):
         """Decisive charges must be frozen before the full horizon (the
@@ -339,7 +362,7 @@ class TestEarlyExit:
 
         registry = enable_metrics(fresh=True)
         try:
-            ee = FastCell(design, 0.8, kernel="fused", early_exit=True)
+            ee = FastCell(design, 0.8)
             qcrit = nominal_critical_charge_c(design, 0.8)
             charges = np.zeros((8, 3))
             charges[:, 0] = np.linspace(0.1, 4.0, 8) * qcrit
@@ -354,6 +377,48 @@ class TestEarlyExit:
             assert saved > 0
         finally:
             disable_metrics()
+
+
+class TestPinnedQcritGoldens:
+    """Qcrit and the circuit baseline always exit early now; these
+    literals were captured from the full-horizon implementation and
+    must reproduce exactly."""
+
+    def test_critical_charge_vs_vdd(self, design):
+        assert critical_charge_vs_vdd(design, (0.7, 0.9, 1.1)).tolist() == [
+            1.8199949964343669e-16,
+            2.3399955729518626e-16,
+            2.8599958455549186e-16,
+        ]
+
+    def test_circuit_baseline_qcrit(self, design):
+        from repro.baselines.circuit_level import CircuitLevelSerModel
+
+        qcrit = CircuitLevelSerModel(design).critical_charge_c(0.8)
+        assert qcrit == 2.266996656507116e-16
+
+    def test_qcrit_cdf_samples(self, design):
+        from repro.sram import QcritCdfModel
+
+        model = QcritCdfModel.characterize(design, (0.8,), n_samples=16)
+        assert model.qcrit_samples[0.8].tolist() == [
+            1.750340964010015e-16,
+            1.8363379548337232e-16,
+            1.9274750942990532e-16,
+            1.967830120269015e-16,
+            1.981367781631325e-16,
+            2.0174497983750105e-16,
+            2.0462136959124902e-16,
+            2.0561549622529167e-16,
+            2.125010570747239e-16,
+            2.1251075522670836e-16,
+            2.125971251447895e-16,
+            2.193332385908802e-16,
+            2.2113058120700405e-16,
+            2.2736804949872637e-16,
+            2.410657906066895e-16,
+            2.615467304618093e-16,
+        ]
 
 
 class TestAgreementWithMnaEngine:

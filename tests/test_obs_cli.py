@@ -225,7 +225,7 @@ class TestBenchCheck:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        for name in ("BENCH_flow.json", "BENCH_characterize.json"):
+        for name in ("BENCH_flow.json",):
             ok, report = bench_check(root / name, max_regress=1.0)
             assert ok, report
 
