@@ -319,8 +319,6 @@ def bench_resume(simulator, scale, jobs):
             config,
             n_jobs=jobs,
             retry=RetryPolicy(retries=0),
-            warm_pool=False,
-            shm=False,
             journal_factory=factory,
         )
 

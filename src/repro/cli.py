@@ -27,13 +27,6 @@ fault-tolerance knobs (see ``docs/robustness.md``):
 * ``--resume/--no-resume`` -- checkpoint completed shards under the
   cache dir and resume interrupted campaigns bit-identically.
 
-the execution-engine knobs (see ``docs/performance.md``):
-
-* ``--no-warm-pool`` -- disable warm pool leasing (one throwaway pool
-  per Monte Carlo map).
-* ``--no-shm``       -- disable the shared-memory payload plane (bulk
-  arrays pickle inline with every map).
-
 the adaptive-sampling knobs (see ``docs/performance.md``):
 
 * ``--adaptive``     -- adaptive trial allocation + stratified
@@ -159,25 +152,6 @@ def _add_jobs(parser):
         help="checkpoint completed Monte Carlo shards under the cache "
         "dir and resume interrupted campaigns bit-identically "
         "(default: on; --no-resume disables checkpointing)",
-    )
-    engine = parser.add_argument_group("execution engine")
-    engine.add_argument(
-        "--no-warm-pool",
-        dest="warm_pool",
-        action="store_false",
-        default=True,
-        help="build and tear down a worker pool per Monte Carlo map "
-        "instead of leasing warm pools across the run (results are "
-        "identical either way)",
-    )
-    engine.add_argument(
-        "--no-shm",
-        dest="shm",
-        action="store_false",
-        default=True,
-        help="ship bulk payload arrays inline with each map instead "
-        "of through shared-memory segments (results are identical "
-        "either way)",
     )
 
 
@@ -326,8 +300,6 @@ def _exec_options(args):
         n_jobs=getattr(args, "jobs", 1),
         retry=_retry_policy(args),
         resume=getattr(args, "resume", True),
-        warm_pool=getattr(args, "warm_pool", None),
-        shm=getattr(args, "shm", None),
     )
 
 

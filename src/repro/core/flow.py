@@ -30,11 +30,11 @@ from ..io import ArtifactCache
 from ..layout import CellLayout, SramArrayLayout
 from ..obs import get_logger, get_registry, kv, span
 from ..parallel import (
+    PackedPayload,
     RetryPolicy,
     ShardJournal,
     pack_payload,
     resolve_jobs,
-    shm_enabled,
 )
 from ..physics import get_particle, spectrum_for
 from ..sram import (
@@ -168,14 +168,10 @@ class SerFlow:
     every campaign into a :class:`~repro.parallel.ShardJournal` so an
     interrupted run resumes bit-identically.
 
-    ``warm_pool`` / ``shm`` (``None`` = process defaults, normally on)
-    control pool leasing and the shared-memory payload plane of
-    :mod:`repro.parallel` across every stage: the flow's hundreds of
-    campaigns then reuse warm workers and ship their static inputs
-    (layout boxes, POF grids, yield LUTs) once instead of per map.
-    Execution knobs like ``n_jobs`` -- results are bit-identical
-    either way, so they live outside :class:`FlowConfig` and never
-    perturb cache keys.
+    With ``n_jobs > 1`` every stage runs on the warm leased pools and
+    shared-memory payload plane of :mod:`repro.parallel`: the flow's
+    campaigns reuse warm workers and ship their static inputs (layout
+    boxes, POF grids, yield LUTs) once instead of per map.
 
     Every uniform array-MC scan -- :meth:`fit`, :meth:`sweep` and
     :meth:`pof_vs_energy` -- runs as one
@@ -192,8 +188,6 @@ class SerFlow:
         n_jobs: int = 1,
         retry: Optional[RetryPolicy] = None,
         resume: bool = True,
-        warm_pool: Optional[bool] = None,
-        shm: Optional[bool] = None,
     ):
         self.config = config if config is not None else FlowConfig()
         self.design = design if design is not None else SramCellDesign()
@@ -201,13 +195,11 @@ class SerFlow:
         self.n_jobs = n_jobs
         self.retry = retry
         self.resume = resume
-        self.warm_pool = warm_pool
-        self.shm = shm
         self._yield_luts: Optional[Dict[str, ElectronYieldLUT]] = None
         self._pof_table: Optional[PofTable] = None
         self._layout: Optional[SramArrayLayout] = None
         self._simulator: Optional[ArraySerSimulator] = None
-        self._campaign_packs: Dict[bool, object] = {}
+        self._campaign_pack: Optional[PackedPayload] = None
 
     def _journal_for(self, name: str, encode, decode, *config_objects):
         """A shard journal under the cache dir, or ``None``.
@@ -309,8 +301,6 @@ class SerFlow:
                     n_jobs=self.n_jobs,
                     retry=self.retry,
                     journal=journal,
-                    warm_pool=self.warm_pool,
-                    shm=self.shm,
                 )
 
             if self.cache is not None:
@@ -342,8 +332,6 @@ class SerFlow:
                     n_jobs=self.n_jobs,
                     retry=self.retry,
                     journal=journal,
-                    warm_pool=self.warm_pool,
-                    shm=self.shm,
                 )
 
             with span(
@@ -394,8 +382,6 @@ class SerFlow:
                     deposition_mode=self.config.deposition_mode,
                     margin_nm=self.config.margin_nm,
                     n_jobs=self.n_jobs,
-                    warm_pool=self.warm_pool,
-                    shm=self.shm,
                 ),
             )
         return self._simulator
@@ -426,7 +412,7 @@ class SerFlow:
             return results
 
     def _campaign_payload(self):
-        """The campaign fan-out payload, packed once per (flow, shm mode).
+        """The campaign fan-out payload, packed once per flow.
 
         Every flow-level scan ships the same simulator, so the flow
         pre-packs it a single time (see
@@ -439,14 +425,9 @@ class SerFlow:
         """
         if resolve_jobs(self.n_jobs) <= 1:
             return {"simulator": self.simulator()}
-        use_shm = shm_enabled(self.shm)
-        packed = self._campaign_packs.get(use_shm)
-        if packed is None:
-            packed = pack_payload(
-                {"simulator": self.simulator()}, use_shm=use_shm
-            )
-            self._campaign_packs[use_shm] = packed
-        return packed
+        if self._campaign_pack is None:
+            self._campaign_pack = pack_payload({"simulator": self.simulator()})
+        return self._campaign_pack
 
     def _run_plan(self, name, stage, cases, n_particles):
         """Uniform array-MC campaigns of several cases, as one plan.
@@ -513,8 +494,6 @@ class SerFlow:
             n_jobs=self.n_jobs,
             retry=self.retry,
             journal=journal,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
             payload=self._campaign_payload(),
         ).execute()
         if journal is not None:
@@ -637,8 +616,6 @@ class SerFlow:
             self.config.adaptive,
             n_jobs=self.n_jobs,
             retry=self.retry,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
             payload=self._campaign_payload(),
             journal_factory=journal_factory,
             stage=f"adaptive-{stage}",

@@ -12,10 +12,9 @@ Convenience sections (``stage_timings_s``, ``mc``, ``lut_cache``,
 ``parallel``, ``adaptive``, ``service``) are *derived* from the full metrics snapshot kept in
 ``metrics`` — the snapshot is the ground truth, the sections are what
 a human greps for first.  The ``environment`` section additionally
-captures the live execution-plane state (kill-switch environment
-variables, effective warm-pool/shm defaults, CPU count, start
-method), so a run is reproducible — execution plane included — from
-the manifest alone.
+captures the live execution-plane state (``REPRO_*`` environment
+variables, job and CPU counts, start method), so a run is
+reproducible — execution plane included — from the manifest alone.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from ..errors import SerializationError
 from .registry import get_registry
 
 #: Environment variables recorded verbatim in the manifest: the
-#: execution-plane kill switches plus the fault-injection hook —
+#: shared-memory operator switch plus the fault-injection hook —
 #: anything that changes how (never what) a run computes.
 TRACKED_ENV = (
-    "REPRO_NO_WARM_POOL",
     "REPRO_NO_SHM",
     "REPRO_PARALLEL_KILL",
 )
@@ -45,17 +43,11 @@ TRACKED_ENV = (
 def capture_environment(config: Optional[dict] = None) -> dict:
     """Snapshot the execution-plane state active for this run.
 
-    Records every ``REPRO_*`` environment variable (the tracked kill
-    switches explicitly, even when unset), the *effective*
-    warm-pool/shm defaults after env + override resolution, the
-    resolved job count from the run config, the host CPU count, and
-    the multiprocessing start method.
+    Records every ``REPRO_*`` environment variable (the tracked
+    switches explicitly, even when unset), the resolved job count from
+    the run config, the host CPU count, and the multiprocessing start
+    method.
     """
-    # local imports: repro.parallel imports repro.obs at module load,
-    # so the reverse edges must stay call-time only.
-    from ..parallel.pool import warm_pool_enabled
-    from ..parallel.shm import shm_enabled
-
     env = {name: os.environ.get(name) for name in TRACKED_ENV}
     env.update(
         {
@@ -67,8 +59,6 @@ def capture_environment(config: Optional[dict] = None) -> dict:
     config = config or {}
     return {
         "env": env,
-        "warm_pool_enabled": warm_pool_enabled(),
-        "shm_enabled": shm_enabled(),
         "n_jobs": config.get("jobs"),
         "cpu_count": os.cpu_count(),
         "start_method": multiprocessing.get_start_method(allow_none=True),

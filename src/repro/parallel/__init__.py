@@ -6,9 +6,8 @@ results for any worker count) and the fault-tolerance layer
 (:class:`RetryPolicy` retry/backoff/watchdog, :class:`ShardJournal`
 crash-safe checkpoints, graceful degradation to partial statistics).
 :mod:`repro.parallel.pool` keeps worker pools warm across successive
-maps and :mod:`repro.parallel.shm` ships bulk payload arrays through
-shared memory -- both pure transport optimizations that never change
-results.
+maps and retry rounds, and :mod:`repro.parallel.shm` ships bulk payload
+arrays through shared memory -- transport only, never results.
 """
 
 from .engine import (
@@ -21,7 +20,7 @@ from .engine import (
     spawn_seeds,
 )
 from .journal import ShardJournal
-from .pool import PoolLease, get_lease, set_warm_pool_default, warm_pool_enabled
+from .pool import PoolLease, get_lease
 from .shm import (
     MIN_SHM_BYTES,
     PackedPayload,
@@ -29,8 +28,6 @@ from .shm import (
     array_fingerprint,
     get_pack,
     pack_payload,
-    set_shm_default,
-    shm_enabled,
 )
 
 __all__ = [
@@ -49,9 +46,5 @@ __all__ = [
     "pack_payload",
     "parallel_map",
     "resolve_jobs",
-    "set_shm_default",
-    "set_warm_pool_default",
-    "shm_enabled",
     "spawn_seeds",
-    "warm_pool_enabled",
 ]

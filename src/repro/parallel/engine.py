@@ -7,9 +7,10 @@ module is the one place that knows how to fan such work out across
 worker processes and fold the partial results back:
 
 * :func:`parallel_map` -- ordered map of a *module-level* worker
-  function over a task list, through a process pool.  A shared
-  read-only payload (simulator, engine, design...) is shipped to each
-  worker once via the pool initializer instead of once per task.
+  function over a task list, through a warm process pool leased from
+  :mod:`repro.parallel.pool`.  A shared read-only payload (simulator,
+  engine, design...) is packed once per map (bulk arrays in shared
+  memory, see :mod:`repro.parallel.shm`) and rebuilt once per worker.
 * :func:`spawn_seeds` -- deterministic child ``SeedSequence`` streams
   off a caller's generator, the backbone of the engine's reproducibility
   contract.
@@ -35,8 +36,9 @@ Failure taxonomy
 ----------------
 * **Transient** -- the worker process died (segfault, OOM kill,
   ``BrokenProcessPool``) or the watchdog declared the pool stuck
-  (no shard completed for ``task_timeout_s``).  The failed shards are
-  retried in fresh workers with exponential backoff, up to
+  (no shard completed for ``task_timeout_s``).  The bad round
+  invalidates its leased pool, so the failed shards are retried in a
+  newly forked pool with exponential backoff, up to
   ``RetryPolicy.retries`` rounds.
 * **Deterministic** -- the task function itself raised.  Retrying
   would reproduce the failure, so the map fails fast: on the pooled
@@ -79,11 +81,7 @@ import os
 import queue as queue_mod
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, CancelledError
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -95,8 +93,8 @@ from ..errors import ConfigError, TaskError, WorkerCrashError
 from ..obs import get_logger, get_registry, kv, span
 from ..obs.events import disable_events, emit_event, get_event_bus
 from ..obs.registry import disable_metrics, enable_metrics
-from .pool import get_lease, warm_pool_enabled
-from .shm import PackedPayload, load_packed, pack_payload, shm_enabled
+from .pool import get_lease
+from .shm import PackedPayload, load_packed, pack_payload
 
 _log = get_logger(__name__)
 
@@ -159,7 +157,7 @@ class RetryPolicy:
     task_timeout_s:
         Progress watchdog: if **no** shard completes for this many
         seconds the in-flight shards are declared lost, their workers
-        are terminated, and the shards are retried in a fresh pool.
+        are terminated, and the shards are retried in a newly forked pool.
         ``None`` disables the watchdog.  Only enforced on the pooled
         path -- inline execution cannot be preempted.
     allow_partial:
@@ -241,10 +239,6 @@ def spawn_seeds(rng: np.random.Generator, n: int) -> List[np.random.SeedSequence
 
 # -- worker-side plumbing ------------------------------------------------------
 
-#: Shared read-only payload installed once per worker by the pool
-#: initializer (under ``fork`` it is inherited, never pickled per task).
-_WORKER_PAYLOAD: Any = None
-
 #: Sentinel marking a shard that has neither a journaled nor a fresh
 #: result yet (``None`` is a legal shard result, so it cannot serve).
 _PENDING = object()
@@ -299,30 +293,10 @@ def _emit_worker_event(
         pass
 
 
-def _worker_init(payload, with_metrics: bool, event_queue=None):
-    global _WORKER_PAYLOAD, _EVENT_QUEUE
-    if isinstance(payload, PackedPayload):
-        # caller-prepacked payload on a fresh (throwaway) pool: rebuild
-        # it here once, exactly like the historical broadcast.
-        payload = load_packed(payload)
-    _WORKER_PAYLOAD = payload
-    _EVENT_QUEUE = event_queue
-    _EVENT_BUFFER.clear()
-    # Under ``fork`` the worker inherits the parent's live bus (and
-    # its open file descriptor): drop it -- worker events travel
-    # through the queue to be sequenced by the parent, never straight
-    # to the sink.
-    disable_events()
-    if with_metrics:
-        # fresh registry per worker: task snapshots only carry
-        # worker-side increments, never the parent's forked state.
-        enable_metrics(fresh=True)
-
-
 def _maybe_inject_fault(label: str, index: int, spec: Optional[str] = None):
     """Honor the :data:`FAULT_ENV` test hook (abrupt one-shot death).
 
-    ``spec`` overrides the environment lookup: warm pool workers fork
+    ``spec`` overrides the environment lookup: pool workers may fork
     *before* a test arms the hook, so the parent captures the spec at
     submit time and ships it with the task.
     """
@@ -353,49 +327,31 @@ def _slow_shards() -> bool:
     )
 
 
-def _invoke(fn, task, index: int, label: str):
-    """Run one task in a worker; return (result, metrics snapshot, busy s)."""
-    global _EVENT_LAST_BUSY_S
-    _maybe_inject_fault(label, index)
-    _emit_worker_event("started", label, index, flush=_slow_shards())
-    t0 = time.perf_counter()
-    result = fn(_WORKER_PAYLOAD, task)
-    busy_s = time.perf_counter() - t0
-    _EVENT_LAST_BUSY_S = busy_s
-    _emit_worker_event("finished", label, index, busy_s=round(busy_s, 6))
-    registry = get_registry()
-    snapshot = None
-    if registry.enabled:
-        snapshot = registry.snapshot()
-        registry.reset()
-    return result, snapshot, busy_s
+def _worker_init(event_queue):
+    """Initializer of pool workers: no payload, no metrics.
 
-
-def _warm_worker_init(event_queue=None):
-    """Initializer of *warm* pool workers: no payload, no metrics.
-
-    Warm workers outlive the map that forked them, so nothing shipped
-    at fork time can be trusted later: the payload travels per task as
-    a :class:`~repro.parallel.shm.PackedPayload` (cached by
-    fingerprint) and the metrics flag per task (the parent may enable
-    or disable the registry between maps).  Under ``fork`` the worker
-    inherits the parent's live registry state -- drop it so snapshots
-    only ever carry worker-side increments.  The one exception is the
+    Workers outlive the map that forked them, so nothing shipped at
+    fork time can be trusted later: the payload travels per task as a
+    :class:`~repro.parallel.shm.PackedPayload` (cached by fingerprint)
+    and the metrics flag per task (the parent may enable or disable
+    the registry between maps).  Under ``fork`` the worker inherits
+    the parent's live registry state and event bus -- drop both, so
+    snapshots only ever carry worker-side increments and worker events
+    reach the sink only through the parent.  The one exception is the
     telemetry ``event_queue`` (owned by the
     :class:`~repro.parallel.pool.PoolLease`, one per pool key): queues
     only cross the process boundary at construction time, so it is
     installed here for the worker's whole life; whether anything flows
     through it is decided per task by the ``with_events`` flag.
     """
-    global _WORKER_PAYLOAD, _EVENT_QUEUE
-    _WORKER_PAYLOAD = None
+    global _EVENT_QUEUE
     _EVENT_QUEUE = event_queue
     _EVENT_BUFFER.clear()
     disable_events()
     disable_metrics()
 
 
-def _sync_warm_metrics(with_metrics: bool):
+def _sync_metrics(with_metrics: bool):
     """Match the worker's registry state to the parent's (per task)."""
     if with_metrics:
         if not get_registry().enabled:
@@ -404,30 +360,29 @@ def _sync_warm_metrics(with_metrics: bool):
         disable_metrics()
 
 
-def _invoke_packed(
+def _invoke(
     fn,
     task,
     index: int,
     label: str,
     packed,
-    with_metrics,
-    fault_spec=None,
-    with_events=False,
+    with_metrics: bool,
+    fault_spec: Optional[str],
+    with_events: bool,
 ):
-    """Warm-pool counterpart of :func:`_invoke`.
+    """Run one task in a worker; return (result, metrics snapshot, busy s).
 
     The payload arrives packed (pickled once in the parent, bulk
     arrays as shared-memory references) and is rebuilt at most once
-    per fingerprint per worker; busy time still covers only ``fn``
-    itself, matching the fresh-pool accounting.  ``fault_spec`` is the
-    parent's :data:`FAULT_ENV` value at submit time (a warm worker's
-    own environment predates the test arming the hook), and
-    ``with_events`` the parent's live telemetry state (a warm worker's
-    queue outlives any one map, so emission is decided per task, like
-    metrics).
+    per fingerprint per worker; busy time covers only ``fn`` itself.
+    ``fault_spec`` is the parent's :data:`FAULT_ENV` value at submit
+    time (a worker's own environment may predate the test arming the
+    hook), and ``with_events`` the parent's live telemetry state (a
+    worker's queue outlives any one map, so emission is decided per
+    task, like metrics).
     """
     global _EVENT_LAST_BUSY_S
-    _sync_warm_metrics(with_metrics)
+    _sync_metrics(with_metrics)
     _maybe_inject_fault(label, index, spec=fault_spec)
     payload = load_packed(packed)
     if with_events:
@@ -451,31 +406,17 @@ def _in_worker() -> bool:
     return multiprocessing.current_process().daemon
 
 
-def _shutdown_executor(executor: ProcessPoolExecutor):
-    """Tear a pool down without waiting; terminate stuck workers."""
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover -- python < 3.9
-        executor.shutdown(wait=False)
-    processes = getattr(executor, "_processes", None)
-    if processes:
-        for process in list(processes.values()):
-            if process.is_alive():
-                process.terminate()
-
-
 #: Minimum estimated per-worker work [s] that justifies spinning up a
 #: pool.  Forking workers, shipping the payload, and collecting results
 #: costs tens of milliseconds per worker on a typical host; below this
-#: threshold the pool is pure overhead (measured in
-#: ``BENCH_parallel.json``: tiny yield-LUT builds run ~5x slower with 2
-#: workers than inline).
+#: threshold the pool is pure overhead (tiny yield-LUT builds ran ~5x
+#: slower with 2 workers than inline).
 AUTO_INLINE_THRESHOLD_S = 0.05
 
-#: Lower inline threshold used when a warm pool for the map's
-#: (start method, jobs) key is already up: the spin-up cost is paid,
-#: so only dispatch/IPC overhead (single-digit milliseconds) remains
-#: to beat.
+#: Lower inline threshold used when a pool for the map's (start
+#: method, jobs) key is already leased: the spin-up cost is paid, so
+#: only dispatch/IPC overhead (single-digit milliseconds) remains to
+#: beat.
 WARM_AUTO_INLINE_THRESHOLD_S = 0.005
 
 
@@ -491,7 +432,7 @@ def _should_auto_inline(
     (no hint means no basis for the estimate -- maps without a hint
     keep their requested worker count) and never while the
     fault-injection hook is armed (the kill tests target pooled
-    workers by shard index).  With a warm pool already leased for this
+    workers by shard index).  With a pool already leased for this
     map's key (``warm_ready``), the threshold drops to
     :data:`WARM_AUTO_INLINE_THRESHOLD_S` -- spin-up is already paid,
     so mid-sized maps that used to inline now reuse the pool.
@@ -515,8 +456,6 @@ def parallel_map(
     retry: Optional[RetryPolicy] = None,
     journal=None,
     cost_hint_s: Optional[float] = None,
-    warm_pool: Optional[bool] = None,
-    shm: Optional[bool] = None,
 ) -> list:
     """Ordered map of ``fn(payload, task)`` over ``tasks``.
 
@@ -524,7 +463,11 @@ def parallel_map(
     ``n_jobs <= 1``, a single pending task, or when already inside a
     pool worker, the map runs inline -- no pool, no pickling --
     executing the identical code path, so results never depend on the
-    worker count.
+    worker count.  Otherwise every round, retry rounds included, runs
+    on the warm pool leased for ``(start_method, resolve_jobs(n_jobs))``
+    (see :mod:`repro.parallel.pool`): maps with fewer tasks than
+    workers leave the spare workers idle rather than fork a narrower
+    pool, so one process keeps one pool per worker count.
 
     Parameters
     ----------
@@ -532,8 +475,8 @@ def parallel_map(
         Shared read-only object passed as ``fn``'s first argument.
         May be a :class:`~repro.parallel.shm.PackedPayload` the caller
         packed once (e.g. a flow fanning the same simulator across
-        many maps): the warm path ships it as-is with zero re-packing,
-        and the fresh/inline paths rebuild it transparently before use.
+        many maps): the pooled path ships it as-is with zero
+        re-packing, and the inline path rebuilds it before use.
     retry:
         Fault-tolerance policy (see :class:`RetryPolicy`).  ``None``
         keeps the historical fail-fast behavior: any worker loss or
@@ -551,21 +494,9 @@ def parallel_map(
         ``n_jobs > 1`` -- pool spin-up would cost more than it saves
         (logged, counted in ``parallel.auto_inline``).  Results are
         unaffected either way (the determinism contract).  ``None``
-        (default) disables the heuristic.  When a warm pool for this
-        map's key is already leased, the lower
+        (default) disables the heuristic.  When a pool for this map's
+        key is already leased, the lower
         :data:`WARM_AUTO_INLINE_THRESHOLD_S` applies instead.
-    warm_pool:
-        Lease a warm executor from :mod:`repro.parallel.pool` for the
-        first round instead of building a throwaway pool (``None`` =
-        the process default, see
-        :func:`~repro.parallel.pool.warm_pool_enabled`).  Retry rounds
-        always run on fresh per-round pools, preserving the failure
-        taxonomy exactly.  Results are bit-identical either way.
-    shm:
-        Ship bulk payload arrays through the shared-memory plane of
-        :mod:`repro.parallel.shm` on the warm path (``None`` = the
-        process default, see :func:`~repro.parallel.shm.shm_enabled`).
-        Only affects transport cost, never results.
 
     Returns the results in task order.  Shards lost past the retry
     budget under ``allow_partial=True`` come back as ``None`` -- filter
@@ -598,14 +529,19 @@ def parallel_map(
     if not pending:
         return results
 
-    jobs = min(resolve_jobs(n_jobs), len(pending))
+    # The pool is leased at the requested width, whatever this map's
+    # task count: keying it on ``jobs`` would keep one warm pool per
+    # distinct task count (and fork a narrower one per retry round).
+    pool_jobs = resolve_jobs(n_jobs)
+    jobs = min(pool_jobs, len(pending))
     t0 = time.perf_counter()
     busy_s = 0.0
 
     context = multiprocessing.get_context(start_method)
     in_worker = _in_worker()
-    use_warm = jobs > 1 and not in_worker and warm_pool_enabled(warm_pool)
-    warm_ready = use_warm and get_lease().has(context, jobs)
+    warm_ready = (
+        jobs > 1 and not in_worker and get_lease().has(context, pool_jobs)
+    )
 
     auto_inlined = False
     if jobs > 1 and _should_auto_inline(
@@ -655,11 +591,7 @@ def parallel_map(
             )
         lost: List[int] = []
     else:
-        path = (
-            "pool-warm-reuse"
-            if warm_ready
-            else ("pool-warm" if use_warm else "pool-fresh")
-        )
+        path = "pool-warm-reuse" if warm_ready else "pool-warm"
         emit_event(
             "round",
             label=label,
@@ -680,15 +612,13 @@ def parallel_map(
                 tasks,
                 pending,
                 payload,
-                jobs,
+                pool_jobs,
                 label,
                 context,
                 policy,
                 journal,
                 results,
                 metrics,
-                use_warm=use_warm,
-                use_shm=shm_enabled(shm),
             )
         wall_s = time.perf_counter() - t0
         if metrics.enabled:
@@ -797,41 +727,36 @@ def _run_pooled(
     journal,
     results,
     metrics,
-    use_warm=False,
-    use_shm=True,
 ):
     """Pool execution with retry rounds; returns (busy_s, lost shards).
 
-    With ``use_warm``, the first round leases a warm executor and ships
-    the payload packed (see :func:`_run_round`); retry rounds always
-    build a fresh throwaway pool with the historical initializer-based
-    payload broadcast, so transient-failure recovery behaves exactly as
-    it did before pool leasing existed.
+    The payload is packed once and every round ships it (see
+    :func:`_run_round`).  A round that ends badly invalidates its
+    leased pool, so the retry round's lease forks a new pool of new
+    workers -- a retried shard never lands on a worker that saw the
+    failure.
     """
     remaining = list(pending)
     busy_total = 0.0
     attempt = 0
-    packed = None
-    if use_warm:
-        if isinstance(payload, PackedPayload):
-            packed = payload  # caller packed it once; ship as-is
-        else:
-            with metrics.time("parallel.pack"):
-                packed = pack_payload(payload, use_shm=use_shm)
+    if isinstance(payload, PackedPayload):
+        packed = payload  # caller packed it once; ship as-is
+    else:
+        with metrics.time("parallel.pack"):
+            packed = pack_payload(payload)
     while remaining:
         transient, fatal, busy_s = _run_round(
             fn,
             tasks,
             remaining,
-            payload,
-            min(jobs, len(remaining)),
+            packed,
+            jobs,
             label,
             context,
             policy,
             journal,
             results,
             metrics,
-            packed=packed if attempt == 0 else None,
         )
         busy_total += busy_s
         if fatal is not None:
@@ -974,7 +899,7 @@ def _run_round(
     fn,
     tasks,
     indices,
-    payload,
+    packed,
     jobs,
     label,
     context,
@@ -982,16 +907,14 @@ def _run_round(
     journal,
     results,
     metrics,
-    packed=None,
 ):
     """One pool round over ``indices``.
 
-    With ``packed`` set (warm first round), the executor is leased from
-    the process-wide :class:`~repro.parallel.pool.PoolLease` and every
-    task carries the packed payload; the pool survives the round unless
-    it ended badly (worker death, watchdog), in which case the lease is
-    invalidated so the *next* map starts clean.  Without ``packed``,
-    this is the historical throwaway pool with initializer broadcast.
+    The executor is leased from the process-wide
+    :class:`~repro.parallel.pool.PoolLease` and every task carries the
+    packed payload.  The pool survives the round unless it ended badly
+    (worker death, watchdog), in which case the lease is invalidated
+    so the next round or map forks a new one.
 
     Returns ``(transient, fatal, busy_s)``: the shard indices lost to
     worker death or the watchdog, the first deterministic task failure
@@ -999,28 +922,12 @@ def _run_round(
     did complete -- which are stored into ``results`` and journaled
     immediately, so even a round that ends badly keeps its credit.
     """
-    warm = packed is not None
+    lease = get_lease()
+    executor, _reused = lease.acquire(context, jobs, initializer=_worker_init)
     bus = get_event_bus()
-    fresh_queue = None
-    if warm:
-        executor, _reused = get_lease().acquire(
-            context, jobs, initializer=_warm_worker_init
-        )
-        event_queue = get_lease().event_queue(context, jobs)
-    else:
-        # fresh pools are born and die with the round, so the queue
-        # only needs to exist when someone will drain it.
-        fresh_queue = context.Queue() if bus is not None else None
-        event_queue = fresh_queue
-        executor = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(payload, metrics.enabled, event_queue),
-        )
     pump = (
-        _EventPump(bus, event_queue, label, len(indices))
-        if bus is not None and event_queue is not None
+        _EventPump(bus, lease.event_queue(context, jobs), label, len(indices))
+        if bus is not None
         else None
     )
     transient: List[int] = []
@@ -1028,34 +935,28 @@ def _run_round(
     busy_total = 0.0
     healthy = True
     try:
-        if warm:
-            fault_spec = os.environ.get(FAULT_ENV)
-            try:
-                waiting = {
-                    executor.submit(
-                        _invoke_packed,
-                        fn,
-                        tasks[i],
-                        i,
-                        label,
-                        packed,
-                        metrics.enabled,
-                        fault_spec,
-                        bus is not None,
-                    ): i
-                    for i in indices
-                }
-            except BrokenProcessPool:
-                # a worker died idle between maps: the whole round is
-                # transient, the lease is invalidated in finally.
-                healthy = False
-                transient.extend(indices)
-                return transient, None, busy_total
-        else:
+        fault_spec = os.environ.get(FAULT_ENV)
+        try:
             waiting = {
-                executor.submit(_invoke, fn, tasks[i], i, label): i
+                executor.submit(
+                    _invoke,
+                    fn,
+                    tasks[i],
+                    i,
+                    label,
+                    packed,
+                    metrics.enabled,
+                    fault_spec,
+                    bus is not None,
+                ): i
                 for i in indices
             }
+        except BrokenProcessPool:
+            # a worker died idle between maps: the whole round is
+            # transient, the lease is invalidated in finally.
+            healthy = False
+            transient.extend(indices)
+            return transient, None, busy_total
         while waiting:
             done, _ = _futures_wait(
                 list(waiting),
@@ -1086,11 +987,10 @@ def _run_round(
                     broken = True
                 except Exception as exc:
                     fatal = (index, exc)
-                    if warm:
-                        # keep the healthy pool; drop what we can of
-                        # the still-queued work before failing fast.
-                        for pending_future in waiting:
-                            pending_future.cancel()
+                    # keep the healthy pool; drop what we can of the
+                    # still-queued work before failing fast.
+                    for pending_future in waiting:
+                        pending_future.cancel()
                     return transient, fatal, busy_total
                 else:
                     results[index] = result
@@ -1109,14 +1009,5 @@ def _run_round(
     finally:
         if pump is not None:
             pump.stop()
-        if warm:
-            if not healthy:
-                get_lease().invalidate(context, jobs)
-        else:
-            _shutdown_executor(executor)
-            if fresh_queue is not None:
-                try:
-                    fresh_queue.close()
-                    fresh_queue.cancel_join_thread()
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
+        if not healthy:
+            lease.invalidate(context, jobs)

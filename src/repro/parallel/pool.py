@@ -1,24 +1,22 @@
 """Warm process-pool leases for the parallel engine.
 
-A flow-level sweep issues one :func:`~repro.parallel.parallel_map` per
-campaign -- hundreds per run -- and historically every call built and
-tore down its own ``ProcessPoolExecutor``.  Forking workers costs tens
-of milliseconds each, which dominates small campaigns.  This module
-keeps one executor warm per ``(start method, worker count)`` key and
-leases it to successive maps:
+A run issues many :func:`~repro.parallel.parallel_map` calls -- one
+per LUT build, characterization and campaign scan -- and forking
+workers costs tens of milliseconds each, which would dominate small
+maps.  This module keeps one executor warm per ``(start method,
+worker count)`` key and leases it to successive maps and rounds:
 
 * :meth:`PoolLease.acquire` returns the cached executor for a key (or
   creates one), counting ``parallel.pool.created`` /
   ``parallel.pool.reused``.
 * :meth:`PoolLease.invalidate` shuts a pool down hard when a round
-  ended badly (worker death, watchdog expiry) -- the next map gets a
-  fresh warm pool, and the retry round that follows always runs on a
-  throwaway per-round pool so the fault taxonomy of
-  :mod:`repro.parallel.engine` is preserved bit-for-bit.
+  ended badly (worker death, watchdog expiry) -- the retry round or
+  map that follows acquires a newly forked pool, so a retried shard
+  never runs on a worker that saw the failure.
 * :meth:`PoolLease.shutdown_all` (also registered ``atexit``) tears
   every warm pool down.
 
-Warm workers are started *without* a payload: each task ships a
+Workers are started *without* a payload: each task ships a
 :class:`~repro.parallel.shm.PackedPayload` instead, which the worker
 rebuilds once per distinct payload fingerprint (see
 :mod:`repro.parallel.shm`).
@@ -33,10 +31,6 @@ push small telemetry dicts (shard started/finished, see
 thread drains it into the parent :class:`~repro.obs.events.EventBus`.
 The queue always exists -- whether anything flows is decided per task
 by the parent's live telemetry state, so an idle queue costs one pipe.
-
-Disable with ``REPRO_NO_WARM_POOL=1``, ``--no-warm-pool``, or
-:func:`set_warm_pool_default` -- maps then fall back to the historical
-pool-per-call behavior, with identical results either way.
 """
 
 from __future__ import annotations
@@ -53,35 +47,20 @@ _log = get_logger(__name__)
 __all__ = [
     "PoolLease",
     "get_lease",
-    "set_warm_pool_default",
-    "warm_pool_enabled",
 ]
 
-#: Kill switch: set to any non-empty value to disable warm pools
-#: process-wide (every map builds and tears down its own pool).
-ENV_DISABLE = "REPRO_NO_WARM_POOL"
 
-_DEFAULT_ENABLED = True
-
-
-def warm_pool_enabled(override: Optional[bool] = None) -> bool:
-    """Effective on/off state of warm pool leasing.
-
-    ``REPRO_NO_WARM_POOL`` beats everything (operational kill switch),
-    an explicit ``override`` (CLI flag, config field) beats the module
-    default set by :func:`set_warm_pool_default`.
-    """
-    if os.environ.get(ENV_DISABLE):
-        return False
-    if override is not None:
-        return bool(override)
-    return _DEFAULT_ENABLED
-
-
-def set_warm_pool_default(enabled: bool) -> None:
-    """Set the process-wide default used when no override is given."""
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
+def _shutdown_executor(executor: ProcessPoolExecutor):
+    """Tear a pool down without waiting; terminate stuck workers."""
+    try:
+        executor.shutdown(wait=False, cancel_futures=True)
+    except TypeError:  # pragma: no cover -- python < 3.9
+        executor.shutdown(wait=False)
+    processes = getattr(executor, "_processes", None)
+    if processes:
+        for process in list(processes.values()):
+            if process.is_alive():
+                process.terminate()
 
 
 def _pool_key(context, jobs: int) -> Tuple[str, int]:
@@ -106,13 +85,11 @@ class PoolLease:
         return executor is not None and not self._broken(executor)
 
     def event_queue(self, context, jobs: int):
-        """The telemetry queue wired into this key's workers (or None)."""
-        return self._queues.get(_pool_key(context, jobs))
+        """The telemetry queue wired into this key's workers."""
+        return self._queues[_pool_key(context, jobs)]
 
     @staticmethod
     def _close_queue(queue) -> None:
-        if queue is None:
-            return
         try:
             queue.close()
             queue.cancel_join_thread()
@@ -124,12 +101,14 @@ class PoolLease:
         return bool(getattr(executor, "_broken", False))
 
     def acquire(
-        self, context, jobs: int, initializer=None, initargs=()
+        self, context, jobs: int, initializer
     ) -> Tuple[ProcessPoolExecutor, bool]:
         """The warm executor for a key; returns ``(executor, reused)``.
 
-        A cached-but-broken executor is replaced transparently (still
-        counted as a creation, plus ``parallel.pool.invalidated``).
+        ``initializer`` runs once in every new worker and receives the
+        pool's telemetry queue as its only argument.  A cached-but-
+        broken executor is replaced transparently (still counted as a
+        creation, plus ``parallel.pool.invalidated``).
         """
         key = _pool_key(context, jobs)
         metrics = get_registry()
@@ -142,20 +121,16 @@ class PoolLease:
             self.invalidate(context, jobs)
         # The telemetry queue must be born with the pool: queues are
         # only picklable through the Process constructor, and warm
-        # workers outlive any single map.  Initializers take it as
-        # their first argument.
-        queue = context.Queue() if initializer is not None else None
-        if initializer is not None:
-            initargs = (queue,) + tuple(initargs)
+        # workers outlive any single map.
+        queue = context.Queue()
         executor = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=context,
             initializer=initializer,
-            initargs=initargs,
+            initargs=(queue,),
         )
         self._pools[key] = executor
-        if queue is not None:
-            self._queues[key] = queue
+        self._queues[key] = queue
         if not self._atexit_registered:
             atexit.register(self.shutdown_all)
             self._atexit_registered = True
@@ -172,13 +147,9 @@ class PoolLease:
         key = _pool_key(context, jobs)
         executor = self._pools.pop(key, None)
         if executor is None:
-            self._close_queue(self._queues.pop(key, None))
             return
-        # local import: engine imports this module at load time
-        from .engine import _shutdown_executor
-
         _shutdown_executor(executor)
-        self._close_queue(self._queues.pop(key, None))
+        self._close_queue(self._queues.pop(key))
         metrics = get_registry()
         if metrics.enabled:
             metrics.counter("parallel.pool.invalidated").inc()
@@ -194,8 +165,6 @@ class PoolLease:
             self._pools.clear()
             self._queues.clear()
             return
-        from .engine import _shutdown_executor
-
         for executor in self._pools.values():
             # graceful for healthy idle pools: waiting lets the manager
             # thread deregister itself, so the interpreter's own exit

@@ -5,7 +5,7 @@ inputs -- the array layout's ``packed_boxes``, the characterized
 :class:`~repro.sram.PofTable` grids, the electron-yield LUT quantile
 rows, the :class:`~repro.sram.ivtab.IVTables` surfaces.  Shipping them
 to every worker of every map via pickle is the dominant broadcast cost
-once pools are kept warm (:mod:`repro.parallel.pool`).  This module
+of the warm pools (:mod:`repro.parallel.pool`).  This module
 moves those large read-only ndarrays into POSIX shared memory exactly
 once and replaces them with tiny fingerprint references inside the
 pickled payload:
@@ -31,10 +31,13 @@ pickled payload:
   unlink path is guarded by the creating PID.
 
 When shared memory is unavailable (no writable ``/dev/shm``, exotic
-platforms) or disabled (``REPRO_NO_SHM=1``, ``--no-shm``,
-:func:`set_shm_default`), arrays stay inline in the pickle stream --
-same results, just a bigger broadcast (counted in
-``parallel.shm.fallback``).
+platforms) or disabled with ``REPRO_NO_SHM=1``, arrays stay inline in
+the pickle stream -- same results, just a bigger broadcast (counted in
+``parallel.shm.fallback``).  ``REPRO_NO_SHM`` is a deployment setting,
+read on every share: a tmpfs too small for the payload accepts a
+segment's ``ftruncate`` and only fails (SIGBUS) when its pages are
+written, which the 16-byte probe of :meth:`SharedArrayPack.available`
+cannot detect.
 
 Determinism: a shared array is reconstructed from the exact bytes of
 the original (C-contiguous copy), so worker-side values are
@@ -68,12 +71,10 @@ __all__ = [
     "get_pack",
     "load_packed",
     "pack_payload",
-    "set_shm_default",
-    "shm_enabled",
 ]
 
-#: Kill switch: set to any non-empty value to disable the shared-memory
-#: plane process-wide (arrays ship inline in the pickle stream).
+#: Operator switch: set to any non-empty value to disable the
+#: shared-memory plane (arrays ship inline in the pickle stream).
 ENV_DISABLE = "REPRO_NO_SHM"
 
 #: Arrays below this size ship inline: a shared-memory segment costs a
@@ -83,8 +84,6 @@ MIN_SHM_BYTES = 1 << 15  # 32 KiB
 
 #: ``persistent_id`` tag marking a diverted array in the pickle stream.
 _PID_TAG = "repro.shm.array"
-
-_DEFAULT_ENABLED = True
 
 
 def array_fingerprint(array: np.ndarray) -> str:
@@ -98,26 +97,6 @@ def array_fingerprint(array: np.ndarray) -> str:
     digest = hashlib.sha256(header)
     digest.update(data.data.cast("B"))
     return digest.hexdigest()
-
-
-def shm_enabled(override: Optional[bool] = None) -> bool:
-    """Effective on/off state of the shared-memory plane.
-
-    ``REPRO_NO_SHM`` beats everything (operational kill switch), an
-    explicit ``override`` (CLI flag, config field) beats the module
-    default set by :func:`set_shm_default`.
-    """
-    if os.environ.get(ENV_DISABLE):
-        return False
-    if override is not None:
-        return bool(override)
-    return _DEFAULT_ENABLED
-
-
-def set_shm_default(enabled: bool) -> None:
-    """Set the process-wide default used when no override is given."""
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
 
 
 @dataclass(frozen=True)
@@ -179,10 +158,15 @@ class SharedArrayPack:
     def share(self, array: np.ndarray) -> Optional[ShmArrayRef]:
         """Move one array into a shared segment (deduplicated).
 
-        Returns ``None`` when shared memory is unavailable or segment
-        creation fails -- the caller keeps the array inline.
+        Returns ``None`` when ``REPRO_NO_SHM`` is set, shared memory is
+        unavailable, or segment creation fails -- the caller keeps the
+        array inline.
         """
         metrics = get_registry()
+        if os.environ.get(ENV_DISABLE):
+            if metrics.enabled:
+                metrics.counter("parallel.shm.fallback").inc()
+            return None
         data = np.ascontiguousarray(array)
         fingerprint = array_fingerprint(data)
 
@@ -335,16 +319,14 @@ class PackedPayload:
 class _PackingPickler(pickle.Pickler):
     """Pickler diverting large ndarrays into the shared-array pack."""
 
-    def __init__(self, file, pack: SharedArrayPack, use_shm: bool):
+    def __init__(self, file, pack: SharedArrayPack):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._pack = pack
-        self._use_shm = use_shm
         self.shared: Dict[str, ShmArrayRef] = {}
 
     def persistent_id(self, obj):
         if (
-            self._use_shm
-            and type(obj) is np.ndarray
+            type(obj) is np.ndarray
             and obj.nbytes >= MIN_SHM_BYTES
             and not obj.dtype.hasobject
         ):
@@ -355,22 +337,22 @@ class _PackingPickler(pickle.Pickler):
         return None
 
 
-def pack_payload(payload: Any, *, use_shm: bool = True) -> PackedPayload:
+def pack_payload(payload: Any) -> PackedPayload:
     """Serialize a payload once, diverting bulk arrays into shm.
 
     The returned :class:`PackedPayload` is small (references instead of
     array bytes) and cheap to ship with every task of a warm pool; the
-    pack retains one reference per distinct shared array.
+    pack retains one reference per distinct shared array.  Arrays the
+    pack declines (see :meth:`SharedArrayPack.share`) stay inline.
     """
     pack = get_pack()
-    effective = use_shm and shm_enabled()
     buffer = io.BytesIO()
-    pickler = _PackingPickler(buffer, pack, effective)
+    pickler = _PackingPickler(buffer, pack)
     pickler.dump(payload)
     data: Optional[bytes] = buffer.getvalue()
     fingerprint = hashlib.sha256(data).hexdigest()
     blob_ref = None
-    if effective and len(data) >= MIN_SHM_BYTES:
+    if len(data) >= MIN_SHM_BYTES:
         # the pickle stream itself is bulky (interpolator caches, many
         # sub-threshold grids): park it in a segment too, so per-task
         # IPC carries references only.

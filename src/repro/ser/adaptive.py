@@ -345,8 +345,6 @@ class AdaptiveCampaignController:
         *,
         n_jobs: Optional[int] = None,
         retry=None,
-        warm_pool: Optional[bool] = None,
-        shm: Optional[bool] = None,
         payload=None,
         journal_factory=None,
         stage: str = "adaptive",
@@ -358,10 +356,6 @@ class AdaptiveCampaignController:
             simulator.config.n_jobs if n_jobs is None else int(n_jobs)
         )
         self.retry = retry
-        self.warm_pool = (
-            simulator.config.warm_pool if warm_pool is None else warm_pool
-        )
-        self.shm = simulator.config.shm if shm is None else shm
         self.payload = (
             payload if payload is not None else {"simulator": simulator}
         )
@@ -565,8 +559,6 @@ class AdaptiveCampaignController:
             retry=self.retry.strict() if self.retry is not None else None,
             journal=journal,
             cost_hint_s=2.0e-6 * round_trials / max(len(tasks), 1),
-            warm_pool=self.warm_pool,
-            shm=self.shm,
         )
         routed: Dict[str, List[ArrayPofResult]] = {}
         for owner, group in zip(owners, nested):

@@ -135,8 +135,8 @@ def _pair_streams(pof_cells, n_cols: int):
     loop -- events ascending, then ``a``-major / ``b``-ascending
     within each event (``np.nonzero`` is row-major, so its flat
     element order *is* that order) -- which is what keeps the
-    vectorized accumulation bit-identical (see
-    ``tests/test_fusion.py``).
+    vectorized accumulation bit-identical to that loop (kept as the
+    oracle ``accumulate_pairs_loop`` in ``tests/array_oracle.py``).
     """
     event_idx, cell_idx = np.nonzero(pof_cells)
     n_el = len(event_idx)
@@ -161,31 +161,6 @@ def _pair_streams(pof_cells, n_cols: int):
     d_row = np.abs(rows[a_idx] - rows[b_idx])
     d_col = np.abs(cols[a_idx] - cols[b_idx])
     return d_row * n_cols + d_col, probs[a_idx] * probs[b_idx]
-
-
-def _accumulate_pairs_loop(pof_cells, n_cols: int, offsets) -> None:
-    """The pre-vectorization per-event pair loop, verbatim.
-
-    Kept as the reference implementation for the bit-identity
-    regression test of :func:`_pair_streams`; not used on any hot
-    path.
-    """
-    event_idx, cell_idx = np.nonzero(pof_cells)
-    for event in np.unique(event_idx):
-        cells = cell_idx[event_idx == event]
-        if len(cells) < 2:
-            continue
-        probs = pof_cells[event, cells]
-        rows, cols = cells // n_cols, cells % n_cols
-        for a in range(len(cells)):
-            for b in range(a + 1, len(cells)):
-                key = (
-                    int(abs(rows[a] - rows[b])),
-                    int(abs(cols[a] - cols[b])),
-                )
-                offsets[key] = offsets.get(key, 0.0) + float(
-                    probs[a] * probs[b]
-                )
 
 
 def _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class BatchPlan:
         The shared :class:`~repro.ser.mc.ArraySerSimulator`.
     points:
         The queued campaigns, in result order.
-    n_jobs, retry, journal, warm_pool, shm:
+    n_jobs, retry, journal:
         The usual execution/fault-tolerance knobs of
         :func:`~repro.parallel.parallel_map`; the retry policy is
         forced strict (see module docstring).
@@ -111,8 +111,6 @@ class BatchPlan:
         n_jobs: int = 1,
         retry=None,
         journal=None,
-        warm_pool: Optional[bool] = None,
-        shm: Optional[bool] = None,
         payload=None,
     ):
         self.simulator = simulator
@@ -120,8 +118,6 @@ class BatchPlan:
         self.n_jobs = n_jobs
         self.retry = retry
         self.journal = journal
-        self.warm_pool = warm_pool
-        self.shm = shm
         self.payload = payload
 
     def execute(self) -> List[ArrayPofResult]:
@@ -185,8 +181,6 @@ class BatchPlan:
                 retry=self.retry.strict() if self.retry is not None else None,
                 journal=self.journal,
                 cost_hint_s=2.0e-6 * total_particles / max(len(tasks), 1),
-                warm_pool=self.warm_pool,
-                shm=self.shm,
             )
             lost = sum(1 for group in nested if group is None)
             if lost:

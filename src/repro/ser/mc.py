@@ -52,7 +52,7 @@ from ..physics import (
 from ..physics.sampling import sample_directions
 from ..sram import PofTable
 from ..transport import ElectronYieldLUT
-from .pof import _ONE_MINUS_EPS, combine, multiplicity_pmf
+from .pof import _ONE_MINUS_EPS
 
 _log = get_logger(__name__)
 
@@ -84,12 +84,6 @@ class ArrayMcConfig:
     max_multiplicity: int = 8
     #: Worker processes for campaigns (1 = inline, 0 = one per CPU).
     n_jobs: int = 1
-    #: Warm-pool leasing / shared-memory payload plane overrides for
-    #: the campaign maps (``None`` = process defaults; see
-    #: :mod:`repro.parallel.pool` / :mod:`repro.parallel.shm`).
-    #: Execution knobs only -- results are bit-identical either way.
-    warm_pool: Optional[bool] = None
-    shm: Optional[bool] = None
 
     def __post_init__(self):
         if self.deposition_mode not in DEPOSITION_MODES:
@@ -745,8 +739,6 @@ class ArraySerSimulator:
                 journal=journal,
                 # ~2 us per particle: tiny campaigns skip pool spin-up
                 cost_hint_s=2.0e-6 * n_particles / max(len(tasks), 1),
-                warm_pool=self.config.warm_pool,
-                shm=self.config.shm,
             )
             lost = sum(1 for group in nested if group is None)
             with metrics.time("array_mc.merge"):
@@ -927,8 +919,9 @@ class ArraySerSimulator:
         """Sparse strike kernel: group strikes by (event, cell) key.
 
         Never allocates the dense ``(n_events, n_cells, 3)`` charge
-        tensor of :meth:`_process_batch_dense` -- strikes are folded
-        into per-(event, cell) charge triples via ``np.unique``, the
+        tensor of the reference kernel (``process_batch_dense`` in
+        ``tests/array_oracle.py``) -- strikes are folded into
+        per-(event, cell) charge triples via ``np.unique``, the
         POF table is queried only on touched cells, and eqs. 4-6 plus
         the multiplicity PMF are evaluated with segmented reductions
         over the touched set.
@@ -1005,50 +998,6 @@ class ArraySerSimulator:
             shifted[:, -1] += block[:, -1]
             pmf[rows] = block * (1.0 - p) + shifted * p
         return pmf.sum(axis=0)
-
-    def _process_batch_dense(
-        self, particle, energy_mev, vdd_v, rays: RayBatch, rng
-    ):
-        """Reference kernel materializing the dense charge tensor.
-
-        Kept for regression tests and the ``benchmarks/perf`` harness;
-        allocates ``(n_events, n_cells, 3)`` per batch, which the
-        sparse :meth:`_process_batch` exists to avoid.
-        """
-        n_hits, n_strikes, n_events, strikes = self._gather_strikes(
-            particle, energy_mev, rays, rng
-        )
-        if strikes is None:
-            return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
-        ray_idx, cell_of, strike_of, charges = strikes
-
-        charge_tensor = np.zeros(
-            (n_events, self.layout.n_cells, 3), dtype=np.float64
-        )
-        np.add.at(charge_tensor, (ray_idx, cell_of, strike_of), charges)
-
-        cell_mask = np.any(charge_tensor > 0.0, axis=2)
-        ev_i, cell_i = np.nonzero(cell_mask)
-        pof_cells = np.zeros((n_events, self.layout.n_cells), dtype=np.float64)
-        if len(ev_i):
-            pof_values = self.pof_table.query(
-                vdd_v, charge_tensor[ev_i, cell_i, :]
-            )
-            pof_cells[ev_i, cell_i] = pof_values
-
-        total, seu, mbu = combine(pof_cells)
-        pmf = multiplicity_pmf(
-            pof_cells, max_k=self.config.max_multiplicity
-        ).sum(axis=0)
-        pmf[0] = 0.0
-        return (
-            float(np.sum(total)),
-            float(np.sum(seu)),
-            float(np.sum(mbu)),
-            n_hits,
-            n_strikes,
-            pmf,
-        )
 
     def _pairs_for_strikes(self, particle, strike_energies, chord_nm, rng):
         """Electron-hole pair counts for each struck sensitive fin.

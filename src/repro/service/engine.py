@@ -84,8 +84,6 @@ class ExecutionOptions:
     n_jobs: int = 1
     retry: Optional[object] = None  # a repro.parallel.RetryPolicy
     resume: bool = True
-    warm_pool: Optional[bool] = None
-    shm: Optional[bool] = None
 
 
 def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
@@ -104,8 +102,6 @@ def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
         n_jobs=options.n_jobs,
         retry=options.retry,
         resume=options.resume,
-        warm_pool=options.warm_pool,
-        shm=options.shm,
     )
 
 
@@ -256,7 +252,7 @@ class CampaignEngine:
     ----------
     options:
         Execution plane for every campaign (cache dir, worker budget
-        per campaign, retry/resume, warm-pool/shm switches).
+        per campaign, retry/resume).
     max_concurrent:
         Campaigns running at once; with ``options.n_jobs`` workers
         each this bounds the total worker budget.

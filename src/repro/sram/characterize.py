@@ -211,8 +211,6 @@ def characterize_cell(
     n_jobs: int = 1,
     retry=None,
     journal=None,
-    warm_pool: Optional[bool] = None,
-    shm: Optional[bool] = None,
 ) -> PofTable:
     """Build the full POF table for a cell design.
 
@@ -231,12 +229,9 @@ def characterize_cell(
     :class:`~repro.errors.WorkerCrashError` -- the attached ``journal``
     (built with :func:`characterize_shard_encode` /
     :func:`characterize_shard_decode`) preserves the finished grids for
-    the next attempt.
-
-    ``warm_pool`` / ``shm`` override the process defaults for pool
-    leasing and the shared-memory payload plane (the big per-Vdd
-    :class:`~repro.sram.ivtab.IVTables` surfaces ride shared segments);
-    pure transport knobs, results are bit-identical either way.
+    the next attempt.  On the pooled path the big per-Vdd
+    :class:`~repro.sram.ivtab.IVTables` surfaces ride shared-memory
+    segments (:mod:`repro.parallel.shm`).
     """
     config = config if config is not None else CharacterizationConfig()
     rng = np.random.default_rng(config.seed)
@@ -295,8 +290,6 @@ def characterize_cell(
             retry=retry.strict() if retry is not None else None,
             journal=journal,
             cost_hint_s=_task_cost_hint_s(config, n_samples),
-            warm_pool=warm_pool,
-            shm=shm,
         )
         if journal is not None:
             # every grid is present (strict policy) -- the checkpoint

@@ -31,8 +31,8 @@ def _group_codes(codes: np.ndarray):
     ``np.nonzero(codes == code)`` rescans (O(n log n) instead of
     O(k n)); stability keeps each group's rows in original order, so
     the grouping -- and every downstream gather/scatter -- is
-    identical to the loop it replaced (``_group_codes_loop`` below is
-    kept as the regression reference).
+    identical to the loop it replaced (kept as the regression oracle
+    ``group_codes_loop`` in ``tests/array_oracle.py``).
     """
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -45,13 +45,6 @@ def _group_codes(codes: np.ndarray):
     return [
         (int(sorted_codes[start]), order[start:end])
         for start, end in zip(bounds[:-1], bounds[1:])
-    ]
-
-
-def _group_codes_loop(codes: np.ndarray):
-    """The pre-vectorization grouping, verbatim (test reference only)."""
-    return [
-        (int(code), np.nonzero(codes == code)[0]) for code in np.unique(codes)
     ]
 
 

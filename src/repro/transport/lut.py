@@ -143,8 +143,6 @@ class ElectronYieldLUT:
         n_jobs: int = 1,
         retry=None,
         journal=None,
-        warm_pool: Optional[bool] = None,
-        shm: Optional[bool] = None,
     ) -> "ElectronYieldLUT":
         """Run the device-level MC at each grid energy and tabulate.
 
@@ -184,10 +182,6 @@ class ElectronYieldLUT:
         journal:
             Optional :class:`~repro.parallel.ShardJournal` checkpoint;
             cleared automatically once the build completes undegraded.
-        warm_pool / shm:
-            Overrides for pool leasing and the shared-memory payload
-            plane (``None`` = process defaults).  Transport knobs
-            only; the table is bit-identical either way.
         """
         if trials_per_energy < 100:
             raise ConfigError("need >= 100 trials per energy for a usable CDF")
@@ -233,8 +227,6 @@ class ElectronYieldLUT:
                 # ~2 us per transport trial: lets tiny builds skip
                 # pool spin-up (measured slower than inline)
                 cost_hint_s=2.0e-6 * sum(shard_sizes) / len(shard_sizes),
-                warm_pool=warm_pool,
-                shm=shm,
             )
             lost = sum(1 for shard in shard_results if shard is None)
             for i in range(len(energies)):

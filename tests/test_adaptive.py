@@ -543,8 +543,6 @@ class TestKillAndResume:
             ),
             n_jobs=2,
             retry=RetryPolicy(retries=0),
-            warm_pool=False,
-            shm=False,
             journal_factory=factory,
         )
 

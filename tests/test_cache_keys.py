@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.io import config_hash
+from repro.parallel import RetryPolicy
 from repro.service import ExecutionOptions, QueryError, QuerySpec, build_flow
 from repro.sram import CharacterizationConfig
 
@@ -82,9 +83,9 @@ class TestExecutionOptionsStayOutOfKeys:
         "options",
         [
             dict(n_jobs=2),
-            dict(n_jobs=0, warm_pool=False),
-            dict(warm_pool=True, shm=False),
-            dict(shm=True),
+            dict(n_jobs=0, retry=RetryPolicy(retries=0)),
+            dict(retry=RetryPolicy(retries=5, allow_partial=False)),
+            dict(resume=False),
         ],
     )
     def test_sweep_path_independent_of_execution(self, tmp_path, options):

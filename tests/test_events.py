@@ -12,6 +12,7 @@ torn stream.  The flow-level test is the acceptance path: a tiny
 """
 
 import json
+import multiprocessing
 import threading
 import time
 
@@ -38,7 +39,7 @@ from repro.obs.registry import disable_metrics, enable_metrics, get_registry
 from repro.obs.trace import configure_tracing, reset_tracing
 from repro.parallel import RetryPolicy, parallel_map
 from repro.parallel.engine import FAULT_ENV
-from repro.parallel.pool import get_lease, set_warm_pool_default
+from repro.parallel.pool import get_lease
 from repro.sram import CharacterizationConfig
 
 
@@ -194,16 +195,19 @@ class TestParallelEvents:
         assert len(_progress(events, "evmap", "started")) == 4
         assert len(_progress(events, "evmap", "finished")) == 4
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_pooled_paths_stream_worker_events(
-        self, tmp_path, monkeypatch, warm
-    ):
-        if not warm:
-            monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
+    @pytest.mark.parametrize("leased", [False, True])
+    def test_pooled_paths_stream_worker_events(self, tmp_path, leased):
+        """Worker events stream from a newly forked and a reused pool."""
+        get_lease().shutdown_all()
+        if leased:
+            parallel_map(_square_task, [0, 1], n_jobs=2, label="warmup")
         events = self._run_and_read(tmp_path, n_jobs=2)
         _assert_ordered(events)
         rounds = [e for e in events if e["kind"] == "round"]
         assert [r["phase"] for r in rounds] == ["start", "end"]
+        assert rounds[0]["path"] == (
+            "pool-warm-reuse" if leased else "pool-warm"
+        )
         assert rounds[1]["lost"] == 0
         started = _progress(events, "evmap", "started")
         finished = _progress(events, "evmap", "finished")
@@ -236,15 +240,16 @@ class TestParallelEvents:
         assert [r["phase"] for r in rounds] == ["start", "end"] * 2
         assert len(_progress(events, "evreuse", "finished")) == 6
 
-    def test_no_bus_means_no_events_and_no_queue_for_fresh_pools(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
+    def test_no_bus_means_no_events_and_no_queue_for_fresh_pools(self):
+        """Without a bus, a newly forked pool's queue carries nothing."""
+        get_lease().shutdown_all()
         results = parallel_map(
             _square_task, [0, 1, 2, 3], n_jobs=2, label="dark"
         )
         assert results == [0, 1, 4, 9]
         assert get_event_bus() is None
+        queue = get_lease().event_queue(multiprocessing.get_context(), 2)
+        assert queue.empty()
 
 
 class TestKillEvents:

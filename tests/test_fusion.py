@@ -38,11 +38,13 @@ from repro.ser import (
     CampaignPoint,
     integrate_fit,
 )
-from repro.ser.clusters import _accumulate_pairs_loop, _pair_streams
+from repro.ser.clusters import _pair_streams
 from repro.sram import CharacterizationConfig, PofTable, SramCellDesign
 from repro.sram.ivtab import I_SCALE_A, IVTables
-from repro.sram.pof_lut import _group_codes, _group_codes_loop
+from repro.sram.pof_lut import _group_codes
 from repro.sram.strike import ALL_COMBOS
+
+from .array_oracle import accumulate_pairs_loop, group_codes_loop
 
 # -- shared fixtures (the cheap synthetic setup of test_faults) ----------------
 
@@ -490,7 +492,7 @@ class TestInlineKernels:
         assert np.array_equal(got, expected)
 
 
-# -- vectorized satellites vs. their preserved loop references -----------------
+# -- vectorized satellites vs. their loop oracles (tests/array_oracle.py) ------
 
 
 class TestClusterPairVectorization:
@@ -507,7 +509,7 @@ class TestClusterPairVectorization:
         for _ in range(200):
             pof_cells = self._random_batch(rng)
             loop_acc = {}
-            _accumulate_pairs_loop(pof_cells, n_cols, loop_acc)
+            accumulate_pairs_loop(pof_cells, n_cols, loop_acc)
             stream = _pair_streams(pof_cells, n_cols)
             if stream is None:
                 assert loop_acc == {}
@@ -543,7 +545,7 @@ class TestPofGroupingVectorization:
         for _ in range(500):
             codes = rng.integers(0, 8, size=int(rng.integers(0, 40)))
             got = _group_codes(codes)
-            ref = _group_codes_loop(codes)
+            ref = group_codes_loop(codes)
             assert len(got) == len(ref)
             for (code_a, rows_a), (code_b, rows_b) in zip(got, ref):
                 assert code_a == code_b

@@ -486,14 +486,49 @@ class TestManifestEnvironment:
     def test_capture_environment_reports_kill_switches(self, monkeypatch):
         from repro.obs import capture_environment
 
-        monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
+        monkeypatch.setenv("REPRO_NO_SHM", "1")
+        monkeypatch.delenv("REPRO_PARALLEL_KILL", raising=False)
         env = capture_environment({"jobs": 4})
-        assert env["env"]["REPRO_NO_WARM_POOL"] == "1"
-        assert env["env"]["REPRO_NO_SHM"] is None  # recorded even unset
-        assert env["warm_pool_enabled"] is False  # effective, post-env
+        assert env["env"]["REPRO_NO_SHM"] == "1"
+        assert env["env"]["REPRO_PARALLEL_KILL"] is None  # recorded unset
+        assert "REPRO_NO_WARM_POOL" not in env["env"]
+        assert "warm_pool_enabled" not in env and "shm_enabled" not in env
         assert env["n_jobs"] == 4
         assert env["cpu_count"] >= 1
+
+    def test_old_manifest_with_pool_switch_fields_loads_and_diffs(
+        self, tmp_path
+    ):
+        """Manifests that still carry the dropped switch fields load."""
+        from repro.obs.inspect import diff_manifests
+
+        new = build_manifest(
+            command="fit",
+            argv=["fit"],
+            config={"jobs": 2},
+            seed=1,
+            started_at="2026-01-01T00:00:00Z",
+            duration_s=1.0,
+            exit_code=0,
+            version="test",
+        )
+        old = new.to_dict()
+        old["environment"] = dict(
+            old["environment"],
+            warm_pool_enabled=True,
+            shm_enabled=True,
+            env=dict(old["environment"]["env"], REPRO_NO_WARM_POOL=None),
+        )
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(old))
+        new_path = new.write(tmp_path / "new.json")
+
+        loaded = RunManifest.load(old_path)
+        assert loaded.environment["warm_pool_enabled"] is True
+        diffs, meta = diff_manifests(old_path, new_path)
+        assert ("environment.warm_pool_enabled", True, "<absent>") in diffs
+        assert ("environment.shm_enabled", True, "<absent>") in diffs
+        assert meta["a"]["command"] == meta["b"]["command"] == "fit"
 
     def test_build_manifest_embeds_environment_and_strips_samples(self):
         from repro.obs import capture_environment  # noqa: F401
@@ -511,7 +546,7 @@ class TestManifestEnvironment:
             version="test",
         )
         assert manifest.environment["n_jobs"] == 2
-        assert "REPRO_NO_WARM_POOL" in manifest.environment["env"]
+        assert "REPRO_NO_SHM" in manifest.environment["env"]
         stats = manifest.stage_timings_s["fit"]
         assert "p50_s" in stats and "p99_s" in stats
         # the raw retention buffer stays out of the derived section

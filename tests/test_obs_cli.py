@@ -221,11 +221,11 @@ class TestBenchCheck:
         assert not ok and "trajectory" in report
 
     def test_committed_trajectories_are_valid(self):
-        """The repo's own BENCH files parse and carry a speedup figure."""
+        """The repo's own BENCH files parse and carry a key figure."""
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        for name in ("BENCH_flow.json",):
+        for name in ("BENCH_adaptive.json",):
             ok, report = bench_check(root / name, max_regress=1.0)
             assert ok, report
 

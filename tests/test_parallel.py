@@ -20,6 +20,8 @@ from repro.sram.strike import ALL_COMBOS
 from repro.ser import ArrayMcConfig, ArrayPofResult, ArraySerSimulator
 from repro.transport import ElectronYieldLUT
 
+from .array_oracle import process_batch_dense
+
 
 # -- cheap synthetic fixtures (no SPICE characterization needed) ---------------
 
@@ -165,7 +167,7 @@ class TestCampaignInvariance:
         assert_results_identical(baseline, run(2, 100))
 
 
-# -- sparse kernel vs the dense reference --------------------------------------
+# -- sparse kernel vs the dense oracle (tests/array_oracle.py) -----------------
 
 
 class TestSparseKernel:
@@ -177,7 +179,7 @@ class TestSparseKernel:
         outputs = []
         for kernel in (
             simulator._process_batch,
-            simulator._process_batch_dense,
+            lambda *args: process_batch_dense(simulator, *args),
         ):
             rng = np.random.default_rng(seed)
             rays = sample_rays(n, rng, x_range, y_range, z, "isotropic")

@@ -1,12 +1,13 @@
 """Warm pool leasing + shared-memory payload plane (repro.parallel).
 
-Covers the PR's acceptance surface: bit-identity of multi-campaign
-sweeps with warm pools vs per-call pools, shm fingerprint dedup across
-campaigns, zero leaked segments after normal exit and after a
-``REPRO_PARALLEL_KILL`` worker death, the plain-pickle fallback when
-shm is disabled, warm-aware auto-inlining, and the vectorized
-``ArrayPofResult.merge`` staying bit-identical to the historical
-Python loops.
+Covers bit-identity of multi-campaign sweeps on leased pools vs
+inline, one pool per worker count whatever the maps' task counts,
+retry rounds in a newly forked pool after a ``REPRO_PARALLEL_KILL``
+worker death, shm fingerprint dedup across campaigns, zero leaked
+segments after normal exit and after a worker death, the plain-pickle
+fallback under ``REPRO_NO_SHM``, warm-aware auto-inlining, and the
+vectorized ``ArrayPofResult.merge`` staying bit-identical to the
+historical Python loops.
 """
 
 import os
@@ -25,10 +26,6 @@ from repro.parallel import (
     get_pack,
     pack_payload,
     parallel_map,
-    set_shm_default,
-    set_warm_pool_default,
-    shm_enabled,
-    warm_pool_enabled,
 )
 from repro.parallel import shm as shm_mod
 from repro.parallel.engine import FAULT_ENV
@@ -49,13 +46,9 @@ def clean_engine_state():
     """Each test starts and ends with no warm pools / no segments."""
     get_lease().shutdown_all()
     get_pack().release_all()
-    set_warm_pool_default(True)
-    set_shm_default(True)
     yield
     get_lease().shutdown_all()
     get_pack().release_all()
-    set_warm_pool_default(True)
-    set_shm_default(True)
 
 
 @pytest.fixture()
@@ -123,19 +116,18 @@ def _echo_task(payload, task):
     return task
 
 
-def _two_campaign_sweep(layout, pof_table, *, warm, n=60_000):
-    """Two (energy) campaigns against one simulator, pooled (jobs=2).
+def _two_campaign_sweep(layout, pof_table, *, n_jobs=2):
+    """Two (energy) campaigns against one simulator (pooled by default).
 
-    ``n`` is large enough that the array-MC cost hint (~2 us/particle)
-    clears the auto-inline threshold, so the maps really pool.
+    60 000 particles are enough for the array-MC cost hint
+    (~2 us/particle) to clear the auto-inline threshold, so with
+    ``n_jobs > 1`` the maps really pool.
     """
-    simulator = make_simulator(
-        layout, pof_table, n_jobs=2, warm_pool=warm, shm=warm
-    )
+    simulator = make_simulator(layout, pof_table, n_jobs=n_jobs)
     out = []
     for i, energy in enumerate((5.0, 8.0)):
         rng = np.random.default_rng(1000 + i)
-        out.append(simulator.run(ALPHA, energy, 0.7, n, rng))
+        out.append(simulator.run(ALPHA, energy, 0.7, 60_000, rng))
     return out
 
 
@@ -146,14 +138,15 @@ class TestWarmPool:
     def test_two_campaign_sweep_bit_identical_warm_vs_fresh(
         self, layout, pof_table, metrics
     ):
-        warm = _two_campaign_sweep(layout, pof_table, warm=True)
+        """Campaigns on one leased pool match the inline path."""
+        warm = _two_campaign_sweep(layout, pof_table)
         snapshot = metrics.snapshot()["counters"]
         assert snapshot.get("parallel.pool.created", 0) == 1
         assert snapshot.get("parallel.pool.reused", 0) >= 1
         get_lease().shutdown_all()
 
-        fresh = _two_campaign_sweep(layout, pof_table, warm=False)
-        for a, b in zip(warm, fresh):
+        inline = _two_campaign_sweep(layout, pof_table, n_jobs=1)
+        for a, b in zip(warm, inline):
             assert_results_identical(a, b)
 
     def test_pool_reused_across_plain_maps(self, metrics):
@@ -169,6 +162,19 @@ class TestWarmPool:
         assert counters.get("parallel.pool.created", 0) == 1
         assert counters.get("parallel.pool.reused", 0) == 1
         assert len(get_lease()) == 1
+
+    def test_one_pool_whatever_the_task_count(self, metrics):
+        """Maps narrower than ``n_jobs`` reuse the full-width pool."""
+        for n_tasks in (4, 3, 2, 4):
+            tasks = list(range(n_tasks))
+            assert (
+                parallel_map(_echo_task, tasks, n_jobs=4, label="width")
+                == tasks
+            )
+        counters = metrics.snapshot()["counters"]
+        assert len(get_lease()) == 1
+        assert counters.get("parallel.pool.created", 0) == 1
+        assert counters.get("parallel.pool.reused", 0) == 3
 
     def test_kill_invalidates_lease_and_retry_recovers(
         self, metrics, monkeypatch, tmp_path
@@ -188,22 +194,9 @@ class TestWarmPool:
         counters = metrics.snapshot()["counters"]
         assert counters.get("parallel.pool.invalidated", 0) >= 1
         assert counters.get("parallel.retries", 0) >= 1
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
-        assert not warm_pool_enabled()
-        assert not warm_pool_enabled(True)
-        result = parallel_map(
-            _sum_task, [1, 2], payload={"big": BIG}, n_jobs=2, label="off"
-        )
-        assert result == [float(np.sum(BIG)) + t for t in (1, 2)]
-        assert len(get_lease()) == 0
-
-    def test_override_beats_default(self):
-        set_warm_pool_default(False)
-        assert not warm_pool_enabled()
-        assert warm_pool_enabled(True)
-        assert not warm_pool_enabled(False)
+        # the retry round ran in a newly forked pool of the same width
+        assert counters.get("parallel.pool.created", 0) == 2
+        assert len(get_lease()) == 1
 
 
 # -- shared-memory payload plane -----------------------------------------------
@@ -256,7 +249,7 @@ class TestSharedMemory:
         old = shm_mod.MIN_SHM_BYTES
         shm_mod.MIN_SHM_BYTES = 0
         try:
-            _two_campaign_sweep(layout, pof_table, warm=True, n=60_000)
+            _two_campaign_sweep(layout, pof_table)
             names = get_pack().segment_names()
             assert names  # the plane engaged
         finally:
@@ -324,14 +317,16 @@ print(json.dumps(list(get_pack().segment_names())))
     def test_disabled_shm_falls_back_bit_identically(
         self, layout, pof_table, monkeypatch
     ):
-        with_shm = _two_campaign_sweep(layout, pof_table, warm=True)
+        # force even the small synthetic fixture arrays into segments,
+        # so the first run really uses the plane the switch turns off
+        monkeypatch.setattr(shm_mod, "MIN_SHM_BYTES", 0)
+        with_shm = _two_campaign_sweep(layout, pof_table)
+        assert len(get_pack()) > 0  # the plane engaged
         get_lease().shutdown_all()
         get_pack().release_all()
 
         monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm_enabled()
-        assert not shm_enabled(True)
-        without = _two_campaign_sweep(layout, pof_table, warm=True)
+        without = _two_campaign_sweep(layout, pof_table)
         assert len(get_pack()) == 0  # everything stayed inline
         for a, b in zip(with_shm, without):
             assert_results_identical(a, b)
@@ -439,37 +434,3 @@ class TestVectorizedMerge:
         assert merged.pof_seu == shard.pof_seu
         assert merged.pof_mbu == shard.pof_mbu
         assert np.array_equal(merged.multiplicity_pmf, shard.multiplicity_pmf)
-
-
-# -- selection precedence ------------------------------------------------------
-
-# One row per execution-plane switch: the env var must beat the
-# explicit override, which must beat the module set_*_default.
-PRECEDENCE = {
-    "warm_pool": dict(
-        query=warm_pool_enabled,
-        set_default=set_warm_pool_default,
-        env="REPRO_NO_WARM_POOL",
-    ),
-    "shm": dict(
-        query=shm_enabled,
-        set_default=set_shm_default,
-        env="REPRO_NO_SHM",
-    ),
-}
-
-
-class TestPrecedence:
-    @pytest.mark.parametrize("switch", sorted(PRECEDENCE))
-    def test_env_beats_override_beats_default(self, switch, monkeypatch):
-        knob = PRECEDENCE[switch]
-        monkeypatch.delenv(knob["env"], raising=False)
-        # layer 3: the module default applies when nothing else is set
-        knob["set_default"](False)
-        assert knob["query"]() is False
-        # layer 2: an explicit override beats the default
-        assert knob["query"](True) is True
-        # layer 1: the kill-switch environment beats both
-        monkeypatch.setenv(knob["env"], "1")
-        assert knob["query"](True) is False
-        assert knob["query"]() is False
