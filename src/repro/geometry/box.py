@@ -6,7 +6,9 @@ lengths.  Two entry points are provided:
 
 * :meth:`Aabb.chord` -- one ray against one box;
 * :func:`chord_lengths` -- an ``(n_rays, n_boxes)`` matrix of chord
-  lengths, the kernel of the array-level Monte Carlo.
+  lengths, used by the device-level transport (a few volumes per
+  world) and as the reference for the sparse
+  :class:`~repro.geometry.grid.BoxGrid` of the array-level Monte Carlo.
 """
 
 from __future__ import annotations
@@ -82,14 +84,11 @@ class Aabb:
         interval.
         """
         t_near, t_far = _slab_interval(
-            ray.origin[np.newaxis, :],
-            ray.direction[np.newaxis, :],
-            self.lo[np.newaxis, :],
-            self.hi[np.newaxis, :],
+            ray.origin, ray.direction, self.lo, self.hi
         )
-        if t_far[0, 0] <= t_near[0, 0]:
+        if t_far <= t_near:
             return None
-        return float(t_near[0, 0]), float(t_far[0, 0])
+        return float(t_near), float(t_far)
 
     def chord(self, ray: Ray) -> float:
         """Chord length [nm] of the forward half-line through this box."""
@@ -102,57 +101,67 @@ class Aabb:
 
 
 def _slab_interval(origins, directions, lo, hi):
-    """Vectorized slab intersection.
+    """Vectorized slab intersection over broadcastable ray/box arrays.
 
     Parameters
     ----------
     origins, directions:
-        ``(n, 3)`` ray data.
+        ``(..., 3)`` ray data.
     lo, hi:
-        ``(m, 3)`` box corners.
+        ``(..., 3)`` box corners.
+
+    The leading shapes broadcast against each other: ``(n, 1, 3)`` rays
+    against ``(m, 3)`` boxes give the ``(n, m)`` matrix, ``(k, 3)``
+    against ``(k, 3)`` give ``k`` ray/box pairs.  Every element runs
+    the same arithmetic in the same order, so a pair's interval is
+    bit-identical to its entry in the matrix.
 
     Returns
     -------
     (t_near, t_far):
-        ``(n, m)`` arrays; a miss is encoded as ``t_far <= t_near``.
+        Arrays of the broadcast leading shape; a miss is encoded as
+        ``t_far <= t_near``.
     """
-    # Accumulate the slab interval one axis at a time with (n, m)
-    # scratch arrays -- avoids (n, m, 3) temporaries, which dominate
-    # the array-MC runtime.  Guard zero direction components: a ray
-    # parallel to a slab either always or never satisfies it.  A
+    # Accumulate the slab interval one axis at a time with scratch
+    # arrays of the result shape -- avoids (..., 3) temporaries, which
+    # dominate the array-MC runtime.  Guard zero direction components:
+    # a ray parallel to a slab either always or never satisfies it.  A
     # subnormal component overflows its inverse to inf just like an
     # exact zero, so both count as parallel (the interval arithmetic
     # would otherwise hit 0 * inf = nan on a ray touching the plane).
-    n = origins.shape[0]
-    m = lo.shape[0]
-    t_near = np.full((n, m), -np.inf, dtype=np.float64)
-    t_far = np.full((n, m), np.inf, dtype=np.float64)
+    shape = np.broadcast_shapes(
+        origins.shape[:-1],
+        directions.shape[:-1],
+        lo.shape[:-1],
+        hi.shape[:-1],
+    )
+    t_near = np.full(shape, -np.inf, dtype=np.float64)
+    t_far = np.full(shape, np.inf, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_all = 1.0 / directions  # (n, 3); inf where parallel
+        inv_all = 1.0 / directions  # inf where parallel
     # Large finite sentinel: +/- inf would turn into nan under the
     # interval arithmetic (inf - inf) when a parallel-outside slab
     # meets another infinite bound.
     big = 1.0e30
     for axis in range(3):
-        o = origins[:, axis][:, np.newaxis]  # (n, 1)
-        inv = inv_all[:, axis][:, np.newaxis]
+        o = origins[..., axis]
+        inv = inv_all[..., axis]
+        lo_axis = lo[..., axis]
+        hi_axis = hi[..., axis]
         # 0 * inf -> nan is possible when a parallel ray origin touches
-        # a slab plane; the parallel branch below overwrites those rows.
+        # a slab plane; the parallel branch below overwrites those.
         with np.errstate(over="ignore", invalid="ignore"):
-            t1 = (lo[np.newaxis, :, axis] - o) * inv
-            t2 = (hi[np.newaxis, :, axis] - o) * inv
+            t1 = (lo_axis - o) * inv
+            t2 = (hi_axis - o) * inv
         axis_lo = np.minimum(t1, t2)
         axis_hi = np.maximum(t1, t2)
-        parallel = ~np.isfinite(inv_all[:, axis])
+        parallel = ~np.isfinite(inv)
         if np.any(parallel):
             # A ray parallel to this slab pair either satisfies it for
             # all t (origin inside the slab) or for no t (outside).
-            inside = (o >= lo[np.newaxis, :, axis]) & (
-                o <= hi[np.newaxis, :, axis]
-            )
-            rows = parallel[:, np.newaxis]
-            axis_lo = np.where(rows, np.where(inside, -big, big), axis_lo)
-            axis_hi = np.where(rows, np.where(inside, big, -big), axis_hi)
+            inside = (o >= lo_axis) & (o <= hi_axis)
+            axis_lo = np.where(parallel, np.where(inside, -big, big), axis_lo)
+            axis_hi = np.where(parallel, np.where(inside, big, -big), axis_hi)
         np.maximum(t_near, axis_lo, out=t_near)
         np.minimum(t_far, axis_hi, out=t_far)
     return t_near, t_far
@@ -178,7 +187,12 @@ def chord_lengths(rays: RayBatch, boxes, forward_only: bool = True):
         ``(n, m)`` chord lengths [nm]; 0 where a box is missed.
     """
     lo, hi = _boxes_to_arrays(boxes)
-    t_near, t_far = _slab_interval(rays.origins, rays.directions, lo, hi)
+    t_near, t_far = _slab_interval(
+        rays.origins[:, np.newaxis, :],
+        rays.directions[:, np.newaxis, :],
+        lo,
+        hi,
+    )
     if forward_only:
         t_near = np.maximum(t_near, 0.0)
     lengths = t_far - t_near

@@ -817,6 +817,8 @@ class _EventPump:
     #: Queue poll period [s]; bounds both heartbeat jitter and how
     #: long stop() can lag the round's end.
     _POLL_S = 0.05
+    #: Longest stop() waits for a stored shard's late ``finished`` [s].
+    _STRAGGLER_WAIT_S = 1.0
 
     def __init__(self, bus, queue, label: str, total: int):
         self.bus = bus
@@ -824,6 +826,7 @@ class _EventPump:
         self.label = label
         self.total = total
         self.done = 0
+        self._finished = set()
         self._t0 = time.monotonic()
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -853,6 +856,8 @@ class _EventPump:
         for event in events:
             if event.get("state") == "finished":
                 self.done += 1
+                if event.get("label") == self.label:
+                    self._finished.add(event.get("index"))
             self.bus.emit_raw(event)
 
     def _drain(self):
@@ -880,8 +885,18 @@ class _EventPump:
                 self._heartbeat()
                 next_beat = time.monotonic() + self.bus.heartbeat_s
 
-    def stop(self):
-        """End the round: drain stragglers, emit the final heartbeat."""
+    def stop(self, stored=()):
+        """End the round: drain stragglers, emit the final heartbeat.
+
+        ``stored`` names the shards whose results the round stored.  A
+        worker puts ``finished`` on the queue before it returns the
+        result, but the queue's feeder thread writes it to the pipe
+        asynchronously, so it can arrive after the result.  Reading
+        goes on, up to :attr:`_STRAGGLER_WAIT_S`, until every stored
+        shard's ``finished`` has been forwarded -- otherwise the event
+        would drop out of its round, or show up in the next map on the
+        same pool.
+        """
         self._stop.set()
         # A ``None`` sentinel wakes the poll loop immediately -- without
         # it every round's teardown eats up to a full _POLL_S, which
@@ -892,6 +907,19 @@ class _EventPump:
             pass
         self._thread.join(timeout=5.0)
         self._drain()
+        missing = set(stored) - self._finished
+        deadline = time.monotonic() + self._STRAGGLER_WAIT_S
+        while missing:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
+            try:
+                event = self.queue.get(timeout=left)
+            except (queue_mod.Empty, OSError, ValueError):
+                break
+            if event is not None:
+                self._forward(event)
+            missing -= self._finished
         self._heartbeat(final=True)
 
 
@@ -931,6 +959,7 @@ def _run_round(
         else None
     )
     transient: List[int] = []
+    stored: List[int] = []
     fatal = None
     busy_total = 0.0
     healthy = True
@@ -994,6 +1023,7 @@ def _run_round(
                     return transient, fatal, busy_total
                 else:
                     results[index] = result
+                    stored.append(index)
                     busy_total += busy_s
                     if snapshot is not None:
                         metrics.merge_snapshot(snapshot)
@@ -1008,6 +1038,8 @@ def _run_round(
         return transient, None, busy_total
     finally:
         if pump is not None:
-            pump.stop()
+            # after a bad round the pool's survivors are terminated and
+            # their queued events die with them: nothing to wait for
+            pump.stop(stored if healthy else ())
         if not healthy:
             lease.invalidate(context, jobs)

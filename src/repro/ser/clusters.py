@@ -170,15 +170,11 @@ def _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):
     matrix; kept separate so the hot main path stays lean.
     """
     from ..constants import ELEMENTARY_CHARGE_C
-    from ..geometry import chord_lengths
 
-    chords = chord_lengths(rays, simulator._sensitive_boxes)
-    event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
-    if len(event_rows) == 0:
+    ray_idx, fin_idx, chord_vals = simulator._fin_grid.chords(rays)
+    if len(fin_idx) == 0:
         return None
-    sub = chords[event_rows] > 0.0
-    ray_idx, fin_idx = np.nonzero(sub)
-    chord_vals = chords[event_rows][ray_idx, fin_idx]
+    struck, event_idx = np.unique(ray_idx, return_inverse=True)
 
     strike_energies = np.full_like(chord_vals, energy_mev)
     pairs = simulator._pairs_for_strikes(
@@ -186,13 +182,13 @@ def _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):
     )
     charges = pairs * ELEMENTARY_CHARGE_C
 
-    n_events = len(event_rows)
+    n_events = len(struck)
     cell_of = simulator._sens_cell[fin_idx]
     strike_of = simulator._sens_strike[fin_idx]
     charge_tensor = np.zeros(
         (n_events, simulator.layout.n_cells, 3), dtype=np.float64
     )
-    np.add.at(charge_tensor, (ray_idx, cell_of, strike_of), charges)
+    np.add.at(charge_tensor, (event_idx, cell_of, strike_of), charges)
 
     cell_mask = np.any(charge_tensor > 0.0, axis=2)
     ev_i, cell_i = np.nonzero(cell_mask)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..constants import ELEMENTARY_CHARGE_C, SILICON_PAIR_ENERGY_EV
 from ..errors import ConfigError
-from ..geometry import chord_lengths
+from ..geometry import BoxGrid
 from ..physics import sample_rays
 from ..sram import PofTable
 from ..layout import SramArrayLayout
@@ -83,7 +83,7 @@ class HeavyIonCampaign:
         self.margin_nm = float(margin_nm)
         self.chunk_size = int(chunk_size)
         sensitive = layout.fin_strike >= 0
-        self._boxes = layout.packed_boxes[sensitive]
+        self._grid = BoxGrid(layout.packed_boxes[sensitive])
         self._cells = layout.fin_cell[sensitive]
         self._strikes = layout.fin_strike[sensitive]
 
@@ -119,19 +119,17 @@ class HeavyIonCampaign:
             batch = min(remaining, self.chunk_size)
             remaining -= batch
             rays = sample_rays(batch, rng, x_range, y_range, z, direction_law)
-            chords = chord_lengths(rays, self._boxes)
-            event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
-            if len(event_rows) == 0:
+            ray_idx, fin_idx, chords = self._grid.chords(rays)
+            if len(fin_idx) == 0:
                 continue
-            sub = chords[event_rows] > 0.0
-            ray_idx, fin_idx = np.nonzero(sub)
-            charges = chords[event_rows][ray_idx, fin_idx] * charge_per_nm
+            struck, event_idx = np.unique(ray_idx, return_inverse=True)
+            charges = chords * charge_per_nm
 
-            n_events = len(event_rows)
+            n_events = len(struck)
             tensor = np.zeros((n_events, self.layout.n_cells, 3))
             np.add.at(
                 tensor,
-                (ray_idx, self._cells[fin_idx], self._strikes[fin_idx]),
+                (event_idx, self._cells[fin_idx], self._strikes[fin_idx]),
                 charges,
             )
             mask = np.any(tensor > 0.0, axis=2)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..constants import ELEMENTARY_CHARGE_C
 from ..errors import ConfigError, WorkerCrashError
-from ..geometry import RayBatch, chord_lengths
+from ..geometry import BoxGrid, RayBatch, chord_lengths
 from ..layout import SramArrayLayout
 from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
@@ -616,6 +616,7 @@ class ArraySerSimulator:
         # a failure, so the ray-casting works on that subset directly.
         sensitive = self.layout.fin_strike >= 0
         self._sensitive_boxes = self.layout.packed_boxes[sensitive]
+        self._fin_grid = BoxGrid(self._sensitive_boxes)
         self._sens_cell = self.layout.fin_cell[sensitive]
         self._sens_strike = self.layout.fin_strike[sensitive]
         self._array_bbox = self.layout.bounding_box()
@@ -871,49 +872,47 @@ class ArraySerSimulator:
     # -- kernel ----------------------------------------------------------------
 
     def _gather_strikes(self, particle, energy_mev, rays: RayBatch, rng):
-        """Shared front half of both kernels: rays -> per-strike charges.
+        """Front half of the kernel: rays -> per-strike charges.
 
         Returns ``(n_hits, n_strikes, n_events, strikes)`` where
-        ``strikes`` is ``(ray_idx, cell_of, strike_of, charges)`` or
-        ``None`` when the batch produced no fin strikes.  Consumes the
-        generator identically in both kernel variants, so dense and
-        sparse runs of the same seed see the same physics.
+        ``strikes`` is ``(event_idx, cell_of, strike_of, charges)`` or
+        ``None`` when the batch produced no fin strikes.  Events are
+        the struck tracks numbered in ray order, and strikes come out
+        ray-major with fins ascending -- the order the generator is
+        drawn in, one draw per strike.
         """
         # Cheap prefilter: only tracks crossing the array bounding box
-        # can strike a fin; run the expensive per-fin test on those.
+        # can strike a fin; its count is the result's n_array_hits.
         array_hits = chord_lengths(rays, self._bbox_packed)[:, 0] > 0.0
         n_hits = int(np.sum(array_hits))
         if n_hits == 0:
             return 0, 0, 0, None
 
+        # RayBatch renormalizes: chords come from these directions
         hit_rays = RayBatch(
             rays.origins[array_hits], rays.directions[array_hits]
         )
         per_ray_energy = np.broadcast_to(
             np.asarray(energy_mev, dtype=np.float64), (len(rays),)
         )[array_hits]
-        chords = chord_lengths(hit_rays, self._sensitive_boxes)
-
-        event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
-        if len(event_rows) == 0:
+        ray_idx, fin_idx, chord_vals = self._fin_grid.chords(hit_rays)
+        if len(fin_idx) == 0:
             return n_hits, 0, 0, None
 
-        sub_chords = chords[event_rows]
-        ray_idx, fin_idx = np.nonzero(sub_chords > 0.0)
-        chord_vals = sub_chords[ray_idx, fin_idx]
-        strike_energies = per_ray_energy[event_rows][ray_idx]
+        struck, event_idx = np.unique(ray_idx, return_inverse=True)
+        strike_energies = per_ray_energy[ray_idx]
 
         pairs = self._pairs_for_strikes(
             particle, strike_energies, chord_vals, rng
         )
         charges = pairs * ELEMENTARY_CHARGE_C
         strikes = (
-            ray_idx,
+            event_idx,
             self._sens_cell[fin_idx],
             self._sens_strike[fin_idx],
             charges,
         )
-        return n_hits, len(fin_idx), len(event_rows), strikes
+        return n_hits, len(fin_idx), len(struck), strikes
 
     def _process_batch(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
         """Sparse strike kernel: group strikes by (event, cell) key.

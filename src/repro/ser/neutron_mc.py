@@ -26,14 +26,13 @@ import numpy as np
 
 from ..constants import ELEMENTARY_CHARGE_C, SILICON_PAIR_ENERGY_EV
 from ..errors import ConfigError
-from ..geometry import RayBatch, chord_lengths
+from ..geometry import BoxGrid, RayBatch
 from ..layout import SramArrayLayout
 from ..physics import sample_rays
 from ..physics.neutron import NeutronInteractionModel, SeaLevelNeutronSpectrum
 from ..sram import PofTable
 from ..units import per_second_to_fit
 from .mc import ArrayPofResult
-from .pof import combine
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,7 @@ class NeutronSerSimulator:
         )
         self.config = config if config is not None else NeutronMcConfig()
         sensitive = self.layout.fin_strike >= 0
-        self._sensitive_boxes = self.layout.packed_boxes[sensitive]
-        self._sens_cell = self.layout.fin_cell[sensitive]
+        self._fin_grid = BoxGrid(self.layout.packed_boxes[sensitive])
         self._sens_strike = self.layout.fin_strike[sensitive]
 
     def run(
@@ -126,15 +124,10 @@ class NeutronSerSimulator:
         )
 
     def _process_batch(self, energy_mev, vdd_v, rays: RayBatch, rng):
-        chords = chord_lengths(rays, self._sensitive_boxes)
-        event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
-        if len(event_rows) == 0:
-            return 0.0, 0.0, 0.0, 0
-
-        sub = chords[event_rows] > 0.0
-        ray_idx, fin_idx = np.nonzero(sub)
-        chord_vals = chords[event_rows][ray_idx, fin_idx]
+        _, fin_idx, chord_vals = self._fin_grid.chords(rays)
         n_strikes = len(fin_idx)
+        if n_strikes == 0:
+            return 0.0, 0.0, 0.0, 0
 
         # importance sampling: force a reaction in each crossed fin,
         # carry the physical probability as a weight
@@ -153,20 +146,12 @@ class NeutronSerSimulator:
             deposit_kev * 1.0e3 / SILICON_PAIR_ENERGY_EV
         ) * ELEMENTARY_CHARGE_C
 
-        n_events = len(event_rows)
-        cell_of = self._sens_cell[fin_idx]
         strike_of = self._sens_strike[fin_idx]
-        charge_tensor = np.zeros(
-            (n_events, self.layout.n_cells, 3), dtype=np.float64
-        )
         # reactions are rare; double reactions on one track are
-        # negligible, so each strike is its own weighted event --
-        # but strikes sharing a ray still combine for MBU (a single
-        # secondary cannot span cells in this model, so MBU requires
-        # the track to react in two fins: probability ~ w^2, ignored).
-        np.add.at(charge_tensor, (ray_idx, cell_of, strike_of), charges)
-
-        # evaluate POF per strike independently, weighted
+        # negligible, so each strike is its own weighted event (a
+        # single secondary cannot span cells in this model, so MBU
+        # requires the track to react in two fins: probability ~ w^2,
+        # ignored).  Evaluate POF per strike independently, weighted.
         pof_values = self.pof_table.query(
             vdd_v,
             np.stack(

@@ -200,7 +200,12 @@ class TransportEngine:
 
         lo = self._packed_boxes[:, :3]
         hi = self._packed_boxes[:, 3:]
-        t_near, t_far = _slab_interval(rays.origins, rays.directions, lo, hi)
+        t_near, t_far = _slab_interval(
+            rays.origins[:, np.newaxis, :],
+            rays.directions[:, np.newaxis, :],
+            lo,
+            hi,
+        )
         t_entry = np.maximum(t_near, 0.0)
         hit = (t_far > t_entry) & (chords > 0.0)
         fin_entry = np.where(

@@ -4,6 +4,10 @@ The shipped array Monte Carlo runs one vectorized path per job.  The
 implementations these paths replaced live on here so tests can hold
 the shipped code to them:
 
+* :func:`gather_strikes_dense` -- the dense ``(n_rays, n_fins)``
+  chord-matrix strike gather behind
+  :meth:`~repro.ser.ArraySerSimulator._gather_strikes` (which asks a
+  :class:`~repro.geometry.BoxGrid` for the sparse chord list);
 * :func:`process_batch_dense` -- the dense ``(n_events, n_cells, 3)``
   charge-tensor kernel behind
   :meth:`~repro.ser.ArraySerSimulator._process_batch` (sparse);
@@ -15,7 +19,52 @@ the shipped code to them:
 
 import numpy as np
 
+from repro.constants import ELEMENTARY_CHARGE_C
+from repro.geometry import RayBatch, chord_lengths
 from repro.ser.pof import combine, multiplicity_pmf
+
+
+def gather_strikes_dense(simulator, particle, energy_mev, rays, rng):
+    """Reference strike gather through the dense chord matrix.
+
+    Same return tuple as the shipped ``_gather_strikes``; slab-tests
+    every array-crossing ray against every sensitive fin.
+    """
+    # Cheap prefilter: only tracks crossing the array bounding box
+    # can strike a fin; run the expensive per-fin test on those.
+    array_hits = chord_lengths(rays, simulator._bbox_packed)[:, 0] > 0.0
+    n_hits = int(np.sum(array_hits))
+    if n_hits == 0:
+        return 0, 0, 0, None
+
+    hit_rays = RayBatch(
+        rays.origins[array_hits], rays.directions[array_hits]
+    )
+    per_ray_energy = np.broadcast_to(
+        np.asarray(energy_mev, dtype=np.float64), (len(rays),)
+    )[array_hits]
+    chords = chord_lengths(hit_rays, simulator._sensitive_boxes)
+
+    event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
+    if len(event_rows) == 0:
+        return n_hits, 0, 0, None
+
+    sub_chords = chords[event_rows]
+    ray_idx, fin_idx = np.nonzero(sub_chords > 0.0)
+    chord_vals = sub_chords[ray_idx, fin_idx]
+    strike_energies = per_ray_energy[event_rows][ray_idx]
+
+    pairs = simulator._pairs_for_strikes(
+        particle, strike_energies, chord_vals, rng
+    )
+    charges = pairs * ELEMENTARY_CHARGE_C
+    strikes = (
+        ray_idx,
+        simulator._sens_cell[fin_idx],
+        simulator._sens_strike[fin_idx],
+        charges,
+    )
+    return n_hits, len(fin_idx), len(event_rows), strikes
 
 
 def process_batch_dense(simulator, particle, energy_mev, vdd_v, rays, rng):

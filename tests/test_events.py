@@ -69,6 +69,30 @@ def _counting_task(payload, task):
     return task * task
 
 
+class _LatePuts:
+    """Worker event queue whose puts land ~0.2 s late.
+
+    Stands in for a feeder thread that writes a shard's ``finished``
+    to the pipe after the shard's result has reached the parent.
+    """
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def put_nowait(self, item):
+        timer = threading.Timer(0.2, self.queue.put_nowait, args=(item,))
+        timer.daemon = True
+        timer.start()
+
+
+def _late_events_task(payload, task):
+    import repro.parallel.engine as engine
+
+    if not isinstance(engine._EVENT_QUEUE, _LatePuts):
+        engine._EVENT_QUEUE = _LatePuts(engine._EVENT_QUEUE)
+    return task * task
+
+
 def _read_events(path):
     records, invalid = read_jsonl(path)
     assert invalid == 0
@@ -239,6 +263,29 @@ class TestParallelEvents:
         rounds = [e for e in events if e["kind"] == "round"]
         assert [r["phase"] for r in rounds] == ["start", "end"] * 2
         assert len(_progress(events, "evreuse", "finished")) == 6
+
+    def test_late_finished_events_stay_in_their_round(self, tmp_path):
+        """A ``finished`` that trails its shard's result is not dropped."""
+        get_lease().shutdown_all()
+        configure_events(tmp_path / "ev.jsonl")
+        try:
+            results = parallel_map(
+                _late_events_task, [2, 3, 4, 5], n_jobs=2, label="evlate"
+            )
+        finally:
+            disable_events()
+            # the workers keep the delaying queue: retire them
+            get_lease().shutdown_all()
+        assert results == [4, 9, 16, 25]
+        events = _read_events(tmp_path / "ev.jsonl")
+        _assert_ordered(events)
+        finished = _progress(events, "evlate", "finished")
+        assert sorted(e["index"] for e in finished) == [0, 1, 2, 3]
+        end = [e for e in events if e["kind"] == "round"][-1]
+        assert end["phase"] == "end"
+        assert all(e["seq"] < end["seq"] for e in finished)
+        final = [e for e in events if e["kind"] == "heartbeat"][-1]
+        assert final["final"] and final["done"] == 4
 
     def test_no_bus_means_no_events_and_no_queue_for_fresh_pools(self):
         """Without a bus, a newly forked pool's queue carries nothing."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.geometry import (
     Aabb,
+    BoxGrid,
     FinGeometry,
     Ray,
     RayBatch,
@@ -17,6 +18,9 @@ from repro.geometry import (
     normalize,
     stack_boxes,
 )
+from repro.layout import SramArrayLayout
+from repro.physics import sample_rays
+from repro.physics.sampling import sample_directions
 
 
 class TestVec:
@@ -160,6 +164,186 @@ class TestChordLengthsVectorized:
     def test_empty_boxes_rejected(self):
         with pytest.raises(GeometryError):
             stack_boxes([])
+
+
+# -- broad phase: sparse chords against the dense oracle ------------------------
+
+#: Arrays whose sensitive fins the property test indexes.
+GRID_LAYOUTS = {
+    "9x9": SramArrayLayout(n_rows=9, n_cols=9),
+    "16x16": SramArrayLayout(n_rows=16, n_cols=16),
+    "9x9-checkerboard": SramArrayLayout(
+        n_rows=9, n_cols=9, data_pattern="checkerboard"
+    ),
+    "16x16-checkerboard-multifin": SramArrayLayout(
+        n_rows=16,
+        n_cols=16,
+        data_pattern="checkerboard",
+        nfins={"pd_l": 2, "pu_r": 3, "pg_r": 2, "pd_r": 2},
+    ),
+}
+
+#: Direction components the slab arithmetic treats specially: exact
+#: zeros, subnormals (inverse overflows: parallel), and components
+#: near 1e-300 (finite inverse, overflowing slab parameters).
+TINY_COMPONENTS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-310,
+    -1e-310,
+    1e-300,
+    -1e-300,
+    3e-300,
+)
+
+
+def _sensitive_boxes(name):
+    layout = GRID_LAYOUTS[name]
+    return layout.packed_boxes[layout.fin_strike >= 0]
+
+
+def _random_boxes(specs):
+    return stack_boxes(
+        [Aabb(lo, np.add(lo, size)) for lo, size in specs]
+    )
+
+
+box_sets = st.one_of(
+    st.sampled_from(sorted(GRID_LAYOUTS)).map(_sensitive_boxes),
+    st.lists(
+        st.tuples(
+            st.tuples(*[st.floats(-60.0, 60.0)] * 3),
+            st.tuples(*[st.floats(0.5, 40.0)] * 3),
+        ),
+        min_size=1,
+        max_size=12,
+    ).map(_random_boxes),
+)
+
+
+@st.composite
+def ray_batches(draw, boxes):
+    """Launch-law, grazing, in-box and upward rays, some degenerate."""
+    lo, hi = boxes[:, :3], boxes[:, 3:]
+    u_lo, u_hi = lo.min(axis=0), hi.max(axis=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 64))
+    kind = draw(
+        st.sampled_from(
+            ["isotropic", "cosine", "beam:1.0", "grazing", "inside", "upward"]
+        )
+    )
+    margin = 100.0
+    x_range = (u_lo[0] - margin, u_hi[0] + margin)
+    y_range = (u_lo[1] - margin, u_hi[1] + margin)
+    if kind in ("isotropic", "cosine", "beam:1.0"):
+        rays = sample_rays(n, rng, x_range, y_range, u_hi[2] + margin, kind)
+        origins, directions = rays.origins.copy(), rays.directions.copy()
+    elif kind == "grazing":
+        # from outside the union, through a point inside it, almost
+        # level: the footprint spans the array
+        origins = np.column_stack(
+            [
+                rng.uniform(*x_range, n),
+                rng.uniform(*y_range, n),
+                rng.uniform(u_lo[2] - 1.0, u_hi[2] + 1.0, n),
+            ]
+        )
+        targets = u_lo + rng.random((n, 3)) * (u_hi - u_lo)
+        directions = targets - origins
+        directions[:, :2] += (np.abs(directions[:, :2]) < 1e-6) * 1.0
+        directions[:, 2] = np.where(
+            rng.random(n) < 0.2,
+            0.0,
+            np.sign(directions[:, 2]) * 10.0 ** rng.uniform(-9, -1, n),
+        )
+    elif kind == "inside":
+        pick = rng.integers(len(boxes), size=n)
+        origins = lo[pick] + rng.random((n, 3)) * (hi[pick] - lo[pick])
+        directions = sample_directions(n, rng, "isotropic")
+        directions[rng.random(n) < 0.5, 2] *= -1.0
+    else:  # upward, from below the union
+        origins = np.column_stack(
+            [
+                rng.uniform(*x_range, n),
+                rng.uniform(*y_range, n),
+                u_lo[2] - rng.uniform(0.0, margin, n),
+            ]
+        )
+        directions = sample_directions(n, rng, "isotropic")
+        directions[:, 2] *= -1.0
+    # degenerate components on some rays, with origins on box faces
+    for row in np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0))):
+        keep = int(np.argmax(np.abs(directions[row])))
+        for axis in range(3):
+            if axis != keep and rng.random() < 0.7:
+                directions[row, axis] = rng.choice(TINY_COMPONENTS)
+                if rng.random() < 0.5:
+                    face = (lo, hi)[int(rng.integers(2))]
+                    origins[row, axis] = face[rng.integers(len(boxes)), axis]
+    return RayBatch(origins, directions)
+
+
+def _dense_nonzero(rays, boxes):
+    matrix = chord_lengths(rays, boxes)
+    ray, box = np.nonzero(matrix > 0.0)
+    return ray, box, matrix[ray, box]
+
+
+def _assert_same_list(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()  # bit for bit, in order
+
+
+class TestBoxGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), boxes=box_sets)
+    def test_sparse_equals_dense_oracle(self, data, boxes):
+        rays = data.draw(ray_batches(boxes))
+        _assert_same_list(
+            BoxGrid(boxes).chords(rays), _dense_nonzero(rays, boxes)
+        )
+
+    @pytest.mark.parametrize("name", sorted(GRID_LAYOUTS))
+    @pytest.mark.parametrize("law", ["isotropic", "cosine", "beam:1.0"])
+    def test_launch_window_campaign_block(self, name, law):
+        """A full draw block over the launch window, every array."""
+        boxes = _sensitive_boxes(name)
+        x_range, y_range, z, _ = GRID_LAYOUTS[name].launch_window(100.0)
+        rays = sample_rays(
+            4096, np.random.default_rng(11), x_range, y_range, z, law
+        )
+        sparse = BoxGrid(boxes).chords(rays)
+        assert len(sparse[0]) > 0
+        _assert_same_list(sparse, _dense_nonzero(rays, boxes))
+
+    def test_non_finite_footprint_covers_the_grid(self):
+        """NaN directions inside boxes still find every box they chord."""
+        boxes = _sensitive_boxes("9x9")
+        centres = 0.5 * (boxes[:5, :3] + boxes[:5, 3:])
+        origins = np.vstack([centres, [[np.inf, 10.0, 10.0]]])
+        directions = np.full(origins.shape, np.nan)
+        directions[-1] = (0.0, 0.0, -1.0)
+        rays = RayBatch(origins, directions)
+        sparse = BoxGrid(boxes).chords(rays)
+        assert sparse[1].tolist() == [0, 1, 2, 3, 4]
+        _assert_same_list(sparse, _dense_nonzero(rays, boxes))
+
+    def test_all_misses_give_empty_lists(self):
+        boxes = _sensitive_boxes("9x9")
+        rays = RayBatch(
+            np.array([[-500.0, -500.0, 130.0]]), np.array([[0, 0, -1.0]])
+        )
+        ray, box, chord = BoxGrid(boxes).chords(rays)
+        assert len(ray) == len(box) == len(chord) == 0
+        _assert_same_list((ray, box, chord), _dense_nonzero(rays, boxes))
+
+    def test_empty_box_set_rejected(self):
+        with pytest.raises(GeometryError):
+            BoxGrid(np.zeros((0, 6)))
 
 
 class TestFinGeometry:

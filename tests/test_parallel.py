@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.geometry import RayBatch
 from repro.layout import SramArrayLayout
 from repro.obs.registry import MetricsRegistry
 from repro.parallel import parallel_map, resolve_jobs, spawn_seeds
@@ -20,7 +21,7 @@ from repro.sram.strike import ALL_COMBOS
 from repro.ser import ArrayMcConfig, ArrayPofResult, ArraySerSimulator
 from repro.transport import ElectronYieldLUT
 
-from .array_oracle import process_batch_dense
+from .array_oracle import gather_strikes_dense, process_batch_dense
 
 
 # -- cheap synthetic fixtures (no SPICE characterization needed) ---------------
@@ -170,7 +171,120 @@ class TestCampaignInvariance:
 # -- sparse kernel vs the dense oracle (tests/array_oracle.py) -----------------
 
 
+@pytest.fixture(scope="module")
+def alpha_lut():
+    return {
+        "alpha": ElectronYieldLUT.build(
+            ALPHA, np.logspace(-1, 1, 4), 2000, np.random.default_rng(3)
+        )
+    }
+
+
+def _strike_streams(simulator, energy, law, seed, n=5000):
+    """Shipped and dense-oracle gathers of one ray batch, plus rng states."""
+    x_range, y_range, z, _ = simulator.layout.launch_window(
+        simulator.config.margin_nm
+    )
+    outputs = []
+    for gather in (
+        simulator._gather_strikes,
+        lambda *args: gather_strikes_dense(simulator, *args),
+    ):
+        rng = np.random.default_rng(seed)
+        rays = sample_rays(n, rng, x_range, y_range, z, law)
+        energies = energy(n, rng) if callable(energy) else energy
+        result = gather(ALPHA, energies, rays, rng)
+        outputs.append((result, rng.bit_generator.state))
+    return outputs
+
+
 class TestSparseKernel:
+    @pytest.mark.parametrize("law", ["isotropic", "cosine", "beam:1.0"])
+    @pytest.mark.parametrize("mode", ["lut", "direct"])
+    @pytest.mark.parametrize(
+        "energy",
+        [
+            5.0,
+            # spectrum campaign: one energy per ray
+            lambda n, rng: AlphaEmissionSpectrum().sample_energies(n, rng),
+        ],
+        ids=["mono", "spectrum"],
+    )
+    @pytest.mark.parametrize(
+        "array",
+        [
+            dict(n_rows=4, n_cols=4),
+            dict(
+                n_rows=9,
+                n_cols=9,
+                data_pattern="checkerboard",
+                nfins={"pd_l": 2, "pu_r": 2},
+            ),
+        ],
+        ids=["4x4", "9x9-checkerboard-multifin"],
+    )
+    def test_gather_matches_dense_oracle(
+        self, pof_table, alpha_lut, mode, energy, array, law
+    ):
+        """Identical strikes and generator state as the chord matrix."""
+        simulator = ArraySerSimulator(
+            SramArrayLayout(**array),
+            pof_table,
+            yield_luts=alpha_lut,
+            config=ArrayMcConfig(deposition_mode=mode),
+        )
+        (sparse, sparse_state), (dense, dense_state) = _strike_streams(
+            simulator, energy, law, seed=23
+        )
+        assert sparse[:3] == dense[:3]
+        assert sparse[1] > 0
+        for got, want in zip(sparse[3], dense[3]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert sparse_state == dense_state
+
+    def test_gather_without_strikes(self, layout, pof_table):
+        """Rays that miss every fin: same counts, no strikes, no draws."""
+        simulator = make_simulator(layout, pof_table)
+        # vertical rays down the gap between the cells' outer fins
+        origins = np.array([[150.0, y, 130.0] for y in (10.0, 150.0)])
+        rays = RayBatch(origins, np.tile([0.0, 0.0, -1.0], (2, 1)))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        expected = (2, 0, 0, None)  # hits, strikes, events, strikes
+        assert simulator._gather_strikes(ALPHA, 5.0, rays, rng) == expected
+        assert gather_strikes_dense(simulator, ALPHA, 5.0, rays, rng) == (
+            expected
+        )
+        assert rng.bit_generator.state == state
+
+    def test_never_builds_chord_matrix(self, layout, pof_table, monkeypatch):
+        """No ``(n, n_sensitive_fins)`` array is allocated per batch."""
+        simulator = make_simulator(layout, pof_table)
+        x_range, y_range, z, _ = layout.launch_window(
+            simulator.config.margin_nm
+        )
+        rng = np.random.default_rng(17)
+        rays = sample_rays(5000, rng, x_range, y_range, z, "isotropic")
+
+        shapes = []
+        for name in ("zeros", "full"):
+            real = getattr(np, name)
+
+            def recording(shape, *args, _real=real, **kwargs):
+                shapes.append(np.shape(np.empty(shape, dtype=bool)))
+                return _real(shape, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, recording)
+        result = simulator._process_batch(ALPHA, 5.0, 0.7, rays, rng)
+        monkeypatch.undo()
+        assert result[4] > 0
+        n_fins = layout.sensitive_fin_count()
+        assert shapes
+        assert not any(
+            len(shape) == 2 and shape[1] == n_fins for shape in shapes
+        )
+
     def _kernel_pair(self, layout, pof_table, seed=17, n=5000):
         simulator = make_simulator(layout, pof_table)
         x_range, y_range, z, _ = layout.launch_window(
