@@ -3,12 +3,11 @@
 A flow-level sweep runs hundreds of campaigns over the *same* static
 inputs -- the array layout's ``packed_boxes``, the characterized
 :class:`~repro.sram.PofTable` grids, the electron-yield LUT quantile
-rows, the :class:`~repro.sram.ivtab.IVTables` surfaces.  Shipping them
-to every worker of every map via pickle is the dominant broadcast cost
-of the warm pools (:mod:`repro.parallel.pool`).  This module
-moves those large read-only ndarrays into POSIX shared memory exactly
-once and replaces them with tiny fingerprint references inside the
-pickled payload:
+rows.  Shipping them to every worker of every map via pickle is the
+dominant broadcast cost of the warm pools (:mod:`repro.parallel.pool`).
+This module moves those large read-only ndarrays into POSIX shared
+memory exactly once and replaces them with tiny fingerprint references
+inside the pickled payload:
 
 * :func:`pack_payload` pickles a payload with a custom pickler whose
   ``persistent_id`` diverts every eligible ndarray (``>=``

@@ -3,10 +3,10 @@
 Builds the POF LUTs: for every supply voltage and every combination of
 the three strike currents, the flip probability over a log-spaced
 charge grid, with threshold-voltage process variation Monte Carlo
-(1000 samples in the paper; configurable here).  The heavy lifting is
-the vectorized :class:`~repro.sram.fastcell.FastCell` -- every grid
-point of a combination is simulated for every variation sample in one
-batched integration.
+(1000 samples in the paper; configurable here).  An impulse strike's
+outcome depends only on ``(q1, q2+q3)`` and, per variation sample, is
+monotone in charge, so each sample's first flipping point on each
+fixed-``q1`` line -- found by bisection -- fixes the whole table.
 """
 
 from __future__ import annotations
@@ -25,20 +25,12 @@ from .cell import SramCellDesign
 from .fastcell import FastCell
 from .ivtab import IVTables
 from .pof_lut import PofTable
-from .strike import ALL_COMBOS
+from .strike import ALL_COMBOS, combo_label
 
 _log = get_logger(__name__)
 
 #: Cell current kernels a characterization may select.
 KERNEL_CHOICES = ("fused", "tabulated")
-
-#: Cap on simultaneous (grid point x variation sample) rows per
-#: :meth:`FastCell.run_impulse` batch.  Dense grids with large MC are
-#: chunked to bound peak memory; chunks are independent row ranges of
-#: the same batch, so the POF is identical.  No default-scale grid
-#: splits: the largest, the 6^3 triple grid x 200 samples, is 43 200
-#: rows; at paper scale (1000 samples) only that grid splits, in two.
-MAX_BATCH_ROWS = 200_000
 
 #: Headroom factor on the variation sample's max |dVth| when sizing the
 #: tabulated kernel's I-V tables.
@@ -83,7 +75,7 @@ class CharacterizationConfig:
         :class:`~repro.sram.fastcell.FastCell` current kernel, one of
         :data:`KERNEL_CHOICES`.  The default ``"tabulated"``
         interpolates per-(role-type, Vdd) I-V tables built once per Vdd
-        in the parent; ``"fused"`` evaluates the compact model directly
+        task; ``"fused"`` evaluates the compact model directly
         (max |dPOF| <= 0.01 between the two; see
         ``docs/performance.md``).
     """
@@ -157,52 +149,140 @@ def _enforce_monotone(grid: np.ndarray) -> np.ndarray:
     return np.clip(result, 0.0, 1.0)
 
 
-def _characterize_task(payload, task):
-    """Pool worker: the finished POF grid of one (combo, vdd) case.
+def _combo_rows(config: CharacterizationConfig):
+    """The distinct ``(q1, q2+q3)`` rows of the seven combo meshes.
 
-    The grid is a deterministic function of the precomputed variation
-    shifts (sampled once in the parent from ``config.seed``), so
-    results are identical for any worker count by construction.  The
-    parent also precomputes, keyed by Vdd, the settled baselines and
-    (for the tabulated kernel) the I-V tables -- both depend only on
-    (vdd, shifts), not on the strike combination, so the 7 per-combo
-    tasks share them through the broadcast payload.
+    Returns ``(rows, inverses)``: ``rows`` is ``(n, 2)`` [C] in
+    lexicographic order, so each fixed-``q1`` line is a contiguous run
+    with ``q2+q3`` ascending, and ``inverses[c]`` maps the flattened
+    mesh of ``ALL_COMBOS[c]`` onto ``rows``.  The sum is formed exactly
+    as :meth:`~repro.sram.fastcell.FastCell.run_impulse` forms it.
     """
-    combo, vdd = task
-    config = payload["config"]
-    combo_axis = config.axis_for_combo(combo)
-    tables, settled = payload["per_vdd"][vdd]
-    grid = _pof_grid_for_combo(
-        payload["design"], vdd, combo, combo_axis, payload["shifts"], config,
-        settled=settled, tables=tables,
+    keys = []
+    for combo in ALL_COMBOS:
+        axis = config.axis_for_combo(combo)
+        mesh = np.meshgrid(*([axis] * len(combo)), indexing="ij")
+        charges = np.zeros((mesh[0].size, 3), dtype=np.float64)
+        for dim, strike_index in enumerate(combo):
+            charges[:, strike_index] = mesh[dim].ravel()
+        keys.append(
+            np.stack([charges[:, 0], charges[:, 1] + charges[:, 2]], axis=1)
+        )
+    rows, inverse = np.unique(
+        np.concatenate(keys), axis=0, return_inverse=True
     )
-    if config.enforce_monotone:
-        grid = _enforce_monotone(grid)
-    grid = _resample_to_axis(grid, combo_axis, payload["shared_axis"])
+    bounds = np.cumsum([len(k) for k in keys])[:-1]
+    return rows, np.split(inverse.ravel(), bounds)
+
+
+def _flip_outcomes(cell, rows, shifts, settled, config):
+    """Every sample's flip outcome at every distinct row, by bisection.
+
+    Rows sharing ``q1`` form a line ordered by ``q2+q3``, along which
+    each sample flips monotonically; its first flipping index (the
+    line's length if none) fixes the line.  All lines and samples
+    bisect together, one :meth:`FastCell.run_impulse` batch per round,
+    under the population's early-exit margin so that a round's subset
+    of samples cannot change an outcome.  Returns the ``(n_rows,
+    n_samples)`` outcomes and the number of rows integrated.
+    """
+    _, line_of_row, line_len = np.unique(
+        rows[:, 0], return_inverse=True, return_counts=True
+    )
+    line_start = np.cumsum(line_len) - line_len
+    margin = cell.early_exit_margin_v(shifts)
+    lo = np.zeros((len(line_len), shifts.shape[0]), dtype=np.int64)
+    hi = np.repeat(line_len[:, np.newaxis], shifts.shape[0], axis=1)
+    sims = 0
+    while True:
+        line, sample = np.nonzero(lo < hi)
+        if not line.size:
+            break
+        mid = (lo[line, sample] + hi[line, sample]) // 2
+        charges = np.zeros((line.size, 3), dtype=np.float64)
+        charges[:, :2] = rows[line_start[line] + mid]
+        flipped = cell.run_impulse(
+            charges,
+            shifts[sample],
+            settled=(settled[0][sample], settled[1][sample]),
+            t_sim_s=config.t_sim_s,
+            dt_s=config.dt_s,
+            margin_v=margin,
+        )
+        hi[line[flipped], sample[flipped]] = mid[flipped]
+        lo[line[~flipped], sample[~flipped]] = mid[~flipped] + 1
+        sims += line.size
+    pos_of_row = np.arange(len(rows)) - line_start[line_of_row]
+    return lo[line_of_row] <= pos_of_row[:, np.newaxis], sims
+
+
+def _characterize_task(payload, vdd):
+    """Pool worker: the seven finished POF grids of one Vdd.
+
+    The task builds its own I-V tables (tabulated kernel) and settles
+    its own baselines: both are pure functions of (design, vdd, shifts,
+    shift pad), and the shifts and pad come from the parent, so results
+    are identical for any worker count.  Grids come back in
+    :data:`~repro.sram.strike.ALL_COMBOS` order.
+    """
+    design = payload["design"]
+    config = payload["config"]
+    shifts = payload["shifts"]
+    tables = None
+    if config.kernel == "tabulated":
+        tables = IVTables(design, vdd, shift_pad_v=payload["shift_pad_v"])
+        get_registry().counter("characterize.kernel.table_builds").inc()
+    cell = FastCell(design, vdd, tables)
+    settled = cell.settle(shifts, dt_s=config.dt_s)
+
+    rows, inverses = _combo_rows(config)
+    flipped, sims = _flip_outcomes(cell, rows, shifts, settled, config)
+    pof_rows = flipped.mean(axis=1)
+
+    grids = []
+    for combo, inverse in zip(ALL_COMBOS, inverses):
+        combo_axis = config.axis_for_combo(combo)
+        grid = pof_rows[inverse].reshape((len(combo_axis),) * len(combo))
+        if config.enforce_monotone:
+            grid = _enforce_monotone(grid)
+        grids.append(
+            _resample_to_axis(grid, combo_axis, payload["shared_axis"])
+        )
 
     metrics = get_registry()
     if metrics.enabled:
-        combo_points = len(combo_axis) ** len(combo)
-        metrics.counter("characterize.grid_points").inc(combo_points)
-        metrics.counter("characterize.cell_sims").inc(
-            combo_points * payload["shifts"].shape[0]
+        metrics.counter("characterize.grid_points").inc(
+            sum(len(inverse) for inverse in inverses)
         )
-    return grid
+        metrics.counter("characterize.cell_sims").inc(sims)
+    return grids
 
 
-def characterize_shard_encode(grid) -> list:
-    """JSON-safe encoding of one (combo, vdd) POF grid for the journal.
+def characterize_shard_encode(grids) -> list:
+    """JSON-safe encoding of one Vdd's seven POF grids for the journal.
 
-    ``ndarray.tolist`` preserves the nesting of every grid rank, so
-    the inverse is a plain ``np.asarray`` -- and JSON floats round-trip
-    exactly, keeping resumed tables bit-identical.
+    ``ndarray.tolist`` preserves the nesting of every grid rank, and
+    JSON floats round-trip exactly, keeping resumed tables
+    bit-identical.
     """
-    return np.asarray(grid, dtype=np.float64).tolist()
+    return [np.asarray(grid, dtype=np.float64).tolist() for grid in grids]
 
 
-def characterize_shard_decode(payload: list) -> np.ndarray:
-    """Inverse of :func:`characterize_shard_encode`."""
-    return np.asarray(payload, dtype=np.float64)
+def characterize_shard_decode(payload: list) -> list:
+    """Inverse of :func:`characterize_shard_encode`.
+
+    Anything but seven square grids of the combos' ranks on one axis
+    raises, so the journal discards the line (``journal.invalid``) and
+    the task reruns -- a shard of another layout is never misread.
+    """
+    grids = [np.asarray(grid, dtype=np.float64) for grid in payload]
+    if len(grids) != len(ALL_COMBOS) or grids[0].ndim != 1:
+        raise ValueError("not a per-Vdd set of combo grids")
+    n_q = grids[0].shape[0]
+    for combo, grid in zip(ALL_COMBOS, grids):
+        if grid.shape != (n_q,) * len(combo):
+            raise ValueError(f"grid of combo {combo} has shape {grid.shape}")
+    return grids
 
 
 def characterize_cell(
@@ -218,20 +298,18 @@ def characterize_cell(
     shared axis so the :class:`~repro.sram.pof_lut.PofTable` stores one
     consistent axis (simplifies queries and serialization).
 
-    ``n_jobs`` fans the independent (combo, vdd) grids out across
-    worker processes (1 = inline, 0 = one per CPU); the table is
-    bit-identical for any worker count.
+    ``n_jobs`` fans the independent per-Vdd tasks out across worker
+    processes (1 = inline, 0 = one per CPU); the table is bit-identical
+    for any worker count.
 
     A :class:`~repro.parallel.RetryPolicy` in ``retry`` governs
     transient worker loss; graceful degradation is **not** available
-    here (every (combo, vdd) grid is required to assemble the table),
-    so the policy is forced strict and unrecoverable loss raises
+    here (every Vdd's grids are required to assemble the table), so the
+    policy is forced strict and unrecoverable loss raises
     :class:`~repro.errors.WorkerCrashError` -- the attached ``journal``
     (built with :func:`characterize_shard_encode` /
-    :func:`characterize_shard_decode`) preserves the finished grids for
-    the next attempt.  On the pooled path the big per-Vdd
-    :class:`~repro.sram.ivtab.IVTables` surfaces ride shared-memory
-    segments (:mod:`repro.parallel.shm`).
+    :func:`characterize_shard_decode`) preserves the finished Vdds for
+    the next attempt.
     """
     config = config if config is not None else CharacterizationConfig()
     rng = np.random.default_rng(config.seed)
@@ -251,39 +329,18 @@ def characterize_cell(
         combos=len(ALL_COMBOS),
         samples=n_samples,
     ):
-        # Per-Vdd precomputation, shared by all 7 combo tasks: the I-V
-        # tables of the tabulated kernel and the settled baselines.
-        # Both depend only on (vdd, shifts), and computing them here
-        # keeps them deterministic regardless of how tasks land on
-        # workers.
-        shift_pad_v = _TABLE_PAD_HEADROOM * float(np.max(np.abs(shifts)))
-        per_vdd = {}
-        for vdd in config.vdd_list:
-            tables = None
-            if config.kernel == "tabulated":
-                tables = IVTables(design, vdd, shift_pad_v=shift_pad_v)
-                get_registry().counter(
-                    "characterize.kernel.table_builds"
-                ).inc()
-            settled = FastCell(design, vdd, tables).settle(
-                shifts, dt_s=config.dt_s
-            )
-            per_vdd[vdd] = (tables, settled)
-
-        tasks = [
-            (combo, vdd)
-            for combo in ALL_COMBOS
-            for vdd in config.vdd_list
-        ]
         grids = parallel_map(
             _characterize_task,
-            tasks,
+            list(config.vdd_list),
             payload={
                 "design": design,
                 "config": config,
                 "shifts": shifts,
                 "shared_axis": shared_axis,
-                "per_vdd": per_vdd,
+                # one pad from all samples, so every Vdd's tables cover
+                # the whole population
+                "shift_pad_v": _TABLE_PAD_HEADROOM
+                * float(np.max(np.abs(shifts))),
             },
             n_jobs=n_jobs,
             label="characterize",
@@ -295,19 +352,11 @@ def characterize_cell(
             # every grid is present (strict policy) -- the checkpoint
             # has served its purpose
             journal.clear()
-        n_vdd = len(config.vdd_list)
         for c, combo in enumerate(ALL_COMBOS):
-            per_vdd = grids[c * n_vdd : (c + 1) * n_vdd]
-            pof_grids[combo] = np.stack(per_vdd, axis=0)
+            pof_grids[combo] = np.stack([per_vdd[c] for per_vdd in grids])
             _log.debug(
                 "characterized combo %s",
-                kv(
-                    combo="+".join(str(i) for i in combo),
-                    vdds=n_vdd,
-                    grid_points=len(config.axis_for_combo(combo))
-                    ** len(combo),
-                    samples=n_samples,
-                ),
+                kv(combo=combo_label(combo), vdds=len(grids), samples=n_samples),
             )
 
         if convergence_active() and config.process_variation:
@@ -317,16 +366,9 @@ def characterize_cell(
             # where the binomial bound peaks.
             for v_i, vdd in enumerate(config.vdd_list):
                 values = np.concatenate(
-                    [
-                        pof_grids[combo][v_i].ravel()
-                        for combo in ALL_COMBOS
-                    ]
+                    [pof_grids[combo][v_i].ravel() for combo in ALL_COMBOS]
                 )
-                worst_p = (
-                    float(values[np.argmin(np.abs(values - 0.5))])
-                    if values.size
-                    else 0.0
-                )
+                worst_p = float(values[np.argmin(np.abs(values - 0.5))])
                 record_bin(
                     "characterize",
                     trials=int(n_samples),
@@ -344,76 +386,22 @@ def characterize_cell(
 
 
 def _task_cost_hint_s(config: CharacterizationConfig, n_samples: int) -> float:
-    """Rough wall-clock estimate [s] of one (combo, vdd) grid task.
+    """Rough wall-clock estimate [s] of one per-Vdd task.
 
     Used by :func:`~repro.parallel.parallel_map` to skip pool spin-up
     when the whole map is cheaper than forking workers.  The model is
-    (rows x steps) at an empirical ~25 ns per row-step for the mean
-    combo grid, plus a fixed per-task floor; precision is irrelevant --
-    only the inline-vs-pool break-even (~tens of ms) matters.
+    the ~0.1 s I-V table build, ~0.2 ms of per-step overhead for each
+    bisection round, and ~25 ns per row-step for the rows (one per
+    halving of each line, per sample); precision is irrelevant -- only
+    the inline-vs-pool break-even (~tens of ms) matters.
     """
-    mean_points = sum(
-        len(config.axis_for_combo(combo)) ** len(combo)
-        for combo in ALL_COMBOS
-    ) / len(ALL_COMBOS)
+    rows, _ = _combo_rows(config)
+    _, line_len = np.unique(rows[:, 0], return_counts=True)
+    halvings = np.ceil(np.log2(line_len + 1))
     steps = max(int(round(config.t_sim_s / config.dt_s)), 1)
-    return 2.5e-8 * mean_points * n_samples * steps + 0.005
-
-
-def _pof_grid_for_combo(
-    design: SramCellDesign,
-    vdd: float,
-    combo,
-    axis_c: np.ndarray,
-    shifts: np.ndarray,
-    config: CharacterizationConfig,
-    settled: Tuple[np.ndarray, np.ndarray],
-    tables: Optional[IVTables],
-) -> np.ndarray:
-    """POF over the charge mesh of one (vdd, combo) case.
-
-    ``settled`` / ``tables`` are the per-Vdd precomputations of the
-    parent.  The (grid point x variation sample) expansion is chunked
-    under :data:`MAX_BATCH_ROWS` rows.
-    """
-    cell = FastCell(design, vdd, tables)
-    n_samples = shifts.shape[0]
-
-    mesh = np.meshgrid(*([axis_c] * len(combo)), indexing="ij")
-    n_points = mesh[0].size
-    charges = np.zeros((n_points, 3), dtype=np.float64)
-    for dim, strike_index in enumerate(combo):
-        charges[:, strike_index] = mesh[dim].ravel()
-
-    # tile: every grid point runs every variation sample -- in chunks
-    # of whole grid points so peak memory stays under MAX_BATCH_ROWS
-    points_per_chunk = max(1, MAX_BATCH_ROWS // n_samples)
-    flipped_chunks = []
-    for start in range(0, n_points, points_per_chunk):
-        chunk = charges[start : start + points_per_chunk]
-        n_chunk = chunk.shape[0]
-        charges_full = np.repeat(chunk, n_samples, axis=0)
-        shifts_full = np.tile(shifts, (n_chunk, 1))
-        settled_full = (
-            np.tile(settled[0], n_chunk),
-            np.tile(settled[1], n_chunk),
-        )
-        flipped_chunks.append(
-            cell.run_impulse(
-                charges_full,
-                shifts_full,
-                settled=settled_full,
-                t_sim_s=config.t_sim_s,
-                dt_s=config.dt_s,
-            )
-        )
-    flipped = (
-        np.concatenate(flipped_chunks)
-        if len(flipped_chunks) > 1
-        else flipped_chunks[0]
-    )
-    pof_flat = flipped.reshape(n_points, n_samples).mean(axis=1)
-    return pof_flat.reshape(mesh[0].shape)
+    table_s = 0.1 if config.kernel == "tabulated" else 0.0
+    per_step_s = 2e-4 * halvings.max() + 2.5e-8 * n_samples * halvings.sum()
+    return table_s + steps * float(per_step_s)
 
 
 def _resample_to_axis(

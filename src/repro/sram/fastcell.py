@@ -268,7 +268,7 @@ class FastCell:
         )
         return _TabCtx(self._tables, offsets)
 
-    def _ee_margin_for(self, shifts: np.ndarray) -> float:
+    def early_exit_margin_v(self, shifts: np.ndarray) -> float:
         """Early-exit margin [V] for a batch (see module constants)."""
         max_shift = float(np.max(np.abs(shifts))) if shifts.size else 0.0
         return max(
@@ -362,6 +362,7 @@ class FastCell:
         settled: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         t_sim_s: float = 3.0e-11,
         dt_s: float = 2.5e-13,
+        margin_v: Optional[float] = None,
     ) -> np.ndarray:
         """Impulse-mode strike batch; returns a boolean flip mask.
 
@@ -374,6 +375,10 @@ class FastCell:
         settled:
             Pre-settled ``(vq, vqb)`` baselines (broadcastable to n);
             computed if omitted.
+        margin_v:
+            Early-exit margin [V], by default :meth:`early_exit_margin_v`
+            of this batch; pass the population's when splitting one
+            variation population over several batches.
         """
         charges = self._check_charges(charges_c)
         shifts = self._check_shifts(shifts, charges.shape[0])
@@ -389,9 +394,10 @@ class FastCell:
         vqb = self._clamp(vqb + (charges[:, 1] + charges[:, 2]) / self.cap_f)
 
         steps = max(int(round(t_sim_s / dt_s)), 1)
+        if margin_v is None:
+            margin_v = self.early_exit_margin_v(shifts)
         return self._relax(
-            vq, vqb, self._make_ctx(shifts), steps, dt_s,
-            self._ee_margin_for(shifts),
+            vq, vqb, self._make_ctx(shifts), steps, dt_s, margin_v
         )
 
     def run_pulse(
@@ -436,7 +442,7 @@ class FastCell:
         # Phase 2: free relaxation.
         steps = max(int(round(t_sim_s / dt_s)), 1)
         return self._relax(
-            vq, vqb, ctx, steps, dt_s, self._ee_margin_for(shifts)
+            vq, vqb, ctx, steps, dt_s, self.early_exit_margin_v(shifts)
         )
 
     def critical_charge_c(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, LookupError_
 from repro.sram import (
@@ -79,10 +81,11 @@ class TestConfig:
 
 class TestKernelEquivalence:
     """End-to-end contracts of the shipped characterization (fused
-    stacking, early exit, settle hoisted into the parent, batch
-    chunking): each reproduces the original pipeline -- exact per-role
-    currents, full horizon, settle inside every task -- bit-identically;
-    the tabulated backend stays within its POF accuracy budget."""
+    stacking, early exit, flip-frontier bisection): each reproduces the
+    dense oracle -- every grid point simulated for every sample -- on
+    the original kernel (exact per-role currents, full horizon)
+    bit-identically; the tabulated backend stays within its POF
+    accuracy budget."""
 
     BASE = dict(
         vdd_list=(0.7,),
@@ -94,36 +97,20 @@ class TestKernelEquivalence:
     )
 
     @classmethod
+    def _config(cls, **overrides):
+        return CharacterizationConfig(**cls.BASE, **overrides)
+
+    @classmethod
     def _run(cls, design, **overrides):
-        return characterize_cell(
-            design, CharacterizationConfig(**cls.BASE, **overrides)
-        )
-
-    @staticmethod
-    def _settle_in_task(monkeypatch, cell_cls):
-        """Make every task settle its own baseline with ``cell_cls``."""
-        from repro.sram import characterize as module
-
-        grid_for_combo = module._pof_grid_for_combo
-
-        def per_task(design, vdd, combo, axis, shifts, config, settled, tables):
-            settled = cell_cls(design, vdd).settle(shifts, dt_s=config.dt_s)
-            return grid_for_combo(
-                design, vdd, combo, axis, shifts, config, settled, tables
-            )
-
-        monkeypatch.setattr(module, "_pof_grid_for_combo", per_task)
+        return characterize_cell(design, cls._config(**overrides))
 
     @pytest.fixture(scope="class")
     def seed_table(self, design):
-        from repro.sram import characterize as module
+        from .cell_oracle import ExactCell, dense_pof_table
 
-        from .cell_oracle import ExactCell
-
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(module, "FastCell", ExactCell)
-            self._settle_in_task(monkeypatch, ExactCell)
-            return self._run(design, kernel="fused")
+        return dense_pof_table(
+            design, self._config(kernel="fused"), cell_cls=ExactCell
+        )
 
     @staticmethod
     def _assert_identical(a, b):
@@ -133,29 +120,13 @@ class TestKernelEquivalence:
     def test_fused_bit_identical(self, design, seed_table):
         self._assert_identical(self._run(design, kernel="fused"), seed_table)
 
-    def test_hoisted_settle_bit_identical(self, design, monkeypatch):
-        from repro.sram import FastCell
+    def test_early_exit_bit_identical(self, design):
+        from .cell_oracle import FullHorizonCell, dense_pof_table
 
-        hoisted = self._run(design, kernel="fused")
-        self._settle_in_task(monkeypatch, FastCell)
-        self._assert_identical(hoisted, self._run(design, kernel="fused"))
-
-    def test_chunked_bit_identical(self, design, seed_table, monkeypatch):
-        from repro.sram import characterize as module
-
-        # one grid point (6 samples) per chunk
-        monkeypatch.setattr(module, "MAX_BATCH_ROWS", 10)
-        chunked = self._run(design, kernel="fused")
-        self._assert_identical(chunked, seed_table)
-
-    def test_early_exit_bit_identical(self, design, monkeypatch):
-        from repro.sram import characterize as module
-
-        from .cell_oracle import FullHorizonCell
-
-        early = self._run(design)
-        monkeypatch.setattr(module, "FastCell", FullHorizonCell)
-        self._assert_identical(early, self._run(design))
+        dense = dense_pof_table(
+            design, self._config(), cell_cls=FullHorizonCell
+        )
+        self._assert_identical(self._run(design), dense)
 
     def test_tabulated_within_budget(self, design, seed_table):
         tabulated = self._run(design)  # the default kernel
@@ -187,6 +158,148 @@ class TestKernelEquivalence:
             assert frozen.value > 0
         finally:
             disable_metrics()
+
+
+class TestFlipFrontier:
+    """The shipped bisection of each sample's flip frontier against the
+    dense grid, and the properties it rests on."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # serbench scale (MODEL samples=40, default seed)
+            CharacterizationConfig(n_samples=40),
+            CharacterizationConfig(),
+            CharacterizationConfig(process_variation=False),
+        ],
+        ids=["serbench", "default", "nominal"],
+    )
+    def test_matches_dense_oracle(self, design, config):
+        from .cell_oracle import dense_pof_table
+
+        shipped = characterize_cell(design, config)
+        dense = dense_pof_table(design, config)
+        for combo in ALL_COMBOS:
+            assert np.array_equal(shipped.pof[combo], dense.pof[combo]), combo
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sigma_scale=st.floats(0.5, 2.0),
+        vdd=st.sampled_from((0.7, 0.9, 1.1)),
+    )
+    def test_monotone_per_sample_on_random_shifts(
+        self, design, seed, sigma_scale, vdd
+    ):
+        """Along every fixed-q1 line each sample's dense outcome never
+        unflips as q2+q3 grows, and the bisection reproduces it."""
+        from repro.sram import FastCell, IVTables
+        from repro.sram import characterize as module
+
+        config = CharacterizationConfig(
+            vdd_list=(vdd,),
+            n_charge_points=9,
+            n_samples=8,
+            max_pair_points=5,
+            max_triple_points=4,
+        )
+        sigma = sigma_scale * design.tech.sigma_vth_v
+        shifts = np.random.default_rng(seed).normal(0.0, sigma, (8, 6))
+        pad = 1.5 * float(np.max(np.abs(shifts)))
+        cell = FastCell(design, vdd, IVTables(design, vdd, shift_pad_v=pad))
+        settled = cell.settle(shifts, dt_s=config.dt_s)
+        rows, _ = module._combo_rows(config)
+        n_rows, n = len(rows), len(shifts)
+        charges = np.zeros((n_rows * n, 3))
+        charges[:, :2] = np.repeat(rows, n, axis=0)
+        dense = cell.run_impulse(
+            charges,
+            np.tile(shifts, (n_rows, 1)),
+            settled=(np.tile(settled[0], n_rows), np.tile(settled[1], n_rows)),
+            t_sim_s=config.t_sim_s,
+            dt_s=config.dt_s,
+        ).reshape(n_rows, n)
+
+        same_line = rows[1:, 0] == rows[:-1, 0]
+        unflips = dense[:-1] & ~dense[1:] & same_line[:, np.newaxis]
+        assert not unflips.any(), np.argwhere(unflips)
+        bisected, _ = module._flip_outcomes(
+            cell, rows, shifts, settled, config
+        )
+        assert np.array_equal(bisected, dense)
+
+    def test_every_round_gets_the_population_margin(
+        self, design, monkeypatch
+    ):
+        """One robust outlier sets the early-exit margin (1.5 * 0.4 V >
+        0.6 * Vdd); it never flips on the grid, so it leaves the
+        bisection early and a later round's own margin would be smaller.
+        Every round must still run under the population's margin."""
+        from repro.devices import VariationModel
+        from repro.sram import FastCell
+        from repro.sram import characterize as module
+
+        margins = []
+
+        class SpyCell(FastCell):
+            def run_impulse(self, charges_c, shifts, **kwargs):
+                margins.append(
+                    (kwargs["margin_v"], self.early_exit_margin_v(shifts))
+                )
+                return super().run_impulse(charges_c, shifts, **kwargs)
+
+        sample_shifts = VariationModel.sample_shifts
+
+        def with_outlier(self, n, nfins, rng):
+            shifts = sample_shifts(self, n, nfins, rng)
+            # strong pu_l/pd_r, weak pd_l/pu_r: the held state resists
+            shifts[0] = [-0.4, 0.4, 0.0, 0.4, -0.4, 0.0]
+            return shifts
+
+        monkeypatch.setattr(VariationModel, "sample_shifts", with_outlier)
+        monkeypatch.setattr(module, "FastCell", SpyCell)
+        config = CharacterizationConfig(
+            vdd_list=(0.7,),
+            n_charge_points=7,
+            n_samples=6,
+            max_pair_points=3,
+            max_triple_points=3,
+            charge_max_fc=0.3,
+            seed=11,
+        )
+        characterize_cell(design, config)
+        population = FastCell(design, 0.7).early_exit_margin_v(
+            np.array([[0.4] * 6])
+        )
+        assert margins
+        assert all(passed == population for passed, _ in margins)
+        assert any(own < population for _, own in margins)
+
+    def test_counters_count_rows_integrated(self, design):
+        """``cell_sims`` counts the rows the bisection integrated, not
+        grid points x samples; ``grid_points`` counts mesh points."""
+        from repro.obs.registry import disable_metrics, enable_metrics
+
+        config = CharacterizationConfig(
+            vdd_list=(0.7, 0.9),
+            n_charge_points=7,
+            n_samples=6,
+            max_pair_points=3,
+            max_triple_points=3,
+            seed=11,
+        )
+        registry = enable_metrics(fresh=True)
+        try:
+            characterize_cell(design, config)
+            grid_points = registry.counter("characterize.grid_points").value
+            cell_sims = registry.counter("characterize.cell_sims").value
+        finally:
+            disable_metrics()
+        # per Vdd: 3 x 7 singles + 3 x 3^2 pairs + 3^3 triple
+        assert grid_points == 2 * 75
+        # 109 rows at 0.7 V + 115 at 0.9 V, against 2 x 75 x 6 = 900
+        # grid points x samples
+        assert cell_sims == 224
 
 
 class TestPofTableStructure:

@@ -348,7 +348,7 @@ class TestEarlyExit:
         full = FullHorizonCell(design, 0.8)
         ee = FastCell(design, 0.8)
         shifts = _variation_batch(n=32)
-        assert ee._ee_margin_for(shifts) == pytest.approx(0.55)
+        assert ee.early_exit_margin_v(shifts) == pytest.approx(0.55)
         charges = _boundary_charges(design, 0.8, n=32)
         assert np.array_equal(
             full.run_impulse(charges, shifts),

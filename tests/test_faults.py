@@ -23,7 +23,16 @@ from repro.obs.registry import disable_metrics, enable_metrics, get_registry
 from repro.parallel import RetryPolicy, ShardJournal, parallel_map
 from repro.parallel.engine import FAULT_ENV
 from repro.physics import ALPHA
-from repro.sram import PofTable
+from repro.sram import (
+    CharacterizationConfig,
+    PofTable,
+    SramCellDesign,
+    characterize_cell,
+)
+from repro.sram.characterize import (
+    characterize_shard_decode,
+    characterize_shard_encode,
+)
 from repro.sram.strike import ALL_COMBOS
 from repro.ser import ArrayMcConfig, ArraySerSimulator
 from repro.ser.mc import array_shard_decode, array_shard_encode
@@ -501,6 +510,109 @@ class TestCampaignKillResume:
         )
         assert_luts_identical(resumed, clean)
         assert not resumed.degraded
+        assert not journal_path.exists()  # cleared after completion
+
+
+# -- cell characterization journal --------------------------------------------
+
+#: A tiny characterization: one journal shard (all seven grids) per Vdd.
+CHAR_CONFIG = dict(
+    n_charge_points=7,
+    n_samples=6,
+    max_pair_points=3,
+    max_triple_points=3,
+    seed=11,
+)
+
+
+def assert_tables_identical(a, b):
+    assert set(a.pof) == set(b.pof)
+    for combo in a.pof:
+        assert np.array_equal(a.pof[combo], b.pof[combo])
+
+
+class TestCharacterizeResume:
+    def test_shard_codec_round_trip_and_rejects_other_layouts(self):
+        rng = np.random.default_rng(0)
+        grids = [rng.random((7,) * len(combo)) for combo in ALL_COMBOS]
+        decoded = characterize_shard_decode(
+            json.loads(json.dumps(characterize_shard_encode(grids)))
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(decoded, grids))
+        for bad in (
+            grids[0].tolist(),  # one single-strike grid of 7 points
+            grids[3].tolist(),  # one 7 x 7 pair grid
+            [g.tolist() for g in grids[:6]],
+            [g.tolist() for g in grids[1:] + grids[:1]],  # ranks shuffled
+            [g.tolist() for g in grids[:6]] + [rng.random((6, 6, 6)).tolist()],
+        ):
+            with pytest.raises(ValueError):
+                characterize_shard_decode(bad)
+
+    def test_pre_upgrade_journal_discarded_not_misread(
+        self, tmp_path, metrics
+    ):
+        """A journal of the old one-grid-per-(combo, vdd) layout under the
+        same key is discarded line by line and the table rebuilt."""
+        config = CharacterizationConfig(vdd_list=(0.7, 0.9), **CHAR_CONFIG)
+        clean = characterize_cell(SramCellDesign(), config)
+        path = tmp_path / "pof.jsonl"
+        old = ShardJournal(path, "pof-key")
+        for c, combo in enumerate(ALL_COMBOS):
+            for v in range(2):
+                old.record(c * 2 + v, clean.pof[combo][v].tolist())
+        journal = ShardJournal(
+            path,
+            "pof-key",
+            encode=characterize_shard_encode,
+            decode=characterize_shard_decode,
+        )
+        rebuilt = characterize_cell(SramCellDesign(), config, journal=journal)
+        assert get_registry().counter("journal.invalid").value == 14
+        assert get_registry().counter("journal.resumed").value == 0
+        assert_tables_identical(rebuilt, clean)
+        assert not path.exists()
+
+    def test_characterize_interrupted_serial_resumes_bit_identical(
+        self, tmp_path
+    ):
+        """n_jobs=1: a real os._exit kill at the third Vdd, then resume."""
+        config = CharacterizationConfig(vdd_list=(0.7, 0.8, 0.9), **CHAR_CONFIG)
+        clean = characterize_cell(SramCellDesign(), config)
+
+        journal_path = tmp_path / "pof.jsonl"
+        marker = tmp_path / "killed"
+        script = (
+            "from repro.parallel import ShardJournal\n"
+            "from repro.sram import CharacterizationConfig, SramCellDesign\n"
+            "from repro.sram.characterize import characterize_cell, "
+            "characterize_shard_decode, characterize_shard_encode\n"
+            f"journal = ShardJournal({str(journal_path)!r}, 'pof-key',\n"
+            "    encode=characterize_shard_encode,\n"
+            "    decode=characterize_shard_decode)\n"
+            "config = CharacterizationConfig(vdd_list=(0.7, 0.8, 0.9),\n"
+            f"    **{CHAR_CONFIG!r})\n"
+            "characterize_cell(SramCellDesign(), config, journal=journal)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        env[FAULT_ENV] = f"characterize:2:{marker}"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True
+        )
+        assert proc.returncode == 17, proc.stderr.decode()  # really killed
+        assert marker.exists()
+
+        journal = ShardJournal(
+            journal_path,
+            "pof-key",
+            encode=characterize_shard_encode,
+            decode=characterize_shard_decode,
+        )
+        assert sorted(journal.load()) == [0, 1]  # Vdds finished before the kill
+
+        resumed = characterize_cell(SramCellDesign(), config, journal=journal)
+        assert_tables_identical(resumed, clean)
         assert not journal_path.exists()  # cleared after completion
 
 
