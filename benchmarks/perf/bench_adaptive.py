@@ -326,10 +326,10 @@ def bench_resume(simulator, scale, jobs):
 
     with tempfile.TemporaryDirectory() as td:
         marker = Path(td) / "killed.marker"
-        # kill a mid-round task (not an early index): the pool breaks
+        # kill a mid-pilot task (not an early index): the pool breaks
         # at the kill, so only shards completed *before* it are
         # journaled -- a first-task kill would leave nothing to resume
-        os.environ[FAULT_ENV] = f"adaptive:5:{marker}"
+        os.environ[FAULT_ENV] = f"array_mc:3:{marker}"
         try:
             crashed = False
             try:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..physics import ParticleType
-from ..ser import ArraySerSimulator
+from ..ser import ArraySerSimulator, BatchPlan, CampaignPoint
 
 #: Planning variance for a bin whose standard error is unknown (zero
 #: observed hits, or a degraded result): ``p (1 - p)`` maxes out at
@@ -119,7 +119,9 @@ def estimate_pof_error(
 
     Splits the campaign into ``n_batches`` independent sub-campaigns and
     reports the spread of their estimates -- the honest MC error bar,
-    including all correlation induced inside one batch.
+    including all correlation induced inside one batch.  The batches
+    are the points of one plan, drawing from ``rng`` in batch order just
+    as ``n_batches`` successive ``simulator.run`` calls would.
     """
     if n_batches < 2:
         raise ConfigError("need at least two batches for an error estimate")
@@ -127,12 +129,14 @@ def estimate_pof_error(
     if per_batch < 1:
         raise ConfigError("need at least one particle per batch")
 
-    estimates = np.array(
-        [
-            simulator.run(particle, energy_mev, vdd_v, per_batch, rng).pof_total
-            for _ in range(n_batches)
-        ]
-    )
+    points = [
+        CampaignPoint.uniform(particle.name, energy_mev, vdd_v, per_batch, rng)
+        for _ in range(n_batches)
+    ]
+    results = BatchPlan(
+        simulator, points, n_jobs=simulator.config.n_jobs
+    ).execute()
+    estimates = np.array([result.pof_total for result in results])
     mean = float(np.mean(estimates))
     standard_error = float(
         np.std(estimates, ddof=1) / math.sqrt(n_batches)

@@ -176,8 +176,8 @@ class SerFlow:
     Every uniform array-MC scan -- :meth:`fit`, :meth:`sweep` and
     :meth:`pof_vs_energy` -- runs as one
     :class:`~repro.ser.fusion.BatchPlan` over its campaigns (see
-    :meth:`_run_plan`); adaptive allocation keeps its own round
-    controller.
+    :meth:`_run_plan`); under adaptive allocation each round is one
+    plan over its (bin, stratum) points.
     """
 
     def __init__(
@@ -443,32 +443,23 @@ class SerFlow:
         packed payload.
 
         Completed pool tasks are journaled under ``name`` so an
-        interrupted scan resumes bit-identically; the plan's retry
-        policy is strict, since :func:`~repro.ser.fit.integrate_fit`
-        needs one result per bin.
+        interrupted scan resumes bit-identically; the plan runs under
+        ``retry.strict()``, since :func:`~repro.ser.fit.integrate_fit`
+        needs every bin's full result.
         """
-        if n_particles < 1:
-            raise ConfigError("need at least one particle")
-        points = []
-        for particle_name, vdd_v, energies in cases:
-            for energy in energies:
-                if energy <= 0:
-                    raise ConfigError("energy must be positive")
-                points.append(
-                    CampaignPoint(
-                        index=len(points),
-                        particle_name=particle_name,
-                        energy_mev=float(energy),
-                        vdd_v=float(vdd_v),
-                        n_particles=int(n_particles),
-                        seed=self._campaign_seed(
-                            stage,
-                            particle_name,
-                            f"{vdd_v:g}",
-                            f"{energy:.9g}",
-                        ),
-                    )
-                )
+        points = [
+            CampaignPoint.uniform(
+                particle_name,
+                energy,
+                vdd_v,
+                n_particles,
+                self._campaign_seed(
+                    stage, particle_name, f"{vdd_v:g}", f"{energy:.9g}"
+                ),
+            )
+            for particle_name, vdd_v, energies in cases
+            for energy in energies
+        ]
         journal = self._journal_for(
             name,
             array_shard_encode,
@@ -492,7 +483,7 @@ class SerFlow:
             self.simulator(),
             points,
             n_jobs=self.n_jobs,
-            retry=self.retry,
+            retry=self.retry.strict() if self.retry is not None else None,
             journal=journal,
             payload=self._campaign_payload(),
         ).execute()
@@ -579,7 +570,9 @@ class SerFlow:
         rounds), derives each bin's root seed from
         :meth:`_campaign_seed` (pure function of the flow seed), and
         journals every round under the cache dir so ``--resume``
-        replays the identical allocation sequence.
+        replays the identical allocation sequence.  The round journal
+        key names the task layout (pool tasks span (bin, stratum)
+        points), so a journal of the per-stratum layout never loads.
         """
         bins = [
             AdaptiveBin(particle.name, energy, float(vdd_v))
@@ -608,6 +601,7 @@ class SerFlow:
                     "vdd": f"{vdd_v:g}",
                     "energies": [f"{energy:.9g}" for energy in energies],
                     "round": int(round_index),
+                    "layout": "plan",
                 },
             )
 

@@ -29,6 +29,9 @@ untouched and the estimator is exactly unbiased by construction:
   POF is steep (importance *concentration*; the weights, and therefore
   the estimate, never depend on how many draws a sub-band received).
 
+Each round runs as one :class:`~repro.ser.fusion.BatchPlan` over its
+(bin, stratum) points, the same map every array campaign uses.
+
 Determinism/resume contract: every round's draw blocks consume spawned
 children of the bin's root seed in (bin, stratum, block) order, round
 results are journaled per round, and every allocation decision is a
@@ -46,12 +49,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, WorkerCrashError
+from ..errors import ConfigError
 from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
 from ..obs.events import emit_event
-from ..parallel import parallel_map
-from ..physics import get_particle
+from .fusion import BatchPlan, CampaignPoint
 from .mc import DRAW_BLOCK_SIZE, ArrayPofResult
 
 _log = get_logger(__name__)
@@ -298,34 +300,6 @@ def _combined_strata(pos: Optional[List[dict]], energy: Optional[List[dict]]):
     return combined
 
 
-def _adaptive_task(payload, task):
-    """Pool worker: run one bin/stratum's draw blocks, in order.
-
-    The payload carries only the (campaign-invariant) simulator, so
-    every round of every bin ships the *same* payload -- warm workers
-    and the shared-memory plane reuse the one they already rebuilt.
-    Everything that varies rides in the task spec.
-    """
-    simulator = payload["simulator"]
-    spec, blocks = task
-    particle = get_particle(spec["particle"])
-    block_payload = {
-        "simulator": simulator,
-        "particle": particle,
-        "energy_mev": float(spec["energy_mev"]),
-        "vdd_v": float(spec["vdd_v"]),
-        "window": simulator.layout.launch_window(simulator.config.margin_nm),
-        "law": simulator.config.law_for(particle.name),
-        "spectrum": spec.get("spectrum"),
-        "e_range": spec.get("e_range"),
-        "stratum": spec.get("stratum"),
-    }
-    return [
-        simulator._run_block(block_payload, size, seed)
-        for size, seed in blocks
-    ]
-
-
 class AdaptiveCampaignController:
     """Sequential adaptive MC campaign over a set of bins.
 
@@ -333,9 +307,10 @@ class AdaptiveCampaignController:
     pre-packed :class:`~repro.parallel.shm.PackedPayload` shared across
     rounds, ``journal_factory(round_index)`` returns the round's
     :class:`~repro.parallel.ShardJournal` (or ``None``) so interrupted
-    campaigns resume bit-identically, and ``retry`` is forced strict --
-    a lost draw block would change every later allocation decision, so
-    unrecoverable loss must raise rather than degrade.
+    campaigns resume bit-identically, and each round's plan runs under
+    ``retry.strict()`` -- a lost draw block would change every later
+    allocation decision, so unrecoverable loss must raise rather than
+    degrade.
     """
 
     def __init__(
@@ -356,9 +331,7 @@ class AdaptiveCampaignController:
             simulator.config.n_jobs if n_jobs is None else int(n_jobs)
         )
         self.retry = retry
-        self.payload = (
-            payload if payload is not None else {"simulator": simulator}
-        )
+        self.payload = payload
         self.journal_factory = journal_factory
         self.stage = stage
         max_trials = (
@@ -504,70 +477,58 @@ class AdaptiveCampaignController:
     # -- round execution -------------------------------------------------
 
     def _execute_round(self, round_index, bins, strata, seeds, allocation):
-        """Fan one round's draw blocks out and route results per bin.
+        """Run one round as a plan over its (bin, stratum) points.
 
-        Tasks are built for *every* round, replayed or not: spawning
-        the seeds keeps each bin's child-stream counter aligned with
-        the allocation history, so a resumed campaign's later rounds
-        draw the same streams as the uninterrupted run.
+        Returns the round's block results per bin, in (stratum, block)
+        order -- the stratified merge pools the raw blocks.  Points are
+        built for *every* round, replayed or not: spawning the seeds
+        keeps each bin's child-stream counter aligned with the
+        allocation history, so a resumed campaign's later rounds draw
+        the same streams as the uninterrupted run.
         """
-        tasks, owners = [], []
-        per_task = max(
-            1, math.ceil(self.simulator.config.chunk_size / DRAW_BLOCK_SIZE)
-        )
-        round_trials = 0
+        points, owners = [], []
         for bin_ in bins:
             alloc = allocation.get(bin_.key)
             if not alloc:
                 continue
-            total_blocks = sum(alloc.values())
-            child_seeds = seeds[bin_.key].spawn(total_blocks)
-            cursor = 0
+            child_seeds = iter(seeds[bin_.key].spawn(sum(alloc.values())))
             for stratum in strata[bin_.key]:
                 name = None if stratum is None else stratum["name"]
                 count = alloc.get(name, 0)
                 if count == 0:
                     continue
-                pairs = [
-                    (DRAW_BLOCK_SIZE, child_seeds[cursor + j])
-                    for j in range(count)
-                ]
-                cursor += count
-                round_trials += count * DRAW_BLOCK_SIZE
-                spec = {
-                    "particle": bin_.particle_name,
-                    "energy_mev": float(bin_.energy_mev),
-                    "vdd_v": float(bin_.vdd_v),
-                    "spectrum": bin_.spectrum,
-                    "e_range": bin_.e_range,
-                    "stratum": stratum,
-                }
-                for i in range(0, len(pairs), per_task):
-                    tasks.append((spec, pairs[i : i + per_task]))
-                    owners.append(bin_.key)
+                points.append(
+                    CampaignPoint(
+                        bin_.particle_name,
+                        float(bin_.energy_mev),
+                        float(bin_.vdd_v),
+                        tuple(
+                            (DRAW_BLOCK_SIZE, next(child_seeds))
+                            for _ in range(count)
+                        ),
+                        spectrum=bin_.spectrum,
+                        e_range=bin_.e_range,
+                        stratum=stratum,
+                    )
+                )
+                owners.append(bin_.key)
         journal = (
             self.journal_factory(round_index)
             if self.journal_factory is not None
             else None
         )
-        nested = parallel_map(
-            _adaptive_task,
-            tasks,
-            payload=self.payload,
+        per_point = BatchPlan(
+            self.simulator,
+            points,
             n_jobs=self.n_jobs,
-            label="adaptive",
             retry=self.retry.strict() if self.retry is not None else None,
             journal=journal,
-            cost_hint_s=2.0e-6 * round_trials / max(len(tasks), 1),
-        )
+            payload=self.payload,
+        ).run_blocks()
         routed: Dict[str, List[ArrayPofResult]] = {}
-        for owner, group in zip(owners, nested):
-            if group is None:
-                raise WorkerCrashError(
-                    "adaptive round lost a draw-block task; allocation "
-                    "would diverge -- rerun with a strict retry policy"
-                )
-            routed.setdefault(owner, []).extend(group)
+        for owner, blocks in zip(owners, per_point):
+            routed.setdefault(owner, []).extend(blocks)
+        round_trials = sum(point.n_particles for point in points)
         return routed, journal, round_trials
 
     # -- the campaign loop -----------------------------------------------

@@ -1,43 +1,47 @@
-"""Batch plans: the one driver of uniform flow-level array campaigns.
+"""Batch plans: the one way array Monte Carlo draw blocks run.
 
-:class:`~repro.core.SerFlow` runs every uniform scan -- ``fit`` (one
-case), ``sweep`` (all cases) and ``pof_vs_energy`` (one case, explicit
-energies) -- by queuing every draw block of every campaign into one
-:class:`BatchPlan` and executing them as a single map: draw blocks from
-different campaigns share pool tasks, and the one broadcast payload
-(the simulator, shipped via the :mod:`repro.parallel.shm` plane)
-serves all points.
+Every array campaign is a :class:`BatchPlan` of :class:`CampaignPoint`
+s, each point carrying its own draw blocks: ``ArraySerSimulator.run``
+and ``run_spectrum`` are one-point plans, :class:`~repro.core.SerFlow`
+runs each uniform scan (``fit``, ``sweep``, ``pof_vs_energy``) as one
+plan over its (particle, Vdd, energy) points, and an adaptive round
+(:mod:`repro.ser.adaptive`) is one plan over its (bin, stratum) points.
+:meth:`BatchPlan.run_blocks` runs every block of every point as a
+single :func:`~repro.parallel.parallel_map` (label ``array_mc``):
+blocks of different points share pool tasks of about ``chunk_size``
+particles, and the one broadcast payload (the simulator) serves all.
 
-Determinism is inherited, not re-proven: each point's draw blocks are
-the exact :func:`~repro.ser.mc._draw_blocks` partition, each block
-consumes the same :func:`~repro.parallel.spawn_seeds` child stream of
-the point's campaign seed, and per-point results merge in block order
--- so every point is bit-identical to ``simulator.run`` with the same
-seed, for any worker count (asserted by ``tests/test_fusion.py``).
+Determinism: a point's blocks are fixed when it is built, and a block's
+result depends only on its point, size and seed, never on the task
+that ran it.  Points merge their blocks in block order, so every
+result is bit-identical for any worker count and any ``chunk_size``
+(asserted by ``tests/test_fusion.py``).
 
-Fault tolerance: completed pool tasks journal through the standard
-array-shard codec so an interrupted plan resumes bit-identically; any
-draw block lost past the retry budget raises
-:class:`~repro.errors.WorkerCrashError` (the downstream FIT integral
-needs every energy bin, so degradation to a partial scan is not
-meaningful here).
+Fault tolerance: completed pool tasks journal through the array-shard
+codec, so an interrupted plan resumes bit-identically; a journaled
+shard whose block count differs from its task's (another task layout)
+raises instead of being truncated.  Blocks lost past the retry budget
+follow the caller's :class:`~repro.parallel.RetryPolicy`: a strict
+policy raises :class:`~repro.errors.WorkerCrashError` from the map;
+under ``allow_partial`` a point that lost some blocks merges the
+survivors flagged ``degraded``, and one that lost every block raises.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import WorkerCrashError
+from ..errors import ConfigError, SerializationError, WorkerCrashError
 from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
 from ..parallel import parallel_map, spawn_seeds
-from ..physics import get_particle
-from .mc import DRAW_BLOCK_SIZE, ArrayPofResult, _draw_blocks
+from .mc import DRAW_BLOCK_SIZE, ArrayPofResult
 
 _log = get_logger(__name__)
 
@@ -46,58 +50,92 @@ __all__ = ["BatchPlan", "CampaignPoint"]
 
 @dataclass(frozen=True)
 class CampaignPoint:
-    """One (particle, energy, Vdd) campaign queued into a plan."""
+    """One (particle, energy, Vdd) point of a plan and its draw blocks.
 
-    index: int
+    Spectrum points carry ``spectrum`` and ``e_range`` (``energy_mev``
+    is then the representative energy stamped on the result, as in
+    :meth:`~repro.ser.mc.ArraySerSimulator.run_spectrum`); an adaptive
+    stratum point carries its ``stratum`` dict (see
+    :mod:`repro.ser.adaptive`).
+    """
+
     particle_name: str
     energy_mev: float
     vdd_v: float
-    n_particles: int
-    #: Root :class:`numpy.random.SeedSequence` of the campaign -- the
-    #: very seed the per-campaign path would hand ``simulator.run``.
-    seed: np.random.SeedSequence
+    #: ``(size, SeedSequence)`` draw blocks, in merge order.
+    blocks: Tuple[Tuple[int, np.random.SeedSequence], ...]
+    spectrum: object = field(default=None, compare=False, repr=False)
+    e_range: Optional[Tuple[float, float]] = None
+    stratum: Optional[dict] = None
+
+    @classmethod
+    def uniform(
+        cls,
+        particle_name: str,
+        energy_mev: float,
+        vdd_v: float,
+        n_particles: int,
+        seed,
+        *,
+        spectrum=None,
+        e_range=None,
+    ) -> "CampaignPoint":
+        """A whole campaign of ``n_particles``, as ``simulator.run`` draws it.
+
+        The particles are partitioned into full
+        :data:`~repro.ser.mc.DRAW_BLOCK_SIZE` blocks plus one remainder
+        block, and block ``i`` gets the ``i``-th child stream spawned
+        off ``seed``: a :class:`~numpy.random.SeedSequence`, or a
+        :class:`~numpy.random.Generator` whose seed sequence keeps its
+        spawn counter across calls.
+        """
+        if energy_mev <= 0:
+            raise ConfigError("energy must be positive")
+        if n_particles < 1:
+            raise ConfigError("need at least one particle")
+        full, rest = divmod(int(n_particles), DRAW_BLOCK_SIZE)
+        sizes = [DRAW_BLOCK_SIZE] * full + ([rest] if rest else [])
+        seeds = spawn_seeds(np.random.default_rng(seed), len(sizes))
+        return cls(
+            particle_name,
+            float(energy_mev),
+            float(vdd_v),
+            tuple(zip(sizes, seeds)),
+            spectrum=spectrum,
+            e_range=e_range,
+        )
+
+    @property
+    def n_particles(self) -> int:
+        return sum(size for size, _seed in self.blocks)
 
 
-def _fused_task(payload, task):
-    """Pool worker: run a task's draw blocks (any campaign mix), in order.
+def _block_task(payload, task):
+    """Pool worker: run a task's draw blocks (any mix of points), in order.
 
-    Each unit is ``(particle_name, energy_mev, vdd_v, size, seed)``;
-    the per-block payload is rebuilt from the broadcast simulator
-    exactly as ``ArraySerSimulator._run_campaign`` would build it, so a
-    block computes the identical result regardless of which campaigns
-    share its task.
+    Each unit is ``(point, size, seed)``, the point shipped with empty
+    ``blocks``; a block's result depends on nothing else, so it is the
+    same whichever task, and whichever other points, it shares.
     """
     simulator = payload["simulator"]
-    window = simulator.layout.launch_window(simulator.config.margin_nm)
-    results = []
-    for particle_name, energy_mev, vdd_v, size, seed in task:
-        block_payload = {
-            "simulator": simulator,
-            "particle": get_particle(particle_name),
-            "energy_mev": float(energy_mev),
-            "vdd_v": float(vdd_v),
-            "window": window,
-            "law": simulator.config.law_for(particle_name),
-            "spectrum": None,
-            "e_range": None,
-        }
-        results.append(simulator._run_block(block_payload, size, seed))
-    return results
+    return [
+        simulator._run_block(point, size, seed) for point, size, seed in task
+    ]
 
 
 class BatchPlan:
-    """The draw blocks of a list of campaigns, run as one parallel map.
+    """The draw blocks of a list of campaign points, run as one map.
 
     Parameters
     ----------
     simulator:
         The shared :class:`~repro.ser.mc.ArraySerSimulator`.
     points:
-        The queued campaigns, in result order.
+        The queued campaign points, in result order.
     n_jobs, retry, journal:
         The usual execution/fault-tolerance knobs of
-        :func:`~repro.parallel.parallel_map`; the retry policy is
-        forced strict (see module docstring).
+        :func:`~repro.parallel.parallel_map`; the retry policy is used
+        as given (see module docstring for the lost-block rule).
     payload:
         Optional pre-packed broadcast payload holding the simulator
         (``SerFlow._campaign_payload``); defaults to a plain dict.
@@ -115,35 +153,24 @@ class BatchPlan:
     ):
         self.simulator = simulator
         self.points = list(points)
+        if any(not point.blocks for point in self.points):
+            raise ConfigError("every campaign point needs draw blocks")
         self.n_jobs = n_jobs
         self.retry = retry
         self.journal = journal
         self.payload = payload
 
-    def execute(self) -> List[ArrayPofResult]:
-        """Run every queued campaign; one merged result per point.
+    def run_blocks(self) -> List[List[Optional[ArrayPofResult]]]:
+        """Run every point's draw blocks as one map.
 
-        Results come back in point order, each bit-identical to what
-        ``simulator.run(point...)`` would have produced.
+        Returns one list per point holding its block results in block
+        order; a block whose pool task was lost past a lenient retry
+        budget is ``None``.
         """
         units = []
-        block_counts = []
         for point in self.points:
-            blocks = _draw_blocks(point.n_particles)
-            seeds = spawn_seeds(
-                np.random.default_rng(point.seed), len(blocks)
-            )
-            block_counts.append(len(blocks))
-            for size, seed in zip(blocks, seeds):
-                units.append(
-                    (
-                        point.particle_name,
-                        float(point.energy_mev),
-                        float(point.vdd_v),
-                        size,
-                        seed,
-                    )
-                )
+            bare = dataclasses.replace(point, blocks=())
+            units.extend((bare, size, seed) for size, seed in point.blocks)
         per_task = max(
             1, math.ceil(self.simulator.config.chunk_size / DRAW_BLOCK_SIZE)
         )
@@ -165,11 +192,9 @@ class BatchPlan:
                 particles=total_particles,
             ),
         )
-
-        t0 = time.perf_counter()
         with metrics.time("array_mc.plan"):
             nested = parallel_map(
-                _fused_task,
+                _block_task,
                 tasks,
                 payload=(
                     self.payload
@@ -177,41 +202,84 @@ class BatchPlan:
                     else {"simulator": self.simulator}
                 ),
                 n_jobs=self.n_jobs,
-                label="fused_campaigns",
-                retry=self.retry.strict() if self.retry is not None else None,
+                label="array_mc",
+                retry=self.retry,
                 journal=self.journal,
+                # ~2 us per particle: tiny plans skip pool spin-up
                 cost_hint_s=2.0e-6 * total_particles / max(len(tasks), 1),
             )
-            lost = sum(1 for group in nested if group is None)
-            if lost:
-                raise WorkerCrashError(
-                    f"batch plan lost {lost}/{len(tasks)} pool tasks to "
-                    "worker crashes; the FIT integral needs every energy "
-                    "bin, so a plan cannot degrade"
-                )
-            flat = [result for group in nested for result in group]
-        elapsed = time.perf_counter() - t0
 
-        # per-point merge, in block order -- the same reduction
-        # ArraySerSimulator._run_campaign performs on its own blocks
-        results = []
-        offset = 0
-        per_point_elapsed = elapsed / max(len(self.points), 1)
-        with metrics.time("array_mc.merge"):
-            for point, n_blocks in zip(self.points, block_counts):
-                merged = ArrayPofResult.merge(
-                    flat[offset : offset + n_blocks]
+        flat: List[Optional[ArrayPofResult]] = []
+        for index, (task, group) in enumerate(zip(tasks, nested)):
+            if group is None:
+                flat.extend([None] * len(task))
+                continue
+            if len(group) != len(task):
+                raise SerializationError(
+                    f"array-MC shard {index} holds {len(group)} block "
+                    f"results but its task has {len(task)} blocks; a "
+                    "journal written under another task layout cannot "
+                    "resume this plan"
                 )
-                offset += n_blocks
+            flat.extend(group)
+        per_point = []
+        offset = 0
+        for point in self.points:
+            per_point.append(flat[offset : offset + len(point.blocks)])
+            offset += len(point.blocks)
+        return per_point
+
+    def execute(self) -> List[ArrayPofResult]:
+        """Run every point; one merged result per point, in point order.
+
+        A point whose blocks all completed is bit-identical to
+        ``simulator.run`` with the same seed.  A point that lost some
+        blocks merges the survivors flagged ``degraded``; one that lost
+        every block raises :class:`~repro.errors.WorkerCrashError`.
+        """
+        t0 = time.perf_counter()
+        per_point = self.run_blocks()
+        per_point_elapsed = (time.perf_counter() - t0) / max(
+            len(self.points), 1
+        )
+
+        metrics = get_registry()
+        results = []
+        with metrics.time("array_mc.merge"):
+            for point, blocks in zip(self.points, per_point):
+                survivors = [block for block in blocks if block is not None]
+                if not survivors:
+                    raise WorkerCrashError(
+                        f"array MC point {point.particle_name} "
+                        f"{point.energy_mev:g} MeV {point.vdd_v:g} V lost "
+                        "every draw block to worker crashes; nothing to merge"
+                    )
+                merged = ArrayPofResult.merge(survivors)
+                if len(survivors) < len(blocks):
+                    merged = dataclasses.replace(merged, degraded=True)
+                    _log.warning(
+                        "array MC campaign degraded %s",
+                        kv(
+                            particle=point.particle_name,
+                            energy_mev=point.energy_mev,
+                            vdd=point.vdd_v,
+                            lost_blocks=len(blocks) - len(survivors),
+                            total_blocks=len(blocks),
+                        ),
+                    )
                 results.append(merged)
                 if metrics.enabled:
-                    self.simulator._record_run_metrics(
-                        metrics,
-                        merged.n_particles,
-                        merged.n_array_hits,
-                        merged.n_fin_strikes,
-                        per_point_elapsed,
+                    n = merged.n_particles
+                    metrics.counter("array_mc.runs").inc()
+                    metrics.counter("array_mc.particles").inc(n)
+                    metrics.counter("array_mc.hits").inc(merged.n_array_hits)
+                    metrics.counter("array_mc.strikes").inc(
+                        merged.n_fin_strikes
                     )
+                    if per_point_elapsed > 0:
+                        metrics.gauge("array_mc.rays_per_sec").set(
+                            n / per_point_elapsed
+                        )
                 record_bin(
                     "array-mc",
                     trials=int(merged.n_particles),

@@ -20,31 +20,29 @@ Two charge-deposition modes (DESIGN.md Section 5):
 Execution model (docs/performance.md): a campaign is partitioned into
 fixed-size *draw blocks* of :data:`DRAW_BLOCK_SIZE` particles.  Block
 ``i`` always consumes the ``i``-th child stream spawned off the
-caller's generator, blocks are bundled into pool tasks of roughly
-``chunk_size`` particles, and the per-block partial results are merged
-in block order -- so for a fixed seed the campaign result is
-bit-identical for any ``n_jobs`` and any ``chunk_size``.
+caller's generator, and the campaign runs as a one-point
+:class:`~repro.ser.fusion.BatchPlan`, which bundles blocks into pool
+tasks of roughly ``chunk_size`` particles and merges the per-block
+partial results in block order -- so for a fixed seed the campaign
+result is bit-identical for any ``n_jobs`` and any ``chunk_size``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..constants import ELEMENTARY_CHARGE_C
-from ..errors import ConfigError, WorkerCrashError
+from ..errors import ConfigError
 from ..geometry import BoxGrid, RayBatch, chord_lengths
 from ..layout import SramArrayLayout
-from ..obs import get_logger, get_registry, kv
-from ..obs.convergence import record_bin
-from ..parallel import parallel_map, spawn_seeds
+from ..obs import get_logger, kv
 from ..physics import (
     ParticleType,
+    get_particle,
     sample_deposits_kev,
     sample_pairs,
     sample_rays,
@@ -535,22 +533,6 @@ class ArrayPofResult:
         )
 
 
-def _draw_blocks(n_particles: int) -> List[int]:
-    """The fixed partition of a campaign into draw-block sizes."""
-    full, rest = divmod(n_particles, DRAW_BLOCK_SIZE)
-    blocks = [DRAW_BLOCK_SIZE] * full
-    if rest:
-        blocks.append(rest)
-    return blocks
-
-
-def _bundle_tasks(blocks, seeds, chunk_size: int):
-    """Group (size, seed) draw blocks into pool tasks of ~chunk_size."""
-    per_task = max(1, math.ceil(chunk_size / DRAW_BLOCK_SIZE))
-    pairs = list(zip(blocks, seeds))
-    return [pairs[i : i + per_task] for i in range(0, len(pairs), per_task)]
-
-
 def _sample_stratum_rays(n, rng, rects, z, law) -> RayBatch:
     """Launch rays uniformly over a union of disjoint rectangles.
 
@@ -575,12 +557,6 @@ def _sample_stratum_rays(n, rng, rects, z, law) -> RayBatch:
     origins[:, 1] = rects[idx, 2] + u[:, 1] * (rects[idx, 3] - rects[idx, 2])
     origins[:, 2] = z
     return RayBatch(origins, sample_directions(n, rng, law))
-
-
-def _array_task(payload, task):
-    """Pool worker: run the task's draw blocks, in order."""
-    simulator = payload["simulator"]
-    return [simulator._run_block(payload, size, seed) for size, seed in task]
 
 
 def array_shard_encode(result) -> list:
@@ -625,6 +601,7 @@ class ArraySerSimulator:
             [self._array_bbox.lo, self._array_bbox.hi]
         )[np.newaxis, :]
         self._empty_pmf = np.zeros(self.config.max_multiplicity + 1)
+        self._window = self.layout.launch_window(self.config.margin_nm)
 
     def run(
         self,
@@ -644,20 +621,11 @@ class ArraySerSimulator:
         and an optional :class:`~repro.parallel.ShardJournal`
         checkpoint (construct it with :func:`array_shard_encode` /
         :func:`array_shard_decode`) so an interrupted campaign resumes
-        bit-identically.
+        bit-identically.  Under ``allow_partial`` a campaign that lost
+        draw blocks returns the survivors' merge flagged ``degraded``.
         """
-        if energy_mev <= 0:
-            raise ConfigError("energy must be positive")
-        return self._run_campaign(
-            particle,
-            float(energy_mev),
-            vdd_v,
-            n_particles,
-            rng,
-            spectrum=None,
-            e_range=None,
-            retry=retry,
-            journal=journal,
+        return self._run_point(
+            particle, energy_mev, vdd_v, n_particles, rng, retry, journal
         )
 
     def run_spectrum(
@@ -683,168 +651,101 @@ class ArraySerSimulator:
         """
         e_min = e_min_mev if e_min_mev is not None else spectrum.e_min_mev
         e_max = e_max_mev if e_max_mev is not None else spectrum.e_max_mev
-        return self._run_campaign(
+        return self._run_point(
             particle,
             float(np.sqrt(e_min * e_max)),
             vdd_v,
             n_particles,
             rng,
+            retry,
+            journal,
             spectrum=spectrum,
             e_range=(float(e_min), float(e_max)),
-            retry=retry,
-            journal=journal,
         )
 
     # -- campaign execution ----------------------------------------------------
 
-    def _run_campaign(
+    def _run_point(
         self,
         particle,
         energy_mev,
         vdd_v,
         n_particles,
         rng,
-        spectrum,
-        e_range,
-        retry=None,
-        journal=None,
+        retry,
+        journal,
+        **fields,
     ) -> ArrayPofResult:
-        if n_particles < 1:
-            raise ConfigError("need at least one particle")
+        """Run one campaign as a one-point plan.
 
-        window = self.layout.launch_window(self.config.margin_nm)
-        blocks = _draw_blocks(n_particles)
-        seeds = spawn_seeds(rng, len(blocks))
-        tasks = _bundle_tasks(blocks, seeds, self.config.chunk_size)
-        payload = {
-            "simulator": self,
-            "particle": particle,
-            "energy_mev": float(energy_mev),
-            "vdd_v": float(vdd_v),
-            "window": window,
-            "law": self.config.law_for(particle.name),
-            "spectrum": spectrum,
-            "e_range": e_range,
-        }
+        A merge that lost no draw blocks clears the journal.
+        """
+        from .fusion import BatchPlan, CampaignPoint
 
-        metrics = get_registry()
-        t0 = time.perf_counter()
-        with metrics.time("array_mc.run"):
-            nested = parallel_map(
-                _array_task,
-                tasks,
-                payload=payload,
-                n_jobs=self.config.n_jobs,
-                label="array_mc",
-                retry=retry,
-                journal=journal,
-                # ~2 us per particle: tiny campaigns skip pool spin-up
-                cost_hint_s=2.0e-6 * n_particles / max(len(tasks), 1),
-            )
-            lost = sum(1 for group in nested if group is None)
-            with metrics.time("array_mc.merge"):
-                block_results = [
-                    result
-                    for group in nested
-                    if group is not None
-                    for result in group
-                ]
-                if not block_results:
-                    raise WorkerCrashError(
-                        "array MC campaign lost every draw block to "
-                        "worker crashes; nothing to merge"
-                    )
-                merged = ArrayPofResult.merge(block_results)
-            if lost:
-                merged = dataclasses.replace(merged, degraded=True)
-                _log.warning(
-                    "array MC campaign degraded %s",
-                    kv(
-                        particle=particle.name,
-                        energy_mev=float(energy_mev),
-                        vdd=float(vdd_v),
-                        lost_tasks=lost,
-                        total_tasks=len(tasks),
-                        particles=f"{merged.n_particles}/{n_particles}",
-                    ),
-                )
-            elif journal is not None:
-                journal.clear()
-        elapsed = time.perf_counter() - t0
-
-        if metrics.enabled:
-            self._record_run_metrics(
-                metrics,
-                merged.n_particles,
-                merged.n_array_hits,
-                merged.n_fin_strikes,
-                elapsed,
-            )
-        record_bin(
-            "array-mc",
-            trials=int(merged.n_particles),
-            pof=float(merged.pof_total),
-            particle=merged.particle_name,
-            vdd_v=float(merged.vdd_v),
-            energy_mev=(
-                float(merged.energy_mev)
-                if merged.energy_mev is not None
-                else None
-            ),
+        point = CampaignPoint.uniform(
+            particle.name, energy_mev, vdd_v, n_particles, rng, **fields
         )
+        (merged,) = BatchPlan(
+            self,
+            [point],
+            n_jobs=self.config.n_jobs,
+            retry=retry,
+            journal=journal,
+        ).execute()
+        if journal is not None and not merged.degraded:
+            journal.clear()
         return merged
 
-    def _run_block(self, payload, block_size: int, seed) -> ArrayPofResult:
-        """One draw block: sample, strike, combine -- with its own stream.
+    def _run_block(self, point, block_size: int, seed) -> ArrayPofResult:
+        """One draw block of ``point``: sample, strike, combine -- own stream.
 
-        An optional ``payload["stratum"]`` dict (see
-        :mod:`repro.ser.adaptive`) restricts the block to one sampling
-        stratum: ``rects`` confines launch positions to a union of
-        launch-plane rectangles and ``e_range`` overrides the spectrum
-        sub-band.  The block result then reports the stratum's name and
-        probability ``weight`` so :meth:`ArrayPofResult.merge` can
-        reweight it exactly; its POF values are conditional on the
-        stratum (``launch_area_cm2`` still names the full window).
+        A point with a ``stratum`` dict (see :mod:`repro.ser.adaptive`)
+        draws from that one sampling stratum: ``rects`` confines launch
+        positions to a union of launch-plane rectangles and ``e_range``
+        overrides the spectrum sub-band.  The block result then reports
+        the stratum's name and probability ``weight`` so
+        :meth:`ArrayPofResult.merge` can reweight it exactly; its POF
+        values are conditional on the stratum (``launch_area_cm2``
+        still names the full window).
         """
         rng = np.random.default_rng(seed)
-        x_range, y_range, z, launch_area = payload["window"]
-        stratum = payload.get("stratum")
-        spectrum = payload["spectrum"]
-        if spectrum is not None:
-            e_min, e_max = payload["e_range"]
+        x_range, y_range, z, launch_area = self._window
+        particle = get_particle(point.particle_name)
+        law = self.config.law_for(particle.name)
+        stratum = point.stratum
+        if point.spectrum is not None:
+            e_min, e_max = point.e_range
             if stratum is not None and stratum.get("e_range") is not None:
                 e_min, e_max = stratum["e_range"]
-            energy = spectrum.sample_energies(
+            energy = point.spectrum.sample_energies(
                 block_size, rng, e_min_mev=e_min, e_max_mev=e_max
             )
         else:
-            energy = payload["energy_mev"]
+            energy = point.energy_mev
         if stratum is not None and stratum.get("rects") is not None:
             rays = _sample_stratum_rays(
-                block_size, rng, stratum["rects"], z, payload["law"]
+                block_size, rng, stratum["rects"], z, law
             )
         else:
-            rays = sample_rays(
-                block_size, rng, x_range, y_range, z, payload["law"]
-            )
+            rays = sample_rays(block_size, rng, x_range, y_range, z, law)
         totals, seus, mbus, hits, strikes, pmf = self._process_batch(
-            payload["particle"], energy, payload["vdd_v"], rays, rng
+            particle, energy, point.vdd_v, rays, rng
         )
         _log.debug(
             "array-mc block %s",
             kv(
-                particle=payload["particle"].name,
-                energy_mev=payload["energy_mev"],
-                vdd=payload["vdd_v"],
+                particle=particle.name,
+                energy_mev=point.energy_mev,
+                vdd=point.vdd_v,
                 particles=block_size,
                 hits=hits,
                 strikes=strikes,
             ),
         )
         return ArrayPofResult(
-            particle_name=payload["particle"].name,
-            energy_mev=payload["energy_mev"],
-            vdd_v=payload["vdd_v"],
+            particle_name=particle.name,
+            energy_mev=point.energy_mev,
+            vdd_v=point.vdd_v,
             n_particles=block_size,
             n_array_hits=hits,
             n_fin_strikes=strikes,
@@ -856,18 +757,6 @@ class ArraySerSimulator:
             weight=(1.0 if stratum is None else float(stratum["weight"])),
             stratum=(None if stratum is None else stratum["name"]),
         )
-
-    # -- instrumentation -------------------------------------------------------
-
-    @staticmethod
-    def _record_run_metrics(metrics, n_particles, n_hits, n_strikes, elapsed):
-        """Fold one campaign into the registry (enabled state only)."""
-        metrics.counter("array_mc.runs").inc()
-        metrics.counter("array_mc.particles").inc(n_particles)
-        metrics.counter("array_mc.hits").inc(n_hits)
-        metrics.counter("array_mc.strikes").inc(n_strikes)
-        if elapsed > 0:
-            metrics.gauge("array_mc.rays_per_sec").set(n_particles / elapsed)
 
     # -- kernel ----------------------------------------------------------------
 

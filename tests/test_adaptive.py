@@ -522,7 +522,9 @@ class TestController:
 
 
 class TestKillAndResume:
-    def _controller(self, simulator, journal_dir):
+    def _controller(
+        self, simulator, journal_dir, retry=RetryPolicy(retries=0)
+    ):
         factory = None
         if journal_dir is not None:
             def factory(round_index):
@@ -542,7 +544,7 @@ class TestKillAndResume:
                 max_rounds=8,
             ),
             n_jobs=2,
-            retry=RetryPolicy(retries=0),
+            retry=retry,
             journal_factory=factory,
         )
 
@@ -560,7 +562,7 @@ class TestKillAndResume:
         assert len(clean.rounds) > 1  # resume must replay real rounds
 
         marker = tmp_path / "killed"
-        monkeypatch.setenv(FAULT_ENV, f"adaptive:1:{marker}")
+        monkeypatch.setenv(FAULT_ENV, f"array_mc:1:{marker}")
         with pytest.raises(WorkerCrashError):
             self._controller(simulator, tmp_path).run(
                 bins, seed_for_fn(bins)
@@ -581,13 +583,25 @@ class TestKillAndResume:
         # a completed campaign clears its checkpoints
         assert not list(tmp_path.glob("round*.jsonl"))
 
-    def test_strict_retry_never_degrades(self, layout, pof_table):
-        # the controller refuses lossy retry policies implicitly: its
-        # maps run with policy.strict(), so a lost block raises instead
-        # of producing a silently degraded allocation input
-        simulator = make_simulator(layout, pof_table)
-        controller = self._controller(simulator, None)
-        assert controller.retry.strict().allow_partial is False
+    def test_lenient_retry_still_raises(
+        self, layout, pof_table, tmp_path, monkeypatch
+    ):
+        """A lost block raises even under ``allow_partial``: rounds run
+        strict, since a degraded block would skew every later
+        allocation decision."""
+        simulator = make_simulator(layout, pof_table, chunk_size=4096)
+        bins = [
+            AdaptiveBin(ALPHA.name, 1.0, 0.7),
+            AdaptiveBin(ALPHA.name, 8.0, 0.7),
+        ]
+        controller = self._controller(
+            simulator, None, RetryPolicy(retries=0, allow_partial=True)
+        )
+        marker = tmp_path / "killed"
+        monkeypatch.setenv(FAULT_ENV, f"array_mc:1:{marker}")
+        with pytest.raises(WorkerCrashError):
+            controller.run(bins, seed_for_fn(bins))
+        assert marker.exists()
 
 
 # -- flow integration ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Batch plans: the one driver of uniform flow-level array campaigns.
+"""Batch plans: the one way array Monte Carlo draw blocks run.
 
 Covers the contracts of :mod:`repro.ser.fusion` and its flow wiring:
 
@@ -7,8 +7,10 @@ Covers the contracts of :mod:`repro.ser.fusion` and its flow wiring:
   per-point runs seeded with ``flow._campaign_seed(stage, ...)``;
 * pinned literals -- a tiny flow's FITs and sweep cache key, captured
   before the per-campaign driver was removed, never drift;
-* fault tolerance -- a plan cannot degrade, and a killed ``fit``
-  resumes bit-identically from its plan journal;
+* fault tolerance -- lost blocks follow the caller's retry policy (a
+  lenient plan degrades per point, a flow scan raises), a killed
+  ``fit`` resumes bit-identically from its plan journal, and a journal
+  of another task layout never feeds a plan;
 * the inlined numpy kernels and the vectorized cluster/POF-grouping
   helpers match their sequential/loop references bitwise;
 * observability -- plan counters land in the manifest's ``mc``
@@ -17,21 +19,23 @@ Covers the contracts of :mod:`repro.ser.fusion` and its flow wiring:
 """
 
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import FlowConfig, SerFlow
-from repro.errors import ConfigError, WorkerCrashError
+from repro.errors import ConfigError, SerializationError, WorkerCrashError
 from repro.layout import SramArrayLayout
 from repro.obs.inspect import diff_manifests
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.registry import disable_metrics, enable_metrics, get_registry
-from repro.parallel import RetryPolicy, get_lease, get_pack
+from repro.parallel import RetryPolicy, ShardJournal, get_lease, get_pack
 from repro.parallel.engine import FAULT_ENV
 from repro.physics import ALPHA, get_particle
 from repro.ser import (
+    AdaptiveConfig,
     ArrayMcConfig,
     ArraySerSimulator,
     BatchPlan,
@@ -39,6 +43,11 @@ from repro.ser import (
     integrate_fit,
 )
 from repro.ser.clusters import _pair_streams
+from repro.ser.mc import (
+    DRAW_BLOCK_SIZE,
+    array_shard_decode,
+    array_shard_encode,
+)
 from repro.sram import CharacterizationConfig, PofTable, SramCellDesign
 from repro.sram.ivtab import I_SCALE_A, IVTables
 from repro.sram.pof_lut import _group_codes
@@ -153,15 +162,10 @@ class TestBatchPlan:
             for energy, vdd, n, seed in specs
         ]
         points = [
-            CampaignPoint(
-                index=i,
-                particle_name="alpha",
-                energy_mev=energy,
-                vdd_v=vdd,
-                n_particles=n,
-                seed=np.random.SeedSequence(seed),
+            CampaignPoint.uniform(
+                "alpha", energy, vdd, n, np.random.SeedSequence(seed)
             )
-            for i, (energy, vdd, n, seed) in enumerate(specs)
+            for energy, vdd, n, seed in specs
         ]
         fused = BatchPlan(simulator, points).execute()
         assert len(fused) == 2
@@ -171,7 +175,9 @@ class TestBatchPlan:
     def test_fused_plan_metrics(self, layout, pof_table, metrics):
         simulator = make_simulator(layout, pof_table)
         points = [
-            CampaignPoint(0, "alpha", 5.0, 0.7, 5000, np.random.SeedSequence(1))
+            CampaignPoint.uniform(
+                "alpha", 5.0, 0.7, 5000, np.random.SeedSequence(1)
+            )
         ]
         BatchPlan(simulator, points).execute()
         counters = get_registry().snapshot()["counters"]
@@ -188,23 +194,6 @@ class TestBatchPlan:
         assert counters["array_mc.runs"] == 2
         assert counters["array_mc.particles"] == 2 * 4096
         assert not any(name.startswith("backend.") for name in counters)
-
-    def test_lost_task_raises(self, layout, pof_table, tmp_path, monkeypatch):
-        """A plan cannot degrade: a lost block is fatal."""
-        simulator = make_simulator(layout, pof_table)
-        points = [
-            CampaignPoint(0, "alpha", 5.0, 0.7, 9000, np.random.SeedSequence(1))
-        ]
-        marker = tmp_path / "killed"
-        monkeypatch.setenv(FAULT_ENV, f"fused_campaigns:0:{marker}")
-        with pytest.raises(WorkerCrashError):
-            BatchPlan(
-                simulator,
-                points,
-                n_jobs=2,
-                retry=RetryPolicy(retries=0, allow_partial=True),
-            ).execute()
-        assert marker.exists()
 
 
 # -- flow scans run as plans ---------------------------------------------------
@@ -360,7 +349,7 @@ class TestFlowKillResume:
         clean = SerFlow(config, cache_dir=str(cache_dir)).fit("alpha", 0.7)
 
         marker = tmp_path / "killed"
-        monkeypatch.setenv(FAULT_ENV, f"fused_campaigns:2:{marker}")
+        monkeypatch.setenv(FAULT_ENV, f"array_mc:2:{marker}")
         killed = SerFlow(
             config,
             cache_dir=str(cache_dir),
@@ -380,6 +369,165 @@ class TestFlowKillResume:
         assert get_registry().counter("journal.resumed").value >= 1
         assert_fits_identical(resumed, clean)
         assert not journals[0].exists()  # cleared after completion
+
+
+class TestLostBlocks:
+    """Lost blocks follow the caller's retry policy, point by point."""
+
+    def test_lenient_plan_flags_only_points_that_lost_blocks(
+        self, layout, pof_table, tmp_path, monkeypatch, clean_engine_state
+    ):
+        # one block per task: points own tasks 0-1, 2-3 and 4-7, and the
+        # kill hits task 6.  With two workers at most one earlier task
+        # is still in flight when the pool breaks, so every point keeps
+        # a block and at least one of the first two stays whole.
+        simulator = make_simulator(layout, pof_table, chunk_size=4096)
+        specs = [
+            (5.0, 0.7, 2 * DRAW_BLOCK_SIZE, 11),
+            (2.0, 0.9, 2 * DRAW_BLOCK_SIZE, 12),
+            (8.0, 0.7, 4 * DRAW_BLOCK_SIZE, 13),
+        ]
+        solo = [
+            simulator.run(
+                ALPHA,
+                energy,
+                vdd,
+                n,
+                np.random.default_rng(np.random.SeedSequence(seed)),
+            )
+            for energy, vdd, n, seed in specs
+        ]
+        points = [
+            CampaignPoint.uniform(
+                "alpha", energy, vdd, n, np.random.SeedSequence(seed)
+            )
+            for energy, vdd, n, seed in specs
+        ]
+        marker = tmp_path / "killed"
+        monkeypatch.setenv(FAULT_ENV, f"array_mc:6:{marker}")
+        results = BatchPlan(
+            simulator,
+            points,
+            n_jobs=2,
+            retry=RetryPolicy(retries=0, allow_partial=True),
+        ).execute()
+        assert marker.exists()
+        assert results[2].degraded
+        whole = 0
+        for point, result, single in zip(points, results, solo):
+            if result.n_particles == point.n_particles:
+                assert not result.degraded
+                assert_results_identical(result, single)
+                whole += 1
+            else:
+                assert result.degraded
+                assert 0 < result.n_particles < point.n_particles
+        assert whole >= 1
+
+    def test_flow_fit_raises_under_lenient_policy(
+        self,
+        flow_config,
+        cache_dir,
+        tmp_path,
+        monkeypatch,
+        clean_engine_state,
+    ):
+        """A FIT needs every bin whole: the flow's plan runs strict."""
+        # 2 bins x 5 blocks -> 5 two-block tasks; killing the last one
+        # leaves both bins a surviving block, so only strictness raises
+        config = replace(flow_config, mc_particles_per_bin=20000)
+        flow = SerFlow(
+            config,
+            cache_dir=str(cache_dir),
+            n_jobs=2,
+            retry=RetryPolicy(retries=0, allow_partial=True),
+            resume=False,
+        )
+        marker = tmp_path / "killed"
+        monkeypatch.setenv(FAULT_ENV, f"array_mc:4:{marker}")
+        with pytest.raises(WorkerCrashError):
+            flow.fit("alpha", 0.7)
+        assert marker.exists()
+
+
+class TestJournalLayout:
+    """A journal written under another task layout never feeds a plan."""
+
+    def test_short_shard_raises(self, layout, pof_table, tmp_path):
+        simulator = make_simulator(layout, pof_table)  # 2 blocks per task
+        point = CampaignPoint.uniform(
+            "alpha", 5.0, 0.7, 2 * DRAW_BLOCK_SIZE, np.random.SeedSequence(1)
+        )
+        (blocks,) = BatchPlan(simulator, [point]).run_blocks()
+        journal = ShardJournal(
+            tmp_path / "plan.jsonl",
+            "plan-key",
+            array_shard_encode,
+            array_shard_decode,
+        )
+        journal.record(0, blocks[:1])
+        with pytest.raises(SerializationError, match="shard 0"):
+            BatchPlan(simulator, [point], journal=journal).run_blocks()
+
+    def test_pre_upgrade_adaptive_round_journal_is_ignored(
+        self, flow_config, cache_dir, tmp_path, metrics
+    ):
+        """Round journals of the per-stratum task layout are never loaded."""
+        config = replace(
+            flow_config,
+            mc_particles_per_bin=4 * DRAW_BLOCK_SIZE,
+            adaptive=AdaptiveConfig(
+                target_se=1e-5,
+                pilot_trials=2 * DRAW_BLOCK_SIZE,
+                round_blocks=2,
+                max_rounds=3,
+            ),
+        )
+        clean = SerFlow(config, cache_dir=str(cache_dir), resume=False).fit(
+            "alpha", 0.7
+        )
+
+        flow = SerFlow(
+            config, cache_dir=str(shutil.copytree(cache_dir, tmp_path / "c"))
+        )
+        energies = [
+            float(e) for e in flow._fit_bins("alpha").representative_mev
+        ]
+        (blocks,) = BatchPlan(
+            flow.simulator(),
+            [
+                CampaignPoint.uniform(
+                    "alpha",
+                    energies[0],
+                    0.7,
+                    DRAW_BLOCK_SIZE,
+                    np.random.SeedSequence(0),
+                )
+            ],
+        ).run_blocks()
+        # the round-0 key as written before rounds ran as plans; its
+        # one-block shards would not fit the plan's two-block tasks
+        stale = flow._journal_for(
+            "fit-alpha-adaptive-r0000",
+            array_shard_encode,
+            array_shard_decode,
+            flow.config,
+            flow.design.tech,
+            {
+                "stage": "fit",
+                "particle": "alpha",
+                "vdd": "0.7",
+                "energies": [f"{energy:.9g}" for energy in energies],
+                "round": 0,
+            },
+        )
+        for index in range(4):
+            stale.record(index, blocks)
+
+        resumed = flow.fit("alpha", 0.7)
+        assert get_registry().counter("journal.resumed").value == 0
+        assert_fits_identical(resumed, clean)
+        assert stale.path.exists()
 
 
 # -- inlined numpy kernels vs. their references --------------------------------
