@@ -418,10 +418,10 @@ class SerFlow:
         pre-packs it a single time (see
         :class:`~repro.parallel.shm.PackedPayload`): repeat fan-outs
         skip per-map pickling entirely, warm workers recognize the
-        fingerprint and keep the payload they already rebuilt
-        (interpolator caches included), and per-task IPC shrinks to
-        shared-memory references.  Inline execution (``n_jobs <= 1``)
-        has no transport cost, so it keeps the plain dict.
+        fingerprint and keep the payload they already rebuilt, and
+        per-task IPC shrinks to shared-memory references.  Inline
+        execution (``n_jobs <= 1``) has no transport cost, so it keeps
+        the plain dict.
         """
         if resolve_jobs(self.n_jobs) <= 1:
             return {"simulator": self.simulator()}

@@ -38,6 +38,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 from typing import Dict, Optional, Tuple
 
 from ..obs import get_logger, get_registry, kv
@@ -119,6 +120,14 @@ class PoolLease:
             return executor, True
         if executor is not None:
             self.invalidate(context, jobs)
+        # Forked workers must share this process's resource tracker: a
+        # worker that attaches a shared segment registers it, and one
+        # forked before any tracker exists starts its own, which unlinks
+        # every segment the worker attached once the worker dies -- live
+        # segments the parent still serves (Python < 3.13).  Spawned and
+        # forkserver workers are handed the parent's tracker anyway.
+        if context.get_start_method() == "fork":
+            resource_tracker.ensure_running()
         # The telemetry queue must be born with the pool: queues are
         # only picklable through the Process constructor, and warm
         # workers outlive any single map.

@@ -291,10 +291,10 @@ class PackedPayload:
 
     ``data`` is the pickle stream with large arrays replaced by
     :class:`ShmArrayRef` persistent ids; when the stream itself is
-    bulky (interpolator caches, many small grids) it moves into a
-    segment of its own and ``data`` is ``None`` with ``blob_ref``
-    pointing at the stream bytes -- per-task IPC then carries only
-    references.  ``fingerprint`` keys the worker-side payload cache;
+    bulky (many small grids) it moves into a segment of its own and
+    ``data`` is ``None`` with ``blob_ref`` pointing at the stream
+    bytes -- per-task IPC then carries only references.
+    ``fingerprint`` keys the worker-side payload cache;
     ``shm_fingerprints`` are the segments this payload retains (for
     :meth:`SharedArrayPack.release`).
 
@@ -352,9 +352,9 @@ def pack_payload(payload: Any) -> PackedPayload:
     fingerprint = hashlib.sha256(data).hexdigest()
     blob_ref = None
     if len(data) >= MIN_SHM_BYTES:
-        # the pickle stream itself is bulky (interpolator caches, many
-        # sub-threshold grids): park it in a segment too, so per-task
-        # IPC carries references only.
+        # the pickle stream itself is bulky (many sub-threshold
+        # grids): park it in a segment too, so per-task IPC carries
+        # references only.
         blob_ref = pack.share(np.frombuffer(data, dtype=np.uint8))
         if blob_ref is not None:
             pickler.shared[blob_ref.fingerprint] = blob_ref

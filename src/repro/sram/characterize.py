@@ -24,7 +24,7 @@ from ..parallel import parallel_map
 from .cell import SramCellDesign
 from .fastcell import FastCell
 from .ivtab import IVTables
-from .pof_lut import PofTable
+from .pof_lut import PofTable, _blend, _cell
 from .strike import ALL_COMBOS, combo_label
 
 _log = get_logger(__name__)
@@ -410,16 +410,8 @@ def _resample_to_axis(
     """Interpolate a POF grid onto the shared axis (log-charge linear)."""
     if len(from_axis) == len(to_axis) and np.allclose(from_axis, to_axis):
         return grid
-    from scipy.interpolate import RegularGridInterpolator
-
-    ndim = grid.ndim
-    interp = RegularGridInterpolator(
-        (np.log(from_axis),) * ndim,
-        grid,
-        method="linear",
-        bounds_error=False,
-        fill_value=None,
-    )
-    mesh = np.meshgrid(*([np.log(to_axis)] * ndim), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    return np.clip(interp(points).reshape(mesh[0].shape), 0.0, 1.0)
+    mesh = np.meshgrid(*([np.log(to_axis)] * grid.ndim), indexing="ij")
+    points = np.stack([m.ravel() for m in mesh])
+    cells, fracs = _cell(np.log(from_axis), points)
+    (pof,) = _blend(grid.reshape(-1), len(from_axis), cells, fracs)
+    return np.clip(pof.reshape(mesh[0].shape), 0.0, 1.0)

@@ -6,6 +6,9 @@ on a log-spaced charge grid: 1-D for single strikes, 2-D for pairs,
 3-D for the triple.  Queries interpolate multilinearly in log-charge
 and linearly in Vdd; charges outside the grid clamp to the edges
 (the grid is built wide enough that the edges are POF ~ 0 and ~ 1).
+The multilinear kernel (:func:`_cell`, :func:`_blend`) is plain numpy
+that repeats the linear ``RegularGridInterpolator``'s arithmetic term
+for term, so tables and FITs are bit-identical to the interpolator's.
 
 With process variation disabled the stored values are the paper's
 "deterministic binary" POFs; with it enabled they are MC probabilities
@@ -14,11 +17,13 @@ in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+import operator
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import ConfigError, LookupError_
 from .strike import ALL_COMBOS, combo_label
@@ -46,6 +51,59 @@ def _group_codes(codes: np.ndarray):
         (int(sorted_codes[start]), order[start:end])
         for start, end in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def _cell(axis: np.ndarray, x: np.ndarray):
+    """Grid cell of each ``x`` on ``axis`` and its upper node's weight.
+
+    As ``RegularGridInterpolator``'s ``find_indices``: ``i`` is the
+    interval with ``axis[i] <= x < axis[i + 1]``, the last node
+    closing the last cell, and points beyond either end take the end
+    cell (the blend then extrapolates linearly); the weight is
+    ``(x - axis[i]) / (axis[i + 1] - axis[i])``.
+    """
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
+    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+
+def _blend(flat: np.ndarray, n_q: int, cells, fracs, slices=(0,)):
+    """Multilinear blends on a raveled grid with ``n_q`` nodes per axis.
+
+    ``cells`` and ``fracs`` hold each of the ``d`` interpolated axes'
+    cells and upper-node weights (:func:`_cell`), which address the
+    trailing ``d`` axes of ``flat``; ``slices`` picks the leading-axis
+    slices to read the same cells from (a POF stack's Vdd rows).
+    Returns one blend per slice.
+
+    The arithmetic is ``RegularGridInterpolator(method="linear")``'s
+    term for term, so each blend equals it bit for bit (the tests keep
+    the interpolator as the oracle): corners are summed from ``0.0`` in
+    ``itertools.product`` order, lower node first and the last axis
+    fastest; a rank-2 term is ``(v * w0) * w1``, as the interpolator's
+    Cython ``evaluate_linear_2d`` on a writeable grid, and any other
+    rank multiplies the weights first, ``v * ((w0 * w1) * w2)``, as its
+    ``_evaluate_linear``.
+    """
+    ndim = len(cells)
+    strides = [n_q ** (ndim - 1 - k) for k in range(ndim)]
+    bases = [
+        sum(cell * step for cell, step in zip(cells, strides))
+        + n_q**ndim * index
+        for index in slices
+    ]
+    lower = [1.0 - y for y in fracs]
+    totals = [0.0] * len(bases)
+    for corner in itertools.product((0, 1), repeat=ndim):
+        weights = [y if up else w for y, w, up in zip(fracs, lower, corner)]
+        if ndim != 2:
+            weights = [functools.reduce(operator.mul, weights)]
+        shift = sum(step for step, up in zip(strides, corner) if up)
+        for j, base in enumerate(bases):
+            term = flat.take(base + shift)
+            for weight in weights:
+                term = term * weight
+            totals[j] = totals[j] + term
+    return totals
 
 
 @dataclass
@@ -77,10 +135,14 @@ class PofTable:
         self.charge_axis_c = np.asarray(self.charge_axis_c, dtype=np.float64)
         if np.any(np.diff(self.vdd_list) <= 0):
             raise ConfigError("vdd_list must be strictly increasing")
-        if np.any(np.diff(self.charge_axis_c) <= 0) or np.any(
-            self.charge_axis_c <= 0
+        if (
+            len(self.charge_axis_c) < 2
+            or np.any(np.diff(self.charge_axis_c) <= 0)
+            or np.any(self.charge_axis_c <= 0)
         ):
-            raise ConfigError("charge axis must be positive and increasing")
+            raise ConfigError(
+                "charge axis must have >= 2 positive, increasing points"
+            )
         n_q = len(self.charge_axis_c)
         for combo, grid in self.pof.items():
             expected = (len(self.vdd_list),) + (n_q,) * len(combo)
@@ -89,7 +151,6 @@ class PofTable:
                     f"POF grid for {combo_label(combo)} has shape "
                     f"{grid.shape}, expected {expected}"
                 )
-        self._interp_cache: Dict = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -118,13 +179,21 @@ class PofTable:
 
         result = np.zeros(charges.shape[0], dtype=np.float64)
         active = charges > 0.0
-        # group rows by combination key via a bitmask code (vectorized)
-        codes = (
-            active[:, 0].astype(np.int64)
-            + 2 * active[:, 1].astype(np.int64)
-            + 4 * active[:, 2].astype(np.int64)
-        )
+        # group rows by combination key via a bitmask code (vectorized;
+        # int8 codes let the stable argsort use its radix sort)
+        bits = active.view(np.int8)
+        codes = bits[:, 0] + 2 * bits[:, 1] + 4 * bits[:, 2]
         lo_idx, hi_idx, weight = self._vdd_bracket(vdd_v)
+        # the cell and weight of every struck charge on the log-charge
+        # axis, once per call; each combo then gathers its corners
+        axis = self.charge_axis_c
+        struck = np.flatnonzero(active)
+        log_q = np.log(np.clip(charges.take(struck), axis[0], axis[-1]))
+        cell, frac = _cell(np.log(axis), log_q)
+        cells = np.zeros(charges.shape, dtype=np.intp)
+        fracs = np.zeros(charges.shape)
+        np.put(cells, struck, cell)
+        np.put(fracs, struck, frac)
         for code, rows in _group_codes(codes):
             if code == 0:
                 continue
@@ -133,19 +202,17 @@ class PofTable:
                 raise LookupError_(
                     f"table has no grid for combination {combo_label(combo)}"
                 )
-            points = np.log(
-                np.clip(
-                    charges[rows][:, list(combo)],
-                    self.charge_axis_c[0],
-                    self.charge_axis_c[-1],
-                )
+            pofs = _blend(
+                self.pof[combo].reshape(-1),
+                len(axis),
+                [cells[rows, i] for i in combo],
+                [fracs[rows, i] for i in combo],
+                slices=(lo_idx,) if hi_idx == lo_idx else (lo_idx, hi_idx),
             )
-            pof_lo = self._interpolator(combo, lo_idx)(points)
             if hi_idx == lo_idx:
-                result[rows] = pof_lo
+                result[rows] = pofs[0]
             else:
-                pof_hi = self._interpolator(combo, hi_idx)(points)
-                result[rows] = (1.0 - weight) * pof_lo + weight * pof_hi
+                result[rows] = (1.0 - weight) * pofs[0] + weight * pofs[1]
         return np.clip(result, 0.0, 1.0)
 
     def query_scenario(self, vdd_v: float, scenario) -> float:
@@ -163,20 +230,6 @@ class PofTable:
         lo = hi - 1
         weight = (vdd_v - vdds[lo]) / (vdds[hi] - vdds[lo])
         return lo, hi, float(weight)
-
-    def _interpolator(self, combo, vdd_index):
-        key = (combo, vdd_index)
-        if key not in self._interp_cache:
-            log_axis = np.log(self.charge_axis_c)
-            grid = self.pof[combo][vdd_index]
-            self._interp_cache[key] = RegularGridInterpolator(
-                (log_axis,) * len(combo),
-                grid,
-                method="linear",
-                bounds_error=False,
-                fill_value=None,
-            )
-        return self._interp_cache[key]
 
     # -- inspection -----------------------------------------------------------
 

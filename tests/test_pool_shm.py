@@ -314,6 +314,90 @@ print(json.dumps(list(get_pack().segment_names())))
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm") or not os.path.isdir("/proc"),
+        reason="needs /dev/shm and /proc",
+    )
+    def test_worker_kill_keeps_segments_in_a_fresh_process(self, tmp_path):
+        """A pool forked before anything touched shared memory must
+        still share the parent's resource tracker.
+
+        In a fresh interpreter no tracker runs until the first segment
+        is created, so the pool of the first (small-payload) map used
+        to fork without one and every worker that attached a segment
+        later started its own; killing such a worker made its tracker
+        unlink the parent's live segment.  (In-process tests cannot
+        see this: an earlier test has long started the tracker.)
+        """
+        script = tmp_path / "shm_kill.py"
+        script.write_text(
+            """
+import json, os, signal, time
+import numpy as np
+from repro.parallel import RetryPolicy, get_pack, parallel_map
+
+def work(payload, task):
+    return os.getpid(), float(payload["big"][task]) if payload else 0.0
+
+def state(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+def live(pid):
+    fields = state(pid)
+    return fields is not None and fields[0] != "Z"
+
+def children(pid):
+    return [
+        int(entry) for entry in os.listdir("/proc")
+        if entry.isdigit() and (state(entry) or [0, 0])[1] == str(pid)
+    ]
+
+# 1. a small payload: the pool forks before any segment exists
+parallel_map(work, [0, 1, 2, 3], payload={}, n_jobs=2, label="small")
+# 2. a shared-memory payload: the workers attach its segment
+payload = {"big": np.arange(16384, dtype=np.float64)}
+pids = [pid for pid, _ in parallel_map(
+    work, [0, 1, 2, 3], payload=payload, n_jobs=2, label="big"
+)]
+names = get_pack().segment_names()
+# 3. SIGKILL a worker that attached it; wait for whatever it started
+victim = pids[0]
+helpers = children(victim)
+os.kill(victim, signal.SIGKILL)
+deadline = time.monotonic() + 30
+while any(map(live, [victim] + helpers)) and time.monotonic() < deadline:
+    time.sleep(0.05)
+# 4. the segment is still there
+survived = [os.path.exists(os.path.join("/dev/shm", n)) for n in names]
+# 5. the next map with the same payload runs on a new pool
+result = [value for _, value in parallel_map(
+    work, [0, 1, 2, 3], payload=payload, n_jobs=2, label="big",
+    retry=RetryPolicy(),
+)]
+print(json.dumps({"names": names, "survived": survived, "result": result}))
+"""
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        env.pop(shm_mod.ENV_DISABLE, None)
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        outcome = __import__("json").loads(proc.stdout.strip().splitlines()[-1])
+        assert outcome["names"] and all(outcome["survived"]), outcome
+        assert outcome["result"] == [0.0, 1.0, 2.0, 3.0]
+        # 6. no tracker cleaned up after the dead worker or at exit
+        assert "resource_tracker" not in proc.stderr, proc.stderr[-3000:]
+
     def test_disabled_shm_falls_back_bit_identically(
         self, layout, pof_table, monkeypatch
     ):
