@@ -11,12 +11,6 @@ from .elements import (
 )
 from .mna import MnaSystem
 from .netlist import Circuit, CompiledCircuit
-from .spice_io import (
-    circuit_to_spice,
-    read_spice,
-    spice_to_circuit,
-    write_spice,
-)
 from .transient import (
     TransientResult,
     make_strike_time_grid,
@@ -36,10 +30,6 @@ from .waveform import (
 __all__ = [
     "Circuit",
     "CompiledCircuit",
-    "circuit_to_spice",
-    "spice_to_circuit",
-    "write_spice",
-    "read_spice",
     "MnaSystem",
     "solve_dc",
     "DcSolution",

@@ -1,13 +1,10 @@
-"""Physical layout: 6T thin cell, tiled SRAM arrays, SVG rendering."""
+"""Physical layout: 6T thin cell and tiled SRAM arrays."""
 
 from .array import DATA_PATTERNS, SramArrayLayout
 from .celllayout import CellLayout
-from .render import array_layout_svg, write_layout_svg
 
 __all__ = [
     "CellLayout",
     "SramArrayLayout",
     "DATA_PATTERNS",
-    "array_layout_svg",
-    "write_layout_svg",
 ]

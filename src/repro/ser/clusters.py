@@ -166,37 +166,18 @@ def _pair_streams(pof_cells, n_cols: int):
 def _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):
     """Per-event per-cell POF matrix for a ray batch (or None).
 
-    Mirrors :meth:`ArraySerSimulator._process_batch` up to the POF
-    matrix; kept separate so the hot main path stays lean.
+    Scatters the touched (event, cell) POFs of the simulator's own
+    strike path (:meth:`ArraySerSimulator._touched_pofs`) into the
+    ``(events, cells)`` matrix that :func:`_pair_streams` reads.
     """
-    from ..constants import ELEMENTARY_CHARGE_C
-
-    ray_idx, fin_idx, chord_vals = simulator._fin_grid.chords(rays)
-    if len(fin_idx) == 0:
+    _, _, n_events, touched = simulator._touched_pofs(
+        particle, energy_mev, vdd_v, rays, rng
+    )
+    if touched is None:
         return None
-    struck, event_idx = np.unique(ray_idx, return_inverse=True)
-
-    strike_energies = np.full_like(chord_vals, energy_mev)
-    pairs = simulator._pairs_for_strikes(
-        particle, strike_energies, chord_vals, rng
-    )
-    charges = pairs * ELEMENTARY_CHARGE_C
-
-    n_events = len(struck)
-    cell_of = simulator._sens_cell[fin_idx]
-    strike_of = simulator._sens_strike[fin_idx]
-    charge_tensor = np.zeros(
-        (n_events, simulator.layout.n_cells, 3), dtype=np.float64
-    )
-    np.add.at(charge_tensor, (event_idx, cell_of, strike_of), charges)
-
-    cell_mask = np.any(charge_tensor > 0.0, axis=2)
-    ev_i, cell_i = np.nonzero(cell_mask)
+    event_of, cell_of, pof = touched
     pof_cells = np.zeros(
         (n_events, simulator.layout.n_cells), dtype=np.float64
     )
-    if len(ev_i):
-        pof_cells[ev_i, cell_i] = simulator.pof_table.query(
-            vdd_v, charge_tensor[ev_i, cell_i, :]
-        )
+    pof_cells[event_of, cell_of] = pof
     return pof_cells

@@ -78,6 +78,8 @@ class HeavyIonCampaign:
     ):
         if margin_nm < 0:
             raise ConfigError("margin cannot be negative")
+        if chunk_size < 1:
+            raise ConfigError("chunk size must be positive")
         self.layout = layout
         self.pof_table = pof_table
         self.margin_nm = float(margin_nm)

@@ -270,45 +270,17 @@ class ArrayPofResult:
         if weighted:
             return cls._merge_weighted(shards, n_total)
 
-        # one vectorized pass over the shard axis; np.cumsum accumulates
-        # strictly left-to-right (never pairwise like np.sum), so the
-        # float summation order -- and therefore every bit of the
-        # result -- matches the historical per-attribute Python loops.
-        weights = np.array(
-            [shard.n_particles for shard in shards], dtype=np.float64
-        )
-        pof_stack = np.array(
-            [
-                [shard.pof_total, shard.pof_seu, shard.pof_mbu]
-                for shard in shards
-            ],
-            dtype=np.float64,
-        )
-        pof_total, pof_seu, pof_mbu = (
-            np.cumsum(pof_stack * weights[:, np.newaxis], axis=0)[-1] / n_total
-        )
-
-        if first.multiplicity_pmf is None:
-            pmf = None
-        else:
-            pmf_stack = np.stack(
-                [shard.multiplicity_pmf for shard in shards]
-            ).astype(np.float64, copy=False)
-            pmf = (
-                np.cumsum(pmf_stack * weights[:, np.newaxis], axis=0)[-1]
-                / n_total
-            )
-
+        _, pofs, pmf, hits = _pool(shards)
         return cls(
             particle_name=first.particle_name,
             energy_mev=first.energy_mev,
             vdd_v=first.vdd_v,
             n_particles=n_total,
-            n_array_hits=sum(shard.n_array_hits for shard in shards),
+            n_array_hits=hits,
             n_fin_strikes=sum(shard.n_fin_strikes for shard in shards),
-            pof_total=float(pof_total),
-            pof_seu=float(pof_seu),
-            pof_mbu=float(pof_mbu),
+            pof_total=float(pofs[0]),
+            pof_seu=float(pofs[1]),
+            pof_mbu=float(pofs[2]),
             launch_area_cm2=first.launch_area_cm2,
             multiplicity_pmf=pmf,
             degraded=any(shard.degraded for shard in shards),
@@ -321,9 +293,9 @@ class ArrayPofResult:
         Estimator: ``pof = sum_s w_s * mean_s`` over the named strata
         (exact unbiased reweighting of the conditional per-stratum
         means), convexly combined by particle count with the pooled
-        mean of any plain uniform shards.  Per-group pooling uses the
-        same left-to-right ``np.cumsum`` summation as the plain merge,
-        so re-sharding within a stratum never changes a bit.
+        mean of any plain uniform shards.  Each group is pooled by
+        :func:`_pool`, like the plain merge, so re-sharding within a
+        stratum never changes a bit.
         """
         first = shards[0]
         for shard in shards:
@@ -345,37 +317,6 @@ class ArrayPofResult:
         groups: Dict[Optional[str], List["ArrayPofResult"]] = {}
         for shard in shards:  # dict preserves first-appearance order
             groups.setdefault(shard.stratum, []).append(shard)
-
-        def pool(members):
-            """Particle-count-weighted pooling, exact cumsum order."""
-            n = sum(member.n_particles for member in members)
-            if n < 1:
-                raise ConfigError(
-                    f"stratum {members[0].stratum!r} has no particles"
-                )
-            counts = np.array(
-                [member.n_particles for member in members], dtype=np.float64
-            )
-            stack = np.array(
-                [
-                    [member.pof_total, member.pof_seu, member.pof_mbu]
-                    for member in members
-                ],
-                dtype=np.float64,
-            )
-            pofs = np.cumsum(stack * counts[:, np.newaxis], axis=0)[-1] / n
-            if first.multiplicity_pmf is None:
-                pmf = None
-            else:
-                pmf_stack = np.stack(
-                    [member.multiplicity_pmf for member in members]
-                ).astype(np.float64, copy=False)
-                pmf = (
-                    np.cumsum(pmf_stack * counts[:, np.newaxis], axis=0)[-1]
-                    / n
-                )
-            hits = sum(member.n_array_hits for member in members)
-            return n, pofs, pmf, hits
 
         uniform = groups.pop(None, None)
         if not groups:
@@ -415,7 +356,7 @@ class ArrayPofResult:
         hit_str = 0.0
         var_str = 0.0
         for name, members in groups.items():
-            n_g, pofs_g, pmf_g, hits_g = pool(members)
+            n_g, pofs_g, pmf_g, hits_g = _pool(members)
             w = stratum_weights[name]
             n_str += n_g
             pof_str += w * pofs_g
@@ -426,7 +367,7 @@ class ArrayPofResult:
             var_str += w * w * p_g * (1.0 - p_g) / n_g
 
         if uniform is not None:
-            n_u, pofs_u, pmf_u, hits_u = pool(uniform)
+            n_u, pofs_u, pmf_u, hits_u = _pool(uniform)
             lam = n_u / (n_u + n_str)
             pof_vec = lam * pofs_u + (1.0 - lam) * pof_str
             pmf = (
@@ -531,6 +472,42 @@ class ArrayPofResult:
                 else float(payload["pof_variance"])
             ),
         )
+
+
+def _pool(members):
+    """Particle-count-weighted pooling of same-point shard results.
+
+    Returns ``(n, pofs, pmf, hits)``: the particle total, the mean
+    ``(pof_total, pof_seu, pof_mbu)``, the mean multiplicity PMF
+    (``None`` when untracked) and the summed array hits.  One
+    vectorized pass over the shard axis; ``np.cumsum`` accumulates
+    strictly left-to-right (never pairwise like ``np.sum``), so the
+    float summation order -- and therefore every bit of the result --
+    matches the historical per-attribute Python loops.
+    """
+    n = sum(member.n_particles for member in members)
+    if n < 1:
+        raise ConfigError(f"stratum {members[0].stratum!r} has no particles")
+    counts = np.array(
+        [member.n_particles for member in members], dtype=np.float64
+    )
+    stack = np.array(
+        [
+            [member.pof_total, member.pof_seu, member.pof_mbu]
+            for member in members
+        ],
+        dtype=np.float64,
+    )
+    pofs = np.cumsum(stack * counts[:, np.newaxis], axis=0)[-1] / n
+    if members[0].multiplicity_pmf is None:
+        pmf = None
+    else:
+        pmf_stack = np.stack(
+            [member.multiplicity_pmf for member in members]
+        ).astype(np.float64, copy=False)
+        pmf = np.cumsum(pmf_stack * counts[:, np.newaxis], axis=0)[-1] / n
+    hits = sum(member.n_array_hits for member in members)
+    return n, pofs, pmf, hits
 
 
 def _sample_stratum_rays(n, rng, rects, z, law) -> RayBatch:
@@ -803,38 +780,54 @@ class ArraySerSimulator:
         )
         return n_hits, len(fin_idx), len(struck), strikes
 
-    def _process_batch(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
-        """Sparse strike kernel: group strikes by (event, cell) key.
+    def _touched_pofs(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
+        """Rays -> the POF of each (event, cell) that collected charge.
 
-        Never allocates the dense ``(n_events, n_cells, 3)`` charge
-        tensor of the reference kernel (``process_batch_dense`` in
-        ``tests/array_oracle.py``) -- strikes are folded into
-        per-(event, cell) charge triples via ``np.unique``, the
-        POF table is queried only on touched cells, and eqs. 4-6 plus
-        the multiplicity PMF are evaluated with segmented reductions
-        over the touched set.
+        Returns ``(n_hits, n_strikes, n_events, touched)`` where
+        ``touched`` is ``(event_of, cell_of, pof)`` with one row per
+        (event, cell) pair that collected charge, or ``None`` when no
+        cell did.  Never allocates the dense ``(n_events, n_cells, 3)``
+        charge tensor of the reference kernel (``process_batch_dense``
+        in ``tests/array_oracle.py``): strikes are folded into
+        per-(event, cell) charge triples via ``np.unique``, and the POF
+        table is queried only on the touched rows.
         """
         n_hits, n_strikes, n_events, strikes = self._gather_strikes(
             particle, energy_mev, rays, rng
         )
         if strikes is None:
-            return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
+            return n_hits, n_strikes, n_events, None
         ray_idx, cell_of, strike_of, charges = strikes
 
         # one row per touched (event, cell) pair; np.unique sorts the
         # keys, so rows come out event-major with cells ascending --
         # the same per-event cell order the dense kernel reduces in.
-        key = ray_idx.astype(np.int64) * self.layout.n_cells + cell_of
+        n_cells = self.layout.n_cells
+        key = ray_idx.astype(np.int64) * n_cells + cell_of
         unique_keys, inverse = np.unique(key, return_inverse=True)
         cell_charges = np.zeros((len(unique_keys), 3), dtype=np.float64)
         np.add.at(cell_charges, (inverse, strike_of), charges)
 
-        # POF lookup only for pairs that actually collected charge
         touched = np.any(cell_charges > 0.0, axis=1)
         if not np.any(touched):
-            return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
+            return n_hits, n_strikes, n_events, None
         pof = self.pof_table.query(vdd_v, cell_charges[touched])
-        event_of = unique_keys[touched] // self.layout.n_cells
+        keys = unique_keys[touched]
+        rows = (keys // n_cells, keys % n_cells, pof)
+        return n_hits, n_strikes, n_events, rows
+
+    def _process_batch(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
+        """Sparse strike kernel: eqs. 4-6 and the multiplicity PMF.
+
+        Evaluated with segmented reductions over the touched (event,
+        cell) rows of :meth:`_touched_pofs`.
+        """
+        n_hits, n_strikes, _, touched = self._touched_pofs(
+            particle, energy_mev, vdd_v, rays, rng
+        )
+        if touched is None:
+            return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
+        event_of, _, pof = touched
 
         # segmented eqs. 4-6 over each event's touched cells
         starts = np.flatnonzero(

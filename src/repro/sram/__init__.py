@@ -10,7 +10,6 @@ from .cell import ROLES, SENSITIVE_ROLES, STRIKE_TARGETS, SramCellDesign
 from .characterize import CharacterizationConfig, characterize_cell
 from .fastcell import FastCell
 from .ivtab import IVTables
-from .pof_cdf import QcritCdfModel
 from .pof_lut import PofTable
 from .qcrit import (
     critical_charge_samples_c,
@@ -31,7 +30,6 @@ __all__ = [
     "CharacterizationConfig",
     "characterize_cell",
     "PofTable",
-    "QcritCdfModel",
     "AccessTimingConfig",
     "read_disturb_analysis",
     "write_analysis",

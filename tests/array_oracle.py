@@ -11,6 +11,10 @@ the shipped code to them:
 * :func:`process_batch_dense` -- the dense ``(n_events, n_cells, 3)``
   charge-tensor kernel behind
   :meth:`~repro.ser.ArraySerSimulator._process_batch` (sparse);
+* :func:`event_cell_pofs_dense` -- the pair-offset campaign's own
+  recast-and-redraw strike path behind
+  :func:`repro.ser.clusters._event_cell_pofs` (which scatters the
+  simulator's ``_touched_pofs``);
 * :func:`accumulate_pairs_loop` -- the per-event nested pair loop
   behind :func:`repro.ser.clusters._pair_streams`;
 * :func:`group_codes_loop` -- the per-code rescans behind
@@ -111,6 +115,44 @@ def process_batch_dense(simulator, particle, energy_mev, vdd_v, rays, rng):
         n_strikes,
         pmf,
     )
+
+
+def event_cell_pofs_dense(simulator, particle, energy_mev, vdd_v, rays, rng):
+    """Reference per-event per-cell POF matrix of a ray batch (or None).
+
+    Casts chords on every ray (no array bounding-box prefilter), draws
+    the pairs itself and builds the dense ``(n_events, n_cells, 3)``
+    charge tensor.
+    """
+    ray_idx, fin_idx, chord_vals = simulator._fin_grid.chords(rays)
+    if len(fin_idx) == 0:
+        return None
+    struck, event_idx = np.unique(ray_idx, return_inverse=True)
+
+    strike_energies = np.full_like(chord_vals, energy_mev)
+    pairs = simulator._pairs_for_strikes(
+        particle, strike_energies, chord_vals, rng
+    )
+    charges = pairs * ELEMENTARY_CHARGE_C
+
+    n_events = len(struck)
+    cell_of = simulator._sens_cell[fin_idx]
+    strike_of = simulator._sens_strike[fin_idx]
+    charge_tensor = np.zeros(
+        (n_events, simulator.layout.n_cells, 3), dtype=np.float64
+    )
+    np.add.at(charge_tensor, (event_idx, cell_of, strike_of), charges)
+
+    cell_mask = np.any(charge_tensor > 0.0, axis=2)
+    ev_i, cell_i = np.nonzero(cell_mask)
+    pof_cells = np.zeros(
+        (n_events, simulator.layout.n_cells), dtype=np.float64
+    )
+    if len(ev_i):
+        pof_cells[ev_i, cell_i] = simulator.pof_table.query(
+            vdd_v, charge_tensor[ev_i, cell_i, :]
+        )
+    return pof_cells
 
 
 def accumulate_pairs_loop(pof_cells, n_cols: int, offsets) -> None:

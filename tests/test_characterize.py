@@ -13,7 +13,10 @@ from repro.sram import (
     SramCellDesign,
     characterize_cell,
 )
-from repro.sram.qcrit import nominal_critical_charge_c
+from repro.sram.qcrit import (
+    critical_charge_samples_c,
+    nominal_critical_charge_c,
+)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +303,45 @@ class TestFlipFrontier:
         # 109 rows at 0.7 V + 115 at 0.9 V, against 2 x 75 x 6 = 900
         # grid points x samples
         assert cell_sims == 224
+
+
+class TestAgreementWithQcrit:
+    """The I1-only POF row is the empirical CDF of the per-sample
+    critical charge: both draw the same shifts from ``default_rng(seed)``,
+    and a sample flips at a charge node iff its Qcrit lies at or below
+    the node."""
+
+    SEED = 8
+    N_SAMPLES = 120
+
+    @pytest.fixture(scope="class")
+    def qcrit_table(self, design):
+        config = CharacterizationConfig(
+            vdd_list=(0.7, 0.9),
+            n_charge_points=25,
+            n_samples=self.N_SAMPLES,
+            max_pair_points=6,
+            max_triple_points=4,
+            seed=self.SEED,
+        )
+        return characterize_cell(design, config)
+
+    @pytest.mark.parametrize("v_i, vdd", [(0, 0.7), (1, 0.9)])
+    def test_single_strike_pof_is_the_qcrit_cdf(
+        self, design, qcrit_table, v_i, vdd
+    ):
+        qcrit = critical_charge_samples_c(
+            design, vdd, self.N_SAMPLES, np.random.default_rng(self.SEED)
+        )
+        axis = qcrit_table.charge_axis_c
+        at_or_below = np.sum(qcrit[:, np.newaxis] <= axis, axis=0)
+        flipped = np.rint(qcrit_table.pof[(0,)][v_i] * self.N_SAMPLES)
+        # one sample of slack: a last-bit change of one bisected Qcrit
+        # (another numpy) may move it across a node
+        assert np.max(np.abs(flipped - at_or_below)) <= 1, (
+            flipped,
+            at_or_below,
+        )
 
 
 class TestPofTableStructure:

@@ -397,11 +397,11 @@ class TestPinnedQcritGoldens:
         qcrit = CircuitLevelSerModel(design).critical_charge_c(0.8)
         assert qcrit == 2.266996656507116e-16
 
-    def test_qcrit_cdf_samples(self, design):
-        from repro.sram import QcritCdfModel
-
-        model = QcritCdfModel.characterize(design, (0.8,), n_samples=16)
-        assert model.qcrit_samples[0.8].tolist() == [
+    def test_qcrit_samples(self, design):
+        samples = critical_charge_samples_c(
+            design, 0.8, 16, np.random.default_rng(2014)
+        )
+        assert np.sort(samples).tolist() == [
             1.750340964010015e-16,
             1.8363379548337232e-16,
             1.9274750942990532e-16,

@@ -33,7 +33,7 @@ from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.registry import disable_metrics, enable_metrics, get_registry
 from repro.parallel import RetryPolicy, ShardJournal, get_lease, get_pack
 from repro.parallel.engine import FAULT_ENV
-from repro.physics import ALPHA, get_particle
+from repro.physics import ALPHA, get_particle, sample_rays
 from repro.ser import (
     AdaptiveConfig,
     ArrayMcConfig,
@@ -42,7 +42,8 @@ from repro.ser import (
     CampaignPoint,
     integrate_fit,
 )
-from repro.ser.clusters import _pair_streams
+from repro.ser import clusters
+from repro.ser.clusters import _event_cell_pofs, _pair_streams
 from repro.ser.mc import (
     DRAW_BLOCK_SIZE,
     array_shard_decode,
@@ -53,7 +54,11 @@ from repro.sram.ivtab import I_SCALE_A, IVTables
 from repro.sram.pof_lut import _group_codes
 from repro.sram.strike import ALL_COMBOS
 
-from .array_oracle import accumulate_pairs_loop, group_codes_loop
+from .array_oracle import (
+    accumulate_pairs_loop,
+    event_cell_pofs_dense,
+    group_codes_loop,
+)
 
 # -- shared fixtures (the cheap synthetic setup of test_faults) ----------------
 
@@ -685,6 +690,57 @@ class TestClusterPairVectorization:
         single = np.zeros((2, 9))
         single[0, 4] = 0.5  # one failing cell: no pairs
         assert _pair_streams(single, 3) is None
+
+    @pytest.mark.parametrize("particle", ["alpha", "proton"])
+    def test_event_cell_pofs_match_oracle(self, pof_table, particle):
+        """Scattering the simulator's touched POFs gives the oracle's
+        matrix bit for bit, with the generator drawn identically."""
+        simulator = make_simulator(
+            SramArrayLayout(n_rows=16, n_cols=16), pof_table
+        )
+        x_range, y_range, z, _ = simulator.layout.launch_window(
+            simulator.config.margin_nm
+        )
+        law = simulator.config.law_for(particle)
+        particle = get_particle(particle)
+        compared = 0
+        for energy in (1.0, 2.0, 5.0):
+            for seed in range(4):
+                outputs = []
+                for kernel in (_event_cell_pofs, event_cell_pofs_dense):
+                    rng = np.random.default_rng(seed)
+                    rays = sample_rays(4096, rng, x_range, y_range, z, law)
+                    pofs = kernel(simulator, particle, energy, 0.7, rays, rng)
+                    outputs.append((pofs, rng.bit_generator.state))
+                (got, got_state), (want, want_state) = outputs
+                assert got_state == want_state
+                if got is None:
+                    assert want is None or not want.any()
+                    continue
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                compared += int(np.count_nonzero(want))
+        assert compared > 0
+
+    def test_collect_pair_offsets_matches_oracle(self, pof_table, monkeypatch):
+        simulator = make_simulator(
+            SramArrayLayout(n_rows=16, n_cols=16), pof_table
+        )
+
+        def collect():
+            return clusters.collect_pair_offsets(
+                simulator, ALPHA, 2.0, 0.7, 20000, np.random.default_rng(7)
+            )
+
+        shipped = collect()
+        monkeypatch.setattr(
+            clusters, "_event_cell_pofs", event_cell_pofs_dense
+        )
+        oracle = collect()
+        assert shipped.total_pair_rate > 0
+        assert list(shipped.expected_pairs) == list(oracle.expected_pairs)
+        for offset, rate in oracle.expected_pairs.items():
+            assert shipped.expected_pairs[offset] == rate
 
 
 class TestPofGroupingVectorization:
