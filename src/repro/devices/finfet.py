@@ -113,14 +113,27 @@ class FinFETModel:
         # log1p(exp(x)) computed stably on both branches
         return nvt * np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
-    def _core_ids(self, vgs, vds, vth):
-        """Drain current for a source-referenced NMOS with vds >= 0."""
+    def gate_terms(self, vgs, vth):
+        """The gate-only factors ``(vdsat, idsat)`` of the core current.
+
+        A caller holding one source-referenced gate voltage against many
+        drain voltages evaluates these once and broadcasts them through
+        :meth:`channel_ids`; the arithmetic is the same element for
+        element as :meth:`ids`.
+        """
         veff = self._veff(vgs, vth)
         vdsat = np.maximum(self.vdsat_min_v, self.vdsat_coeff * veff)
         idsat = self.beta_a_per_valpha * np.power(veff, self.alpha)
-        return idsat * np.tanh(np.asarray(vds, dtype=np.float64) / vdsat) * (
-            1.0 + self.lambda_v * np.asarray(vds, dtype=np.float64)
-        )
+        return vdsat, idsat
+
+    def channel_ids(self, vdsat, idsat, vds):
+        """Core current from :meth:`gate_terms` at ``vds >= 0``."""
+        vds = np.asarray(vds, dtype=np.float64)
+        return idsat * np.tanh(vds / vdsat) * (1.0 + self.lambda_v * vds)
+
+    def _core_ids(self, vgs, vds, vth):
+        """Drain current for a source-referenced NMOS with vds >= 0."""
+        return self.channel_ids(*self.gate_terms(vgs, vth), vds)
 
     def ids(self, vd, vg, vs, vth_shift=0.0):
         """Terminal current flowing drain -> source [A] (vectorized).

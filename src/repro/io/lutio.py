@@ -75,20 +75,20 @@ def save_artifact(artifact, path: Union[str, Path]):
         raise SerializationError(
             f"object of type {type(artifact).__name__} is not serializable"
         )
-    payload = artifact.to_dict()
+    # one pass of the C encoder; ``json.dump`` streams its chunks through
+    # the pure-Python encoder instead, with the same bytes
+    text = json.dumps(artifact.to_dict())
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".npz":
 
         import numpy as np
 
-        blob = np.frombuffer(
-            json.dumps(payload).encode("utf-8"), dtype=np.uint8
-        )
+        blob = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
         _atomic_write(
             path, lambda handle: np.savez_compressed(handle, payload=blob), "wb"
         )
         return
-    _atomic_write(path, lambda handle: json.dump(payload, handle), "w")
+    _atomic_write(path, lambda handle: handle.write(text), "w")
 
 def load_artifact(path: Union[str, Path]):
     """Load a previously saved artifact, dispatching on its ``kind``."""

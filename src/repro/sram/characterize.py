@@ -180,40 +180,51 @@ def _flip_outcomes(cell, rows, shifts, settled, config):
 
     Rows sharing ``q1`` form a line ordered by ``q2+q3``, along which
     each sample flips monotonically; its first flipping index (the
-    line's length if none) fixes the line.  All lines and samples
-    bisect together, one :meth:`FastCell.run_impulse` batch per round,
-    under the population's early-exit margin so that a round's subset
-    of samples cannot change an outcome.  Returns the ``(n_rows,
-    n_samples)`` outcomes and the number of rows integrated.
+    line's length if none) fixes the line.  Each (line, sample) pair is
+    one bisection chain, and all chains share one
+    :meth:`FastCell.run_impulse_refill` batch: a chain's next midpoint
+    enters as soon as its row is decided, under the population's
+    early-exit margin.  Returns the ``(n_rows, n_samples)`` outcomes
+    and the number of rows integrated.
     """
     _, line_of_row, line_len = np.unique(
         rows[:, 0], return_inverse=True, return_counts=True
     )
     line_start = np.cumsum(line_len) - line_len
-    margin = cell.early_exit_margin_v(shifts)
-    lo = np.zeros((len(line_len), shifts.shape[0]), dtype=np.int64)
-    hi = np.repeat(line_len[:, np.newaxis], shifts.shape[0], axis=1)
+    n_samples = shifts.shape[0]
+    # chain c bisects line c // n_samples for sample c % n_samples
+    line = np.repeat(np.arange(len(line_len)), n_samples)
+    sample = np.tile(np.arange(n_samples), len(line_len))
+    lo = np.zeros(line.size, dtype=np.int64)
+    hi = line_len[line]
     sims = 0
-    while True:
-        line, sample = np.nonzero(lo < hi)
-        if not line.size:
-            break
-        mid = (lo[line, sample] + hi[line, sample]) // 2
-        charges = np.zeros((line.size, 3), dtype=np.float64)
-        charges[:, :2] = rows[line_start[line] + mid]
-        flipped = cell.run_impulse(
-            charges,
-            shifts[sample],
-            settled=(settled[0][sample], settled[1][sample]),
-            t_sim_s=config.t_sim_s,
-            dt_s=config.dt_s,
-            margin_v=margin,
-        )
-        hi[line[flipped], sample[flipped]] = mid[flipped]
-        lo[line[~flipped], sample[~flipped]] = mid[~flipped] + 1
-        sims += line.size
+
+    def strike(chains):
+        nonlocal sims
+        sims += chains.size
+        charges = np.zeros((chains.size, 3), dtype=np.float64)
+        mid = (lo[chains] + hi[chains]) // 2
+        charges[:, :2] = rows[line_start[line[chains]] + mid]
+        return sample[chains], charges
+
+    def refill(chains, flipped):
+        mid = (lo[chains] + hi[chains]) // 2
+        hi[chains[flipped]] = mid[flipped]
+        lo[chains[~flipped]] = mid[~flipped] + 1
+        chains = chains[lo[chains] < hi[chains]]
+        return (chains, *strike(chains))
+
+    cell.run_impulse_refill(
+        shifts,
+        settled,
+        *strike(np.arange(line.size)),
+        refill,
+        t_sim_s=config.t_sim_s,
+        dt_s=config.dt_s,
+    )
+    first_flip = lo.reshape(len(line_len), n_samples)
     pos_of_row = np.arange(len(rows)) - line_start[line_of_row]
-    return lo[line_of_row] <= pos_of_row[:, np.newaxis], sims
+    return first_flip[line_of_row] <= pos_of_row[:, np.newaxis], sims
 
 
 def _characterize_task(payload, vdd):
@@ -390,17 +401,20 @@ def _task_cost_hint_s(config: CharacterizationConfig, n_samples: int) -> float:
 
     Used by :func:`~repro.parallel.parallel_map` to skip pool spin-up
     when the whole map is cheaper than forking workers.  The model is
-    the ~0.1 s I-V table build, ~0.2 ms of per-step overhead for each
-    bisection round, and ~25 ns per row-step for the rows (one per
-    halving of each line, per sample); precision is irrelevant -- only
-    the inline-vs-pool break-even (~tens of ms) matters.
+    the ~0.05 s I-V table build; ~0.3 ms of overhead per step of the
+    refilled batch, which integrates for its longest chain, about a
+    third of the ``halvings.max()`` horizons bounding it; and ~0.6 us
+    per row-step for the rows (one per halving of each line, per
+    sample), which decide in about a sixth of the horizon.  Precision
+    is irrelevant -- only the inline-vs-pool break-even (~tens of ms)
+    matters.
     """
     rows, _ = _combo_rows(config)
     _, line_len = np.unique(rows[:, 0], return_counts=True)
     halvings = np.ceil(np.log2(line_len + 1))
     steps = max(int(round(config.t_sim_s / config.dt_s)), 1)
-    table_s = 0.1 if config.kernel == "tabulated" else 0.0
-    per_step_s = 2e-4 * halvings.max() + 2.5e-8 * n_samples * halvings.sum()
+    table_s = 0.05 if config.kernel == "tabulated" else 0.0
+    per_step_s = 1e-4 * halvings.max() + 1e-7 * n_samples * halvings.sum()
     return table_s + steps * float(per_step_s)
 
 

@@ -39,9 +39,13 @@ whether the cell is given I-V tables (see ``docs/performance.md``):
 
 Strike relaxation always exits early: trajectories whose node
 separation has regeneratively latched (checked every
-``_EARLY_EXIT_CHECK_EVERY`` steps) are frozen and the live batch is
-compacted, so the fixed integration horizon is only paid near the flip
-boundary.  Outcomes equal the full-horizon integration.
+``_EARLY_EXIT_CHECK_EVERY`` steps of each row's own age) are frozen and
+the live batch is compacted, so the fixed integration horizon is only
+paid near the flip boundary.  Outcomes equal the full-horizon
+integration.  :meth:`FastCell.run_impulse_refill` refills the batch as
+rows leave, so a caller whose next strikes depend on earlier outcomes
+(the characterization's bisection chains) keeps one batch busy instead
+of waiting for each round's slowest row.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ class _FusedCtx:
 
     ``nsh`` rows are (pd_l, pg_l, pd_r, pg_r); ``psh`` rows are
     (pu_l, pu_r) -- the order the stage stacks its terminal voltages.
+    Columns are batch rows.
     """
 
     __slots__ = ("nsh", "psh")
@@ -94,8 +99,14 @@ class _FusedCtx:
         self.nsh = nsh
         self.psh = psh
 
-    def take(self, keep: np.ndarray) -> "_FusedCtx":
-        return _FusedCtx(self.nsh[:, keep], self.psh[:, keep])
+    def take(self, rows: np.ndarray) -> "_FusedCtx":
+        return _FusedCtx(self.nsh[:, rows], self.psh[:, rows])
+
+    def join(self, other: "_FusedCtx") -> "_FusedCtx":
+        return _FusedCtx(
+            np.concatenate((self.nsh, other.nsh), axis=1),
+            np.concatenate((self.psh, other.psh), axis=1),
+        )
 
 
 #: Row mask turning the opposite-node voltage into the three effective
@@ -107,22 +118,28 @@ _TAB_GATE_MASK = np.array([[1.0], [0.0], [1.0]])
 class _TabCtx:
     """Effective-gate offsets for the tabulated kernel.
 
-    ``offsets`` has shape ``(3, 2n)`` with rows (-d_pd, -d_pg, +d_pu);
-    the stage query is ``w3 = other * _TAB_GATE_MASK + offsets`` where
-    ``other`` is the opposite-node voltage.  Columns: the first ``n``
-    serve node q (devices pd_l/pg_l/pu_l), the last ``n`` node qb
-    (pd_r/pg_r/pu_r), so one table query per stage covers both nodes.
+    ``offsets`` has shape ``(3, 2, n)``: rows (-d_pd, -d_pg, +d_pu),
+    then node q (devices pd_l/pg_l/pu_l) and node qb (pd_r/pg_r/pu_r),
+    then batch rows.  The stage query is ``w3 = other * _TAB_GATE_MASK +
+    w_offsets`` with ``w_offsets`` its ``(3, 2n)`` view and ``other`` the
+    opposite-node voltages of q's rows then qb's, so one table query per
+    stage covers both nodes.
     """
 
-    __slots__ = ("tables", "offsets")
+    __slots__ = ("tables", "offsets", "w_offsets")
 
     def __init__(self, tables, offsets):
         self.tables = tables
         self.offsets = offsets
+        self.w_offsets = offsets.reshape(3, -1)
 
-    def take(self, keep: np.ndarray) -> "_TabCtx":
-        keep2 = np.concatenate([keep, keep])
-        return _TabCtx(self.tables, self.offsets[:, keep2])
+    def take(self, rows: np.ndarray) -> "_TabCtx":
+        return _TabCtx(self.tables, self.offsets[:, :, rows])
+
+    def join(self, other: "_TabCtx") -> "_TabCtx":
+        return _TabCtx(
+            self.tables, np.concatenate((self.offsets, other.offsets), axis=2)
+        )
 
 
 class FastCell:
@@ -206,7 +223,7 @@ class FastCell:
         u = np.concatenate([a, b])
         other = np.concatenate([b, a])
         i3 = ctx.tables.currents_stacked(
-            u, other * _TAB_GATE_MASK + ctx.offsets
+            u, other * _TAB_GATE_MASK + ctx.w_offsets
         )
         i = -i3[2] - i3[0] + i3[1]
         return i[:n], i[n:]
@@ -228,7 +245,9 @@ class FastCell:
         return self._clamp(vq_new), self._clamp(vqb_new)
 
     def _clamp(self, v):
-        return np.clip(v, -_CLAMP_MARGIN_V, self.vdd + _CLAMP_MARGIN_V)
+        return np.minimum(
+            np.maximum(v, -_CLAMP_MARGIN_V), self.vdd + _CLAMP_MARGIN_V
+        )
 
     # -- kernel plumbing ------------------------------------------------------
 
@@ -253,17 +272,12 @@ class FastCell:
                 f"I-V tables cover |dVth| <= {self._tables.shift_pad_v:g} V "
                 f"but the batch reaches {max_shift:g} V"
             )
+        idx = self._idx
         offsets = np.stack(
             (
-                -np.concatenate(
-                    [shifts[:, self._idx["pd_l"]], shifts[:, self._idx["pd_r"]]]
-                ),
-                -np.concatenate(
-                    [shifts[:, self._idx["pg_l"]], shifts[:, self._idx["pg_r"]]]
-                ),
-                np.concatenate(
-                    [shifts[:, self._idx["pu_l"]], shifts[:, self._idx["pu_r"]]]
-                ),
+                -shifts[:, [idx["pd_l"], idx["pd_r"]]].T,
+                -shifts[:, [idx["pg_l"], idx["pg_r"]]].T,
+                shifts[:, [idx["pu_l"], idx["pu_r"]]].T,
             )
         )
         return _TabCtx(self._tables, offsets)
@@ -276,50 +290,77 @@ class FastCell:
             _EARLY_EXIT_SHIFT_FACTOR * max_shift,
         )
 
-    def _relax(
-        self, vq, vqb, ctx, steps: int, dt_s: float, margin: float
-    ) -> np.ndarray:
-        """Free relaxation for ``steps``; returns the flip mask.
+    @staticmethod
+    def _latched(s, s_prev, margin):
+        """Checkpoint decision: the separation lies beyond the margin with
+        a stable sign at two consecutive checkpoints.  Overshoot past the
+        rails relaxes ``|s|`` back toward Vdd, so "still growing" is NOT
+        required."""
+        return (
+            (np.abs(s) > margin)
+            & (np.abs(s_prev) > margin)
+            & (s * s_prev > 0.0)
+        )
 
-        Trajectories whose separation has regeneratively latched are
-        frozen at the checkpoints and the live batch is compacted;
-        outcomes equal the full-horizon run.
+    def _relax(
+        self, vq, vqb, ctx, steps: int, dt_s: float, margin: float, refill=None
+    ) -> np.ndarray:
+        """Free relaxation of post-strike rows; returns the flip mask.
+
+        Every row carries its own age.  Its checkpoints fall every
+        ``_EARLY_EXIT_CHECK_EVERY`` steps from its own start, and it
+        leaves the live batch at the checkpoint that decides it
+        (:meth:`_latched`) or at its own horizon of ``steps``; outcomes
+        equal the full-horizon run.
+
+        ``refill``, if given, is called with the tags and flip outcomes
+        of the rows that leave and returns ``(tags, vq, vqb, ctx)`` of
+        post-strike rows to append (possibly none), which start at age
+        0.  The initial rows are tagged ``0..n-1`` and a refilled row
+        takes one of those tags; the returned mask holds the last
+        outcome of each tag.
         """
         n = vq.shape[0]
         outcome = np.zeros(n, dtype=bool)
-        active = np.arange(n)
+        tags = np.arange(n)
+        age = np.zeros(n, dtype=np.int64)
         s_prev = vq - vqb
-        done = 0
+        every = _EARLY_EXIT_CHECK_EVERY
         frozen_total = 0
         saved_total = 0
-        while done < steps and active.size:
-            span = min(_EARLY_EXIT_CHECK_EVERY, steps - done)
+        while tags.size:
+            due = np.minimum(age - age % every + every, steps)
+            span = int((due - age).min())
             for _ in range(span):
                 vq, vqb = self._step(vq, vqb, ctx, dt_s)
-            done += span
+            age += span
             s = vq - vqb
-            # decided: beyond the margin with a stable sign at two
-            # consecutive checkpoints (overshoot past the rails relaxes
-            # |s| back toward Vdd, so "still growing" is NOT required)
-            decided = (
-                (np.abs(s) > margin)
-                & (np.abs(s_prev) > margin)
-                & (s * s_prev > 0.0)
+            check = age == due
+            decided = check & self._latched(s, s_prev, margin)
+            leave = decided | (age == steps)
+            s_prev = np.where(check, s, s_prev)
+            if not leave.any():
+                continue
+            frozen_total += int(decided.sum())
+            saved_total += int((steps - age[decided]).sum())
+            gone = tags[leave]
+            flipped = s[leave] < 0.0
+            outcome[gone] = flipped
+            keep = ~leave
+            tags, age, vq, vqb, s_prev = (
+                tags[keep], age[keep], vq[keep], vqb[keep], s_prev[keep]
             )
-            if decided.any():
-                outcome[active[decided]] = s[decided] < 0.0
-                n_dec = int(decided.sum())
-                frozen_total += n_dec
-                saved_total += n_dec * (steps - done)
-                keep = ~decided
-                active = active[keep]
-                vq = vq[keep]
-                vqb = vqb[keep]
-                s = s[keep]
-                ctx = ctx.take(keep)
-            s_prev = s
-        if active.size:
-            outcome[active] = vq < vqb
+            ctx = ctx.take(keep)
+            if refill is None:
+                continue
+            new_tags, new_vq, new_vqb, new_ctx = refill(gone, flipped)
+            if new_tags.size:
+                tags = np.concatenate((tags, new_tags))
+                age = np.concatenate((age, np.zeros(new_tags.size, np.int64)))
+                vq = np.concatenate((vq, new_vq))
+                vqb = np.concatenate((vqb, new_vqb))
+                s_prev = np.concatenate((s_prev, new_vq - new_vqb))
+                ctx = ctx.join(new_ctx)
         reg = get_registry()
         if reg.enabled and frozen_total:
             reg.counter("characterize.kernel.early_exit.frozen").inc(
@@ -329,6 +370,10 @@ class FastCell:
                 saved_total
             )
         return outcome
+
+    @staticmethod
+    def _steps(t_s: float, dt_s: float) -> int:
+        return max(int(round(t_s / dt_s)), 1)
 
     def _count_run(self):
         reg = get_registry()
@@ -348,12 +393,21 @@ class FastCell:
         n = shifts.shape[0]
         vq = np.full(n, self.vdd, dtype=np.float64)
         vqb = np.zeros(n, dtype=np.float64)
-        steps = max(int(round(t_settle_s / dt_s)), 1)
-        for _ in range(steps):
+        for _ in range(self._steps(t_settle_s, dt_s)):
             vq, vqb = self._step(vq, vqb, ctx, dt_s)
         return vq, vqb
 
     # -- strike experiments ------------------------------------------------------
+
+    def _struck(self, settled, charges):
+        """Post-impulse ``(vq, vqb)``: I1 pulls q down; I2 and I3 push qb
+        up (STRIKE_TARGETS)."""
+        n = charges.shape[0]
+        vq = np.broadcast_to(settled[0], (n,)).astype(np.float64)
+        vqb = np.broadcast_to(settled[1], (n,)).astype(np.float64)
+        vq = self._clamp(vq - charges[:, 0] / self.cap_f)
+        vqb = self._clamp(vqb + (charges[:, 1] + charges[:, 2]) / self.cap_f)
+        return vq, vqb
 
     def run_impulse(
         self,
@@ -384,20 +438,59 @@ class FastCell:
         shifts = self._check_shifts(shifts, charges.shape[0])
         self._count_run()
         if settled is None:
-            vq, vqb = self.settle(shifts)
-        else:
-            vq = np.broadcast_to(settled[0], (charges.shape[0],)).astype(np.float64).copy()
-            vqb = np.broadcast_to(settled[1], (charges.shape[0],)).astype(np.float64).copy()
-
-        # I1 pulls q down; I2 and I3 push qb up (STRIKE_TARGETS).
-        vq = self._clamp(vq - charges[:, 0] / self.cap_f)
-        vqb = self._clamp(vqb + (charges[:, 1] + charges[:, 2]) / self.cap_f)
-
-        steps = max(int(round(t_sim_s / dt_s)), 1)
+            settled = self.settle(shifts)
+        vq, vqb = self._struck(settled, charges)
+        steps = self._steps(t_sim_s, dt_s)
         if margin_v is None:
             margin_v = self.early_exit_margin_v(shifts)
         return self._relax(
             vq, vqb, self._make_ctx(shifts), steps, dt_s, margin_v
+        )
+
+    def run_impulse_refill(
+        self,
+        shifts: np.ndarray,
+        settled: Tuple[np.ndarray, np.ndarray],
+        samples: np.ndarray,
+        charges_c: np.ndarray,
+        refill,
+        t_sim_s: float = 3.0e-11,
+        dt_s: float = 2.5e-13,
+    ) -> np.ndarray:
+        """Impulse strikes on a variation population, refilled as rows
+        leave; returns the last flip outcome of each tag.
+
+        ``shifts`` is the ``(m, 6)`` population and ``settled`` its
+        baselines.  The first rows strike sample ``samples[i]`` with
+        ``charges_c[i]`` and carry tag ``i``.  At each checkpoint
+        ``refill(tags, flipped)`` receives the rows that leave and
+        returns ``(tags, samples, charges)`` of the rows that re-enter
+        under those tags -- a bisection chain's next midpoint, say --
+        possibly none.  A new row starts at once, at age 0, so the batch
+        integrates for its longest sequence of rows, not for the slowest
+        row of each round.  Every decision uses the population's
+        early-exit margin, so which rows share the batch cannot change an
+        outcome.
+        """
+        shifts = self._check_shifts(shifts)
+        self._count_run()
+        population = self._make_ctx(shifts)
+
+        def strike(samples, charges_c):
+            vq, vqb = self._struck(
+                (settled[0][samples], settled[1][samples]),
+                self._check_charges(charges_c),
+            )
+            return vq, vqb, population.take(samples)
+
+        def restrike(tags, flipped):
+            tags, samples, charges_c = refill(tags, flipped)
+            return (tags, *strike(samples, charges_c))
+
+        steps = self._steps(t_sim_s, dt_s)
+        margin = self.early_exit_margin_v(shifts)
+        return self._relax(
+            *strike(samples, charges_c), steps, dt_s, margin, refill=restrike
         )
 
     def run_pulse(
@@ -440,7 +533,7 @@ class FastCell:
                 vq, vqb, ctx, pulse_dt, extra_q=amp_q, extra_qb=amp_qb
             )
         # Phase 2: free relaxation.
-        steps = max(int(round(t_sim_s / dt_s)), 1)
+        steps = self._steps(t_sim_s, dt_s)
         return self._relax(
             vq, vqb, ctx, steps, dt_s, self.early_exit_margin_v(shifts)
         )

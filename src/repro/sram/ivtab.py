@@ -19,6 +19,14 @@ slabs share both axes, so one stage evaluation of the whole batch is a
 single index computation plus four flat gathers, regardless of how
 many devices or nodes are being served.
 
+Where a slab's rail is the device's source terminal -- pull-down rows
+with ``u >= 0``, pass-gate rows with ``u > vdd``, pull-up rows with
+``u < vdd`` -- the source-referenced gate voltage depends on ``w``
+alone, so the build computes the gate-only terms of the model once per
+gate voltage and broadcasts them against the drain column; the other
+rows call the model whole.  Both are the same arithmetic element for
+element, so every slab is bit-identical to evaluating every cell.
+
 The stored value is ``asinh(I / I_SCALE_A)`` rather than the raw
 current: in subthreshold the current is exponential in ``w``, which
 the asinh compression turns into a *linear* function of ``w``, so
@@ -55,6 +63,19 @@ I_SCALE_A = 1.0e-9
 #: Minimum half-width of the threshold-shift headroom [V] -- keeps the
 #: gate axis meaningful in the no-variation case (all shifts zero).
 _MIN_W_PAD_V = 0.05
+
+
+def _rail_sourced(model, vgs, vds, sign):
+    """``model.ids`` on grid rows whose source terminal is a fixed rail.
+
+    ``vgs`` is the source-referenced gate row (one value per gate-axis
+    point) and ``vds >= 0`` the drain column.  The gate-only terms are
+    computed once per gate voltage and broadcast against the column: the
+    same IEEE operations on the same operands as the full-grid call, so
+    the rows are bit-identical to it.
+    """
+    vdsat, idsat = model.gate_terms(vgs, model.vth0_v)
+    return sign * model.channel_ids(vdsat, idsat, vds[:, np.newaxis])
 
 
 class IVTables:
@@ -106,27 +127,42 @@ class IVTables:
         self.u_inv_step = (n - 1) / (u_hi - self.u_lo)
         self.w_inv_step = (n - 1) / (w_hi - self.w_lo)
 
-        u = np.linspace(self.u_lo, u_hi, n)[:, np.newaxis]
-        w = np.linspace(self.w_lo, w_hi, n)[np.newaxis, :]
+        u = np.linspace(self.u_lo, u_hi, n)
+        w = np.linspace(self.w_lo, w_hi, n)
+        vdd = self.vdd
         nmos = design.tech.nmos
         pmos = design.tech.pmos
+        # the slabs hold currents, then asinh(I / I_SCALE_A) in place
         z = np.empty((3, n, n), dtype=np.float64)
-        # pull-down: drain at the node, source grounded
-        z[0] = np.arcsinh(
-            design.nfin_of("pd_l") * nmos.ids(u, w, 0.0) / I_SCALE_A
-        )
-        # pass-gate: drain at the bit line (vdd), source at the node
-        z[1] = np.arcsinh(
-            design.nfin_of("pg_l") * nmos.ids(self.vdd, w, u) / I_SCALE_A
-        )
-        # pull-up: drain at the node, source at vdd
-        z[2] = np.arcsinh(
-            design.nfin_of("pu_l") * pmos.ids(u, w, self.vdd) / I_SCALE_A
-        )
-        self.z = z
-        self._flat = z.ravel()
+        # pull-down: drain at the node, source grounded -- the ground
+        # rail is the source terminal wherever u >= 0
+        rail = u >= 0.0
+        z[0, rail] = _rail_sourced(nmos, w, u[rail], 1.0)
+        z[0, ~rail] = nmos.ids(u[~rail, np.newaxis], w, 0.0)
+        # pass-gate: drain at the bit line (vdd), source at the node --
+        # the bit line turns source above it, where the current reverses
+        rail = u > vdd
+        z[1, rail] = _rail_sourced(nmos, w - vdd, u[rail] - vdd, -1.0)
+        z[1, ~rail] = nmos.ids(vdd, w, u[~rail, np.newaxis])
+        # pull-up: drain at the node, source at vdd -- the higher
+        # terminal, hence the p-type source, wherever u < vdd
+        rail = u < vdd
+        z[2, rail] = _rail_sourced(pmos, vdd - w, vdd - u[rail], -1.0)
+        z[2, ~rail] = pmos.ids(u[~rail, np.newaxis], w, vdd)
+        fins = np.array([design.nfin_of(r) for r in ("pd_l", "pg_l", "pu_l")])
+        z *= fins[:, np.newaxis, np.newaxis]
+        z /= I_SCALE_A
+        self.z = np.arcsinh(z, out=z)
+        self._index()
         # flat offset of each slab, as a column for (3, m) query batches
         self._slab = (np.arange(3) * n * n)[:, np.newaxis]
+
+    def _index(self):
+        """Flat views of the table shifted to the four bilinear corners,
+        so each corner is one ``take`` at the lower-left flat index."""
+        n = self.points
+        flat = self.z.ravel()
+        self._corners = (flat, flat[1:], flat[n:], flat[n + 1:])
 
     def covers(self, max_shift_v: float) -> bool:
         """Whether the effective-gate axis absorbs ``max |dvth|``."""
@@ -154,27 +190,27 @@ class IVTables:
         """
         n = self.points
         tu = (u - self.u_lo) * self.u_inv_step
-        iu = np.clip(tu.astype(np.int64), 0, n - 2)
+        iu = np.minimum(np.maximum(tu.astype(np.int64), 0), n - 2)
         fu = tu - iu
         tw = (w3 - self.w_lo) * self.w_inv_step
-        jw = np.clip(tw.astype(np.int64), 0, n - 2)
+        jw = np.minimum(np.maximum(tw.astype(np.int64), 0), n - 2)
         fw = tw - jw
         base = self._slab + iu * n + jw
-        flat = self._flat
-        v00 = flat[base]
-        v01 = flat[base + 1]
-        v10 = flat[base + n]
-        v11 = flat[base + n + 1]
+        f00, f01, f10, f11 = self._corners
+        v00 = f00.take(base)
+        v01 = f01.take(base)
+        v10 = f10.take(base)
+        v11 = f11.take(base)
         z0 = v00 + (v01 - v00) * fw
         z1 = v10 + (v11 - v10) * fw
         return I_SCALE_A * np.sinh(z0 + (z1 - z0) * fu)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # the flat view rebuilds for free; keep the pickle payload lean
-        state.pop("_flat", None)
+        # the corner views rebuild for free; keep the pickle payload lean
+        state.pop("_corners", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._flat = self.z.ravel()
+        self._index()

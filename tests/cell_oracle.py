@@ -11,7 +11,12 @@ contracts:
 * :class:`ExactCell` -- additionally evaluates the six devices with one
   compact-model call per role, the original implementation;
 * :func:`dense_pof_table` -- the dense characterization: every grid
-  point of every combo simulated for every variation sample.
+  point of every combo simulated for every variation sample;
+* :func:`round_flip_outcomes` -- the flip-frontier bisection in rounds:
+  every unfinished (line, sample) chain's midpoint in one
+  :meth:`FastCell.run_impulse` batch per round;
+* :func:`dense_iv_tables` -- the I-V table build with every cell of
+  every slab evaluated by one full compact-model call.
 """
 
 import numpy as np
@@ -23,6 +28,28 @@ from repro.sram.characterize import (
     _enforce_monotone,
     _resample_to_axis,
 )
+from repro.sram.ivtab import _MIN_W_PAD_V, I_SCALE_A
+
+
+def dense_iv_tables(design, vdd_v, shift_pad_v, points, clamp_margin_v=0.6):
+    """The ``(3, n, n)`` table of :class:`IVTables`, every cell evaluated
+    by one compact-model call per slab on the full ``(u, w)`` grid."""
+    pad = max(float(shift_pad_v), _MIN_W_PAD_V)
+    vdd = float(vdd_v)
+    u_lo = -float(clamp_margin_v)
+    u_hi = vdd + float(clamp_margin_v)
+    u = np.linspace(u_lo, u_hi, points)[:, np.newaxis]
+    w = np.linspace(u_lo - pad, u_hi + pad, points)[np.newaxis, :]
+    nmos = design.tech.nmos
+    pmos = design.tech.pmos
+    z = np.empty((3, points, points), dtype=np.float64)
+    # pull-down: drain at the node, source grounded
+    z[0] = np.arcsinh(design.nfin_of("pd_l") * nmos.ids(u, w, 0.0) / I_SCALE_A)
+    # pass-gate: drain at the bit line (vdd), source at the node
+    z[1] = np.arcsinh(design.nfin_of("pg_l") * nmos.ids(vdd, w, u) / I_SCALE_A)
+    # pull-up: drain at the node, source at vdd
+    z[2] = np.arcsinh(design.nfin_of("pu_l") * pmos.ids(u, w, vdd) / I_SCALE_A)
+    return z
 
 
 def exact_node_currents(cell, vq, vqb, shifts):
@@ -138,3 +165,42 @@ def dense_pof_table(design, config, cell_cls=FastCell):
         process_variation=config.process_variation,
         n_samples=n_samples,
     )
+
+
+def round_flip_outcomes(cell, rows, shifts, settled, config):
+    """:func:`repro.sram.characterize._flip_outcomes` in rounds.
+
+    Every round runs the midpoints of all unfinished (line, sample)
+    chains as one :meth:`FastCell.run_impulse` batch under the
+    population's early-exit margin, and waits for the batch's slowest
+    row.  Returns the ``(n_rows, n_samples)`` outcomes and the number of
+    rows integrated.
+    """
+    _, line_of_row, line_len = np.unique(
+        rows[:, 0], return_inverse=True, return_counts=True
+    )
+    line_start = np.cumsum(line_len) - line_len
+    margin = cell.early_exit_margin_v(shifts)
+    lo = np.zeros((len(line_len), shifts.shape[0]), dtype=np.int64)
+    hi = np.repeat(line_len[:, np.newaxis], shifts.shape[0], axis=1)
+    sims = 0
+    while True:
+        line, sample = np.nonzero(lo < hi)
+        if not line.size:
+            break
+        mid = (lo[line, sample] + hi[line, sample]) // 2
+        charges = np.zeros((line.size, 3), dtype=np.float64)
+        charges[:, :2] = rows[line_start[line] + mid]
+        flipped = cell.run_impulse(
+            charges,
+            shifts[sample],
+            settled=(settled[0][sample], settled[1][sample]),
+            t_sim_s=config.t_sim_s,
+            dt_s=config.dt_s,
+            margin_v=margin,
+        )
+        hi[line[flipped], sample[flipped]] = mid[flipped]
+        lo[line[~flipped], sample[~flipped]] = mid[~flipped] + 1
+        sims += line.size
+    pos_of_row = np.arange(len(rows)) - line_start[line_of_row]
+    return lo[line_of_row] <= pos_of_row[:, np.newaxis], sims

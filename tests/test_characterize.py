@@ -231,13 +231,14 @@ class TestFlipFrontier:
         )
         assert np.array_equal(bisected, dense)
 
-    def test_every_round_gets_the_population_margin(
+    def test_every_decision_gets_the_population_margin(
         self, design, monkeypatch
     ):
         """One robust outlier sets the early-exit margin (1.5 * 0.4 V >
-        0.6 * Vdd); it never flips on the grid, so it leaves the
-        bisection early and a later round's own margin would be smaller.
-        Every round must still run under the population's margin."""
+        0.6 * Vdd); it never flips on the grid, so its chains finish
+        while others still run, and the rows left in the batch would get
+        a smaller margin of their own.  Every checkpoint decision must
+        still use the population's margin."""
         from repro.devices import VariationModel
         from repro.sram import FastCell
         from repro.sram import characterize as module
@@ -245,11 +246,14 @@ class TestFlipFrontier:
         margins = []
 
         class SpyCell(FastCell):
-            def run_impulse(self, charges_c, shifts, **kwargs):
-                margins.append(
-                    (kwargs["margin_v"], self.early_exit_margin_v(shifts))
-                )
-                return super().run_impulse(charges_c, shifts, **kwargs)
+            def _step(self, vq, vqb, ctx, dt, *args, **kwargs):
+                self.live = ctx
+                return super()._step(vq, vqb, ctx, dt, *args, **kwargs)
+
+            def _latched(self, s, s_prev, margin):
+                own = self.early_exit_margin_v(self.live.offsets)
+                margins.append((margin, own))
+                return super()._latched(s, s_prev, margin)
 
         sample_shifts = VariationModel.sample_shifts
 
@@ -276,7 +280,80 @@ class TestFlipFrontier:
         )
         assert margins
         assert all(passed == population for passed, _ in margins)
+        # decisions made after the outlier's chains have finished
         assert any(own < population for _, own in margins)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vdd=st.sampled_from((0.7, 0.9, 1.1)),
+        kernel=st.sampled_from(("tabulated", "fused")),
+        n_samples=st.integers(1, 6),
+        n_charge_points=st.integers(4, 9),
+        max_pair_points=st.integers(3, 5),
+        steps=st.sampled_from((120, 123, 13, 5)),
+        outlier=st.integers(-1, 5),
+    )
+    def test_refill_matches_rounds(
+        self,
+        design,
+        seed,
+        vdd,
+        kernel,
+        n_samples,
+        n_charge_points,
+        max_pair_points,
+        steps,
+        outlier,
+    ):
+        """The refilled batch decides every row as the round bisection
+        does: the same outcomes from the same rows, frozen at the same
+        checkpoints of their own ages, on both kernels, small random
+        axes, horizons off the 8-step checkpoint grid and a population
+        whose margin a robust outlier sets (``outlier`` is its sample
+        index, -1 for none)."""
+        from repro.obs.registry import disable_metrics, enable_metrics
+        from repro.sram import FastCell, IVTables
+        from repro.sram import characterize as module
+
+        from .cell_oracle import round_flip_outcomes
+
+        config = CharacterizationConfig(
+            vdd_list=(vdd,),
+            n_charge_points=n_charge_points,
+            n_samples=n_samples,
+            max_pair_points=max_pair_points,
+            max_triple_points=3,
+            t_sim_s=steps * 2.5e-13,
+            dt_s=2.5e-13,
+            kernel=kernel,
+        )
+        rng = np.random.default_rng(seed)
+        shifts = rng.normal(0.0, design.tech.sigma_vth_v, (n_samples, 6))
+        if 0 <= outlier < n_samples:
+            shifts[outlier] = [-0.4, 0.4, 0.0, 0.4, -0.4, 0.0]
+        tables = None
+        if kernel == "tabulated":
+            pad = 1.5 * float(np.max(np.abs(shifts)))
+            tables = IVTables(design, vdd, shift_pad_v=pad)
+        cell = FastCell(design, vdd, tables)
+        settled = cell.settle(shifts, dt_s=config.dt_s)
+        rows, _ = module._combo_rows(config)
+        results = []
+        try:
+            for bisect in (module._flip_outcomes, round_flip_outcomes):
+                registry = enable_metrics(fresh=True)
+                flipped, sims = bisect(cell, rows, shifts, settled, config)
+                frozen, saved = (
+                    registry.counter(f"characterize.kernel.early_exit.{n}")
+                    for n in ("frozen", "steps_saved")
+                )
+                results.append((flipped, sims, frozen.value, saved.value))
+        finally:
+            disable_metrics()
+        refilled, rounds = results
+        assert np.array_equal(refilled[0], rounds[0])
+        assert refilled[1:] == rounds[1:]
 
     def test_counters_count_rows_integrated(self, design):
         """``cell_sims`` counts the rows the bisection integrated, not

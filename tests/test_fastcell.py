@@ -281,6 +281,34 @@ class TestTabulatedKernel:
         with pytest.raises(ConfigError):
             IVTables(design, 0.8, shift_pad_v=-0.1)
 
+    def test_table_matches_dense_build(self, design):
+        """Rail-sourced rows broadcast one gate row's model terms; every
+        slab must equal the all-cells build bit for bit, including axes
+        with a node exactly at u = 0 or u = Vdd, where the split turns."""
+        from repro.sram import IVTables
+
+        from .cell_oracle import dense_iv_tables
+
+        vdds = np.round(np.arange(0.45, 1.3001, 0.05), 2)
+        cases = [
+            (d, float(vdd), pad, points)
+            for d in (design, SramCellDesign(nfin_pu=1, nfin_pd=2, nfin_pg=2))
+            for pad in (0.0, 0.215, 0.35)
+            for points in (8, 9, 13, 33, 769)
+            for vdd in (vdds if points < 769 else (0.45, 0.7, 1.0, 1.3))
+        ]
+        on_zero = on_vdd = 0
+        for d, vdd, pad, points in cases:
+            tables = IVTables(d, vdd, shift_pad_v=pad, points=points)
+            dense = dense_iv_tables(d, vdd, pad, points)
+            assert np.array_equal(
+                tables.z.view(np.int64), dense.view(np.int64)
+            ), (d, vdd, pad, points)
+            u = np.linspace(tables.u_lo, vdd + 0.6, points)
+            on_zero += bool(np.any(u == 0.0))
+            on_vdd += bool(np.any(u == vdd))
+        assert on_zero and on_vdd
+
     def test_pickle_round_trip(self, design):
         import pickle
 

@@ -43,6 +43,54 @@ class TestSaveLoad:
         assert isinstance(clone, PofTable)
         assert clone.query(0.7, np.array([[1e-16, 0, 0]]))[0] == pytest.approx(0.5)
 
+    def test_bytes_match_json_dump(self, lut, tmp_path):
+        """The one-``write`` encoding is byte-identical to ``json.dump``
+        for a POF table, a yield LUT and a sweep, and each loads back
+        equal."""
+        import io
+
+        from repro.physics.spectra import EnergyBins
+        from repro.ser import ArrayPofResult, SerSweep, integrate_fit
+        from repro.sram import ALL_COMBOS, PofTable
+
+        rng = np.random.default_rng(5)
+        table = PofTable(
+            vdd_list=np.array([0.7, 0.9]),
+            charge_axis_c=np.logspace(-17, -15, 5),
+            pof={c: rng.random((2,) + (5,) * len(c)) for c in ALL_COMBOS},
+            process_variation=True,
+            n_samples=40,
+        )
+        sweep = SerSweep()
+        bins = EnergyBins(
+            np.array([1.0, 10.0, 100.0]),
+            np.array([3.0, 30.0]),
+            np.array([1e-6, 2e-7]),
+        )
+        for particle in ("alpha", "proton"):
+            for vdd in (0.7, 0.9):
+                results = []
+                for energy in bins.representative_mev:
+                    seu, mbu = rng.random(2) * 0.1
+                    results.append(
+                        ArrayPofResult(
+                            particle, energy, vdd, 1000, 500, 50,
+                            seu + mbu, seu, mbu, 1e-7,
+                        )
+                    )
+                sweep.add(integrate_fit(particle, vdd, bins, results))
+        for name, artifact in (
+            ("pof.json", table),
+            ("lut.json", lut),
+            ("sweep.json", sweep),
+        ):
+            path = tmp_path / name
+            save_artifact(artifact, path)
+            streamed = io.StringIO()
+            json.dump(artifact.to_dict(), streamed)
+            assert path.read_bytes() == streamed.getvalue().encode("utf-8")
+            assert load_artifact(path).to_dict() == artifact.to_dict()
+
     def test_unserializable_rejected(self, tmp_path):
         with pytest.raises(SerializationError):
             save_artifact(object(), tmp_path / "x.json")
