@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..io import ArtifactCache
+from ..io import ArtifactCache, config_hash
 from ..layout import CellLayout, SramArrayLayout
 from ..obs import get_logger, get_registry, kv, span
 from ..parallel import (
@@ -247,6 +247,23 @@ class SerFlow:
                 self._yield_luts = self._build_yield_luts()
         return self._yield_luts
 
+    def _yield_lut_key(self, name: str) -> dict:
+        """Artifact-cache key of one particle's electron-yield LUT.
+
+        The LUT covers the full Fig. 4/8 display range (0.1 - 100 MeV)
+        even when the FIT integral folds a narrower band: POF-vs-energy
+        scans query beyond the FIT bins, and a clamped LUT would
+        flatten them.
+        """
+        e_lo, e_hi = self.config.energy_range_for(name)
+        return {
+            "trials": self.config.yield_trials_per_energy,
+            "points": self.config.yield_energy_points,
+            "range": (min(e_lo, 0.1), max(e_hi, 100.0)),
+            "fin": self.design.tech.fin,
+            "seed": self.config.seed,
+        }
+
     def _build_yield_luts(self) -> Dict[str, ElectronYieldLUT]:
         from ..geometry import SoiFinWorld
 
@@ -265,23 +282,11 @@ class SerFlow:
         luts = {}
         for name in self.config.particles:
             particle = get_particle(name)
-            # The LUT covers the full Fig. 4/8 display range (0.1 -
-            # 100 MeV) even when the FIT integral folds a narrower
-            # band: POF-vs-energy scans query beyond the FIT bins,
-            # and a clamped LUT would flatten them.
-            e_lo, e_hi = self.config.energy_range_for(name)
-            e_lo, e_hi = min(e_lo, 0.1), max(e_hi, 100.0)
+            cache_key = self._yield_lut_key(name)
+            e_lo, e_hi = cache_key["range"]
             energies = np.logspace(
-                np.log10(e_lo), np.log10(e_hi), self.config.yield_energy_points
+                np.log10(e_lo), np.log10(e_hi), cache_key["points"]
             )
-
-            cache_key = {
-                "trials": self.config.yield_trials_per_energy,
-                "points": self.config.yield_energy_points,
-                "range": (e_lo, e_hi),
-                "fin": self.design.tech.fin,
-                "seed": self.config.seed,
-            }
             journal = self._journal_for(
                 f"yield-{name}",
                 lut_shard_encode,
@@ -313,16 +318,20 @@ class SerFlow:
 
     # -- stage 2: cell level -----------------------------------------------------
 
+    def _pof_key(self) -> tuple:
+        """``(char_config, tech)``: the POF table's artifact-cache key."""
+        return self.config.effective_characterization(), self.design.tech
+
     def pof_table(self) -> PofTable:
         """Cell POF LUTs (built once, cached)."""
         if self._pof_table is None:
-            char_config = self.config.effective_characterization()
+            char_config, tech = self._pof_key()
             journal = self._journal_for(
                 "pof",
                 characterize_shard_encode,
                 characterize_shard_decode,
                 char_config,
-                self.design.tech,
+                tech,
             )
 
             def build():
@@ -341,7 +350,7 @@ class SerFlow:
             ):
                 if self.cache is not None:
                     self._pof_table = self.cache.get_or_build(
-                        "pof", build, char_config, self.design.tech
+                        "pof", build, char_config, tech
                     )
                 else:
                     self._pof_table = build()
@@ -349,26 +358,89 @@ class SerFlow:
 
     # -- stage 3: array level -----------------------------------------------------
 
+    def _layout_inputs(self) -> dict:
+        """Keyword arguments of the tiled :class:`SramArrayLayout`."""
+        return dict(
+            n_rows=self.config.array_rows,
+            n_cols=self.config.array_cols,
+            cell=CellLayout(
+                fin=self.design.tech.fin,
+                collection_length_nm=self.design.tech.collection_length_nm,
+            ),
+            data_pattern=self.config.data_pattern,
+            nfins={
+                "pu_l": self.design.nfin_pu,
+                "pu_r": self.design.nfin_pu,
+                "pd_l": self.design.nfin_pd,
+                "pd_r": self.design.nfin_pd,
+                "pg_l": self.design.nfin_pg,
+                "pg_r": self.design.nfin_pg,
+            },
+        )
+
+    def _mc_config(self) -> ArrayMcConfig:
+        return ArrayMcConfig(
+            deposition_mode=self.config.deposition_mode,
+            margin_nm=self.config.margin_nm,
+            n_jobs=self.n_jobs,
+        )
+
+    def model_key(self) -> str:
+        """Content address of the array model this flow builds.
+
+        The ``config_hash`` of what the simulator is built from: each
+        yield LUT's and the POF table's artifact-cache keys, the layout
+        inputs and the array-MC config, plus ``config.seed``, from
+        which :meth:`pair_offsets` derives its streams.  Flows with
+        equal keys build byte-identical simulators; the Monte Carlo
+        budgets, the energy binning and the adaptive settings do not
+        enter it.
+        """
+        return config_hash(
+            [
+                (name, self._yield_lut_key(name))
+                for name in self.config.particles
+            ],
+            *self._pof_key(),
+            self._layout_inputs(),
+            self._mc_config(),
+            self.config.seed,
+        )
+
+    def built_model(
+        self,
+    ) -> Optional[Tuple[ArraySerSimulator, Optional[PackedPayload]]]:
+        """``(simulator, packed payload)`` if this flow built its model.
+
+        Packs the payload now for pooled flows; inline flows ship
+        nothing and return ``None`` for it.  ``None`` when no stage has
+        needed the simulator yet.
+        """
+        if self._simulator is None:
+            return None
+        self._campaign_payload()
+        return self._simulator, self._campaign_pack
+
+    def adopt_model(
+        self, simulator: ArraySerSimulator, pack: Optional[PackedPayload]
+    ) -> None:
+        """Serve this flow's campaigns from an equal-keyed flow's model.
+
+        ``simulator`` and ``pack`` come from :meth:`built_model` of a
+        flow whose :meth:`model_key` equals this one's, so the flow
+        tiles no layout, decodes no artifact and pickles nothing.  The
+        pack stays owned by whoever built it.
+        """
+        self._layout = simulator.layout
+        self._pof_table = simulator.pof_table
+        self._yield_luts = simulator.yield_luts
+        self._simulator = simulator
+        self._campaign_pack = pack
+
     def layout(self) -> SramArrayLayout:
         """The tiled array layout."""
         if self._layout is None:
-            self._layout = SramArrayLayout(
-                n_rows=self.config.array_rows,
-                n_cols=self.config.array_cols,
-                cell=CellLayout(
-                    fin=self.design.tech.fin,
-                    collection_length_nm=self.design.tech.collection_length_nm,
-                ),
-                data_pattern=self.config.data_pattern,
-                nfins={
-                    "pu_l": self.design.nfin_pu,
-                    "pu_r": self.design.nfin_pu,
-                    "pd_l": self.design.nfin_pd,
-                    "pd_r": self.design.nfin_pd,
-                    "pg_l": self.design.nfin_pg,
-                    "pg_r": self.design.nfin_pg,
-                },
-            )
+            self._layout = SramArrayLayout(**self._layout_inputs())
         return self._layout
 
     def simulator(self) -> ArraySerSimulator:
@@ -378,11 +450,7 @@ class SerFlow:
                 self.layout(),
                 self.pof_table(),
                 yield_luts=self.yield_luts(),
-                config=ArrayMcConfig(
-                    deposition_mode=self.config.deposition_mode,
-                    margin_nm=self.config.margin_nm,
-                    n_jobs=self.n_jobs,
-                ),
+                config=self._mc_config(),
             )
         return self._simulator
 

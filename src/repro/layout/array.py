@@ -72,35 +72,52 @@ class SramArrayLayout:
         self._build()
 
     def _build(self):
-        boxes = []
-        fin_cell = []
-        fin_role = []
-        fin_strike = []
-        for row in range(self.n_rows):
-            for col in range(self.n_cols):
-                cell_index = row * self.n_cols + col
-                mirror_x = col % 2 == 1
-                mirror_y = row % 2 == 1
-                origin = np.array(
-                    [col * self.cell.width_nm, row * self.cell.height_nm, 0.0]
+        # Cells are numbered row-major; a cell's fins follow ROLES order,
+        # each role's fins side by side.  The four mirror variants of one
+        # cell are built once and tiled onto every cell origin: adding
+        # the origin is the same float64 sum ``Aabb.translated`` does.
+        nfins = [(self.nfins or {}).get(role, 1) for role in ROLES]
+        variants = np.stack(
+            [
+                stack_boxes(
+                    [
+                        box
+                        for role, nfin in zip(ROLES, nfins)
+                        for box in self.cell.fin_boxes(
+                            role, nfin, mirror_x, mirror_y
+                        )
+                    ]
                 )
-                stored_one = self.stored_bit(row, col) == 1
-                sensitivity = _SENSITIVE_Q1 if stored_one else _SENSITIVE_Q0
-                for role in ROLES:
-                    nfin = (self.nfins or {}).get(role, 1)
-                    for box in self.cell.fin_boxes(
-                        role, nfin, mirror_x, mirror_y
-                    ):
-                        boxes.append(box.translated(origin))
-                        fin_cell.append(cell_index)
-                        fin_role.append(ROLES.index(role))
-                        fin_strike.append(sensitivity.get(role, -1))
+                for mirror_y in (False, True)
+                for mirror_x in (False, True)
+            ]
+        )
+        rows, cols = np.divmod(np.arange(self.n_cells), self.n_cols)
+        origins = np.zeros((self.n_cells, 1, 6))
+        origins[:, 0, 0] = origins[:, 0, 3] = cols * self.cell.width_nm
+        origins[:, 0, 1] = origins[:, 0, 4] = rows * self.cell.height_nm
+        variant = 2 * (rows % 2) + cols % 2
+        self.packed_boxes = (variants[variant] + origins).reshape(-1, 6)
 
-        self.fin_boxes = boxes
-        self.packed_boxes = stack_boxes(boxes)
-        self.fin_cell = np.array(fin_cell, dtype=np.int64)
-        self.fin_role = np.array(fin_role, dtype=np.int64)
-        self.fin_strike = np.array(fin_strike, dtype=np.int64)
+        fins_per_cell = sum(nfins)
+        strikes = np.array(
+            [
+                np.repeat(
+                    [sensitivity.get(role, -1) for role in ROLES], nfins
+                )
+                for sensitivity in (_SENSITIVE_Q0, _SENSITIVE_Q1)
+            ],
+            dtype=np.int64,
+        )
+        stored = [self.stored_bit(row, col) for row, col in zip(rows, cols)]
+        self.fin_cell = np.repeat(
+            np.arange(self.n_cells, dtype=np.int64), fins_per_cell
+        )
+        self.fin_role = np.tile(
+            np.repeat(np.arange(len(ROLES), dtype=np.int64), nfins),
+            self.n_cells,
+        )
+        self.fin_strike = strikes[stored].reshape(-1)
 
     # -- data pattern ----------------------------------------------------------
 
@@ -120,7 +137,7 @@ class SramArrayLayout:
     @property
     def n_fins(self) -> int:
         """Total fin count (6 per cell)."""
-        return len(self.fin_boxes)
+        return self.fin_cell.size
 
     @property
     def width_nm(self) -> float:

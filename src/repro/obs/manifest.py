@@ -305,6 +305,8 @@ def build_manifest(
         "rejected": counters.get("service.rejected", 0),
         "campaigns": counters.get("service.campaigns", 0),
         "failures": counters.get("service.failures", 0),
+        "model_hits": counters.get("service.model_hits", 0),
+        "pair_offset_hits": counters.get("service.pair_offset_hits", 0),
         "request_p50_s": request_timer.get("p50_s", 0.0),
         "request_p99_s": request_timer.get("p99_s", 0.0),
         "campaign_p50_s": campaign_timer.get("p50_s", 0.0),

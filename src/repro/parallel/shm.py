@@ -21,13 +21,17 @@ inside the pickled payload:
   ``persistent_load`` attaches each referenced segment zero-copy (a
   read-only ndarray view over the mapped buffer) and caches the
   attachment by fingerprint, so switching from one campaign to the
-  next re-ships only the small dynamic scalars.
-* Cleanup is refcounted: :meth:`SharedArrayPack.release` unlinks a
-  segment when its last retaining payload lets go, and an ``atexit``
-  hook (:meth:`SharedArrayPack.release_all`) unlinks everything still
-  live so no ``/dev/shm`` entries outlive the process.  Forked workers
-  inherit the pack's bookkeeping but never own the segments -- every
-  unlink path is guarded by the creating PID.
+  next re-ships only the small dynamic scalars.  A worker keeps the
+  last :data:`PAYLOAD_CACHE_MAX` payloads; evicting one unmaps the
+  segments no kept payload references.
+* Cleanup is refcounted: :func:`release_packed` drops a payload's
+  retains and :meth:`SharedArrayPack.release` unlinks a segment when
+  its last retaining payload lets go; an ``atexit`` hook
+  (:meth:`SharedArrayPack.release_all`) unlinks everything still live
+  so no ``/dev/shm`` entries outlive the process.  A segment's memory
+  is freed once it is unlinked and every process has unmapped it.
+  Forked workers inherit the pack's bookkeeping but never own the
+  segments -- every unlink path is guarded by the creating PID.
 
 When shared memory is unavailable (no writable ``/dev/shm``, exotic
 platforms) or disabled with ``REPRO_NO_SHM=1``, arrays stay inline in
@@ -50,6 +54,7 @@ import hashlib
 import io
 import os
 import pickle
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -63,6 +68,7 @@ _log = get_logger(__name__)
 
 __all__ = [
     "MIN_SHM_BYTES",
+    "PAYLOAD_CACHE_MAX",
     "PackedPayload",
     "SharedArrayPack",
     "ShmArrayRef",
@@ -70,6 +76,7 @@ __all__ = [
     "get_pack",
     "load_packed",
     "pack_payload",
+    "release_packed",
 ]
 
 #: Operator switch: set to any non-empty value to disable the
@@ -113,11 +120,15 @@ class SharedArrayPack:
 
     One instance per process (see :func:`get_pack`).  ``share`` is
     called from the packing pickler in the parent; workers only ever
-    *attach* (see :func:`_attach`) and never unlink.
+    *attach* (see :func:`_attach`) and never unlink.  Threads of one
+    process (a daemon's concurrent campaigns) share and release under
+    one lock, so a release cannot unlink a segment that a concurrent
+    share is about to retain.
     """
 
     def __init__(self):
         self._owner_pid = os.getpid()
+        self._lock = threading.Lock()
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
         self._refs: Dict[str, ShmArrayRef] = {}
         self._refcounts: Dict[str, int] = {}
@@ -168,7 +179,10 @@ class SharedArrayPack:
             return None
         data = np.ascontiguousarray(array)
         fingerprint = array_fingerprint(data)
+        with self._lock:
+            return self._share_locked(data, fingerprint, metrics)
 
+    def _share_locked(self, data, fingerprint, metrics):
         existing = self._refs.get(fingerprint)
         if existing is not None:
             self._refcounts[fingerprint] += 1
@@ -243,17 +257,19 @@ class SharedArrayPack:
         """
         if os.getpid() != self._owner_pid:
             return
-        for fingerprint in fingerprints:
-            count = self._refcounts.get(fingerprint)
-            if count is None:
-                continue
-            if count > 1:
-                self._refcounts[fingerprint] = count - 1
-            else:
-                self._unlink(fingerprint)
+        with self._lock:
+            for fingerprint in fingerprints:
+                count = self._refcounts.get(fingerprint)
+                if count is None:
+                    continue
+                if count > 1:
+                    self._refcounts[fingerprint] = count - 1
+                else:
+                    self._unlink(fingerprint)
+            active = len(self._segments)
         metrics = get_registry()
         if metrics.enabled:
-            metrics.gauge("parallel.shm.active").set(len(self._segments))
+            metrics.gauge("parallel.shm.active").set(active)
 
     def release_all(self) -> None:
         """Unlink every live segment (atexit hook; PID-guarded)."""
@@ -262,8 +278,9 @@ class SharedArrayPack:
             self._refs.clear()
             self._refcounts.clear()
             return
-        for fingerprint in list(self._segments):
-            self._unlink(fingerprint)
+        with self._lock:
+            for fingerprint in list(self._segments):
+                self._unlink(fingerprint)
         metrics = get_registry()
         if metrics.enabled:
             metrics.gauge("parallel.shm.active").set(0)
@@ -374,17 +391,25 @@ def release_packed(packed: PackedPayload) -> None:
 
 # -- worker side: attach & cache --------------------------------------------
 
-#: Fingerprint -> (segment, read-only array view).  Lives for the
-#: worker's whole life: a warm worker keeps serving campaigns against
-#: the same static inputs without remapping them.
+#: Fingerprint -> (segment, read-only array view).  A warm worker keeps
+#: serving campaigns against the same static inputs without remapping
+#: them; a mapping goes when no cached payload references it.
 _ATTACHMENTS: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 
-#: Payload-fingerprint -> rebuilt payload object, so a warm worker
-#: unpickles each distinct payload once and switching campaigns back
-#: and forth stays cheap.  Bounded: payloads can hold large inline
-#: state when shm is off.
-_PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-_PAYLOAD_CACHE_MAX = 4
+#: Detached segments whose unmapping a live view still blocks
+#: (``BufferError``), by ``id``; retried at every eviction.
+_UNMAPPING: Dict[int, shared_memory.SharedMemory] = {}
+
+#: Payload-fingerprint -> (rebuilt payload object, fingerprints of the
+#: segments it references), so a warm worker unpickles each distinct
+#: payload once and switching campaigns back and forth stays cheap.
+#: Bounded: payloads can hold large inline state when shm is off, and
+#: a segment the parent has unlinked stays in memory until every
+#: worker unmaps it.
+_PAYLOAD_CACHE: "OrderedDict[str, Tuple[Any, Tuple[str, ...]]]" = OrderedDict()
+#: Payloads a warm worker keeps.  The service engine keeps as many
+#: built models, so a model it reuses is still rebuilt in the workers.
+PAYLOAD_CACHE_MAX = 4
 
 
 def _attach(ref: ShmArrayRef) -> np.ndarray:
@@ -429,13 +454,40 @@ def load_packed(packed: PackedPayload) -> Any:
         metrics = get_registry()
         if metrics.enabled:
             metrics.counter("parallel.shm.payload_hits").inc()
-        return _PAYLOAD_CACHE[packed.fingerprint]
+        return _PAYLOAD_CACHE[packed.fingerprint][0]
     if packed.data is not None:
         stream = packed.data
     else:
         stream = _attach(packed.blob_ref).tobytes()
     payload = _AttachingUnpickler(io.BytesIO(stream)).load()
-    _PAYLOAD_CACHE[packed.fingerprint] = payload
-    while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_MAX:
-        _PAYLOAD_CACHE.popitem(last=False)
+    _PAYLOAD_CACHE[packed.fingerprint] = (payload, packed.shm_fingerprints)
+    if len(_PAYLOAD_CACHE) > PAYLOAD_CACHE_MAX:
+        _evict_payloads()
     return payload
+
+
+def _evict_payloads() -> None:
+    """Drop the oldest payloads; unmap segments no kept one references.
+
+    A segment stays mapped while any view into it lives (``close``
+    raises ``BufferError``), e.g. an evicted payload not yet collected;
+    such segments wait in :data:`_UNMAPPING` for the next eviction.
+    """
+    while len(_PAYLOAD_CACHE) > PAYLOAD_CACHE_MAX:
+        _PAYLOAD_CACHE.popitem(last=False)
+    live = {
+        fingerprint
+        for _, fingerprints in list(_PAYLOAD_CACHE.values())
+        for fingerprint in fingerprints
+    }
+    for fingerprint in [fp for fp in list(_ATTACHMENTS) if fp not in live]:
+        # keep only the segment: the dropped view must not block close
+        segment = _ATTACHMENTS.pop(fingerprint, (None,))[0]
+        if segment is not None:
+            _UNMAPPING[id(segment)] = segment
+    for key, segment in list(_UNMAPPING.items()):
+        try:
+            segment.close()
+        except BufferError:
+            continue
+        _UNMAPPING.pop(key, None)

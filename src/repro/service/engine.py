@@ -15,7 +15,8 @@ three calls:
   optional ECC/interleave analysis) and returns a JSON-safe result;
 * :class:`CampaignEngine` serves *many* queries from one process:
   single-flight coalescing of identical in-flight requests (N equal
-  queries -> 1 campaign), memoization of completed results, admission
+  queries -> 1 campaign), memoization of completed results, reuse of
+  each built array model across the campaigns that share it, admission
   control over a bounded queue, and per-tenant round-robin scheduling
   over a bounded campaign budget.
 
@@ -29,10 +30,11 @@ daemons ask.
 
 Everything is observable through :mod:`repro.obs`: ``service.*``
 counters (requests / coalesced / memo_hits / rejected / campaigns /
-failures), the ``service.request`` and ``service.campaign`` timers
-(exact p50/p99), queue-depth and in-flight gauges, one trace span per
-request and campaign, and a per-served-campaign ledger surfaced in
-the run manifest's ``service`` section.
+failures / model_hits / pair_offset_hits), the ``service.request`` and
+``service.campaign`` timers (exact p50/p99), queue-depth and in-flight
+gauges, one trace span per request and campaign, and a
+per-served-campaign ledger surfaced in the run manifest's ``service``
+section.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ReproError
 from ..obs import get_logger, get_registry, kv, span
+from ..parallel.shm import PAYLOAD_CACHE_MAX, release_packed
 from .protocol import QuerySpec
 
 __all__ = [
@@ -105,17 +108,25 @@ def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
     )
 
 
-def run_query(spec: QuerySpec, flow=None, options=None) -> dict:
+def run_query(
+    spec: QuerySpec, flow=None, options=None, pair_offsets=None
+) -> dict:
     """Execute one query end-to-end; returns a JSON-safe result dict.
 
     The sweep itself rides the flow's artifact cache (so repeated
     queries in any process are answered from disk); the optional
     ECC/interleave section folds the array's failing-pair offset
     statistics into uncorrectable-word rates per (particle, vdd) at
-    the spectrum's peak-flux energy.
+    the spectrum's peak-flux energy.  ``pair_offsets`` is a dict the
+    campaigns of one model share (see :class:`CampaignEngine`): it
+    keeps each pair-offset campaign's statistics under
+    ``(particle, vdd, energy, ecc_pair_particles)``, which together
+    with the model fixes the campaign's random stream.
     """
     if flow is None:
         flow = build_flow(spec, options)
+    if pair_offsets is None:
+        pair_offsets = {}
     with span("service.query", particles=",".join(spec.particles)):
         sweep = flow.sweep(
             particles=spec.particles, vdd_list=spec.vdd_list
@@ -143,16 +154,17 @@ def run_query(spec: QuerySpec, flow=None, options=None) -> dict:
             "degraded": bool(sweep.degraded),
         }
         if spec.ecc is not None:
-            result["ecc"] = _ecc_analysis(spec, flow, sweep)
+            result["ecc"] = _ecc_analysis(spec, flow, sweep, pair_offsets)
         return result
 
 
-def _ecc_analysis(spec: QuerySpec, flow, sweep) -> List[dict]:
+def _ecc_analysis(spec: QuerySpec, flow, sweep, pair_offsets) -> List[dict]:
     """ECC/interleave word-failure rates riding on a finished sweep."""
     from ..physics import spectrum_for
     from ..reliability import DEC_TED, NO_ECC, SEC_DED, word_failure_rates
 
     scheme = {"none": NO_ECC, "SEC-DED": SEC_DED, "DEC-TED": DEC_TED}[spec.ecc]
+    metrics = get_registry()
     analyses = []
     for particle in sweep.particles():
         # pair statistics are collected at the spectrum's peak-flux
@@ -163,9 +175,12 @@ def _ecc_analysis(spec: QuerySpec, flow, sweep) -> List[dict]:
         peak = int(bins.integral_flux_per_cm2_s.argmax())
         energy = float(bins.representative_mev[peak])
         for vdd in sweep.vdd_values(particle):
-            offsets = flow.pair_offsets(
-                particle, float(vdd), energy, spec.ecc_pair_particles
-            )
+            key = (particle, float(vdd), energy, spec.ecc_pair_particles)
+            offsets = pair_offsets.get(key)
+            if offsets is None:
+                offsets = pair_offsets[key] = flow.pair_offsets(*key)
+            else:
+                metrics.counter("service.pair_offset_hits").inc()
             analysis = word_failure_rates(
                 sweep.get(particle, float(vdd)),
                 offsets,
@@ -227,6 +242,95 @@ def reset_service_ledger():
     _LEDGER.reset()
 
 
+@dataclass(eq=False)
+class _Model:
+    """One built array model and the campaigns currently holding it."""
+
+    simulator: object
+    pack: Optional[object]  # a repro.parallel.PackedPayload
+    pair_offsets: dict
+    users: int = 0
+    evicted: bool = False
+
+    def release(self):
+        if self.pack is not None:
+            release_packed(self.pack)
+
+
+class _ModelLru:
+    """Built array models by :meth:`~repro.core.SerFlow.model_key`.
+
+    Holds as many models as a warm worker keeps payloads
+    (:data:`~repro.parallel.shm.PAYLOAD_CACHE_MAX`), so the workers
+    still hold a reused model's payload too.  The key is content
+    addressed, so an entry cannot be stale.  An evicted model's shared
+    memory is released (:func:`~repro.parallel.shm.release_packed`)
+    once no running campaign holds it.  Models with a degraded artifact
+    are never stored, as the artifact cache never stores one.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._models: "OrderedDict[str, _Model]" = OrderedDict()
+        self._closed = False
+
+    def checkout(self, key: str) -> Optional[_Model]:
+        """The stored model of ``key``, held until :meth:`checkin`."""
+        with self._lock:
+            model = self._models.get(key)
+            if model is None:
+                return None
+            self._models.move_to_end(key)
+            model.users += 1
+        get_registry().counter("service.model_hits").inc()
+        return model
+
+    def checkin(self, model: _Model):
+        with self._lock:
+            model.users -= 1
+            idle = model.evicted and model.users == 0
+        if idle:
+            model.release()
+
+    def store(self, key: str, flow, pair_offsets: dict):
+        """Keep the model ``flow`` built, or release it if it may not stay."""
+        built = flow.built_model()
+        if built is None:
+            return
+        model = _Model(*built, pair_offsets)
+        artifacts = [model.simulator.pof_table]
+        artifacts += model.simulator.yield_luts.values()
+        released = []
+        with self._lock:
+            if (
+                self._closed
+                or key in self._models
+                or any(getattr(a, "degraded", False) for a in artifacts)
+            ):
+                released.append(model)
+            else:
+                self._models[key] = model
+                while len(self._models) > PAYLOAD_CACHE_MAX:
+                    _, old = self._models.popitem(last=False)
+                    old.evicted = True
+                    if old.users == 0:
+                        released.append(old)
+        for old in released:
+            old.release()
+
+    def close(self):
+        """Evict every model; held ones go when their campaign ends."""
+        with self._lock:
+            self._closed = True
+            models = list(self._models.values())
+            self._models.clear()
+            for model in models:
+                model.evicted = True
+            idle = [model for model in models if model.users == 0]
+        for model in idle:
+            model.release()
+
+
 class _Campaign:
     """One in-flight unit of work shared by every coalesced request."""
 
@@ -266,6 +370,10 @@ class CampaignEngine:
         Completed results memoized in-process (LRU).  Degraded results
         are never memoized — the next request recomputes at full
         statistics, matching the artifact cache's discipline.
+        Independently of it, the default runner reuses each built
+        array model (simulator, packed payload and pair-offset
+        statistics) across the campaigns whose flows share its
+        :meth:`~repro.core.SerFlow.model_key` (see :class:`_ModelLru`).
     runner:
         The campaign executor, ``spec -> result dict``; defaults to
         :func:`run_query` under ``options``.  Tests inject fakes here.
@@ -295,6 +403,7 @@ class CampaignEngine:
         self.design = design if design is not None else SramCellDesign()
         self._runner = runner if runner is not None else self._run
         self._memo: "OrderedDict[str, dict]" = OrderedDict()
+        self._models = _ModelLru()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._inflight: Dict[str, _Campaign] = {}
@@ -506,7 +615,21 @@ class CampaignEngine:
             )
 
     def _run(self, spec: QuerySpec) -> dict:
-        return run_query(spec, options=self.options)
+        flow = build_flow(spec, self.options)
+        key = flow.model_key()
+        model = self._models.checkout(key)
+        if model is not None:
+            flow.adopt_model(model.simulator, model.pack)
+            pair_offsets = model.pair_offsets
+        else:
+            pair_offsets = {}
+        try:
+            return run_query(spec, flow=flow, pair_offsets=pair_offsets)
+        finally:
+            if model is not None:
+                self._models.checkin(model)
+            else:
+                self._models.store(key, flow, pair_offsets)
 
     def _gauges_locked(self):
         metrics = get_registry()
@@ -539,6 +662,8 @@ class CampaignEngine:
             "rejected": counters.get("service.rejected", 0),
             "campaigns": counters.get("service.campaigns", 0),
             "failures": counters.get("service.failures", 0),
+            "model_hits": counters.get("service.model_hits", 0),
+            "pair_offset_hits": counters.get("service.pair_offset_hits", 0),
             "request_p50_s": request.get("p50_s", 0.0),
             "request_p99_s": request.get("p99_s", 0.0),
         }
@@ -562,7 +687,9 @@ class CampaignEngine:
         """Stop admitting; optionally wait for in-flight campaigns.
 
         Pending (not yet started) campaigns are failed with
-        :class:`ServiceError` so their waiters unblock.
+        :class:`ServiceError` so their waiters unblock.  Every stored
+        model's shared memory is released; a campaign still running
+        releases its model when it ends.
         """
         with self._wake:
             if self._stopped:
@@ -592,3 +719,4 @@ class CampaignEngine:
                 if deadline is not None:
                     remaining = max(0.0, deadline - time.monotonic())
                 thread.join(timeout=remaining)
+        self._models.close()

@@ -18,13 +18,17 @@ the shipped code to them:
 * :func:`accumulate_pairs_loop` -- the per-event nested pair loop
   behind :func:`repro.ser.clusters._pair_streams`;
 * :func:`group_codes_loop` -- the per-code rescans behind
-  :func:`repro.sram.pof_lut._group_codes`.
+  :func:`repro.sram.pof_lut._group_codes`;
+* :func:`tiled_layout_loop` -- the cell-by-cell, box-by-box tiling
+  behind :meth:`repro.layout.SramArrayLayout._build` (broadcast).
 """
 
 import numpy as np
 
 from repro.constants import ELEMENTARY_CHARGE_C
-from repro.geometry import RayBatch, chord_lengths
+from repro.geometry import RayBatch, chord_lengths, stack_boxes
+from repro.layout.array import _SENSITIVE_Q0, _SENSITIVE_Q1
+from repro.sram.cell import ROLES
 from repro.ser.pof import combine, multiplicity_pmf
 
 
@@ -180,3 +184,41 @@ def group_codes_loop(codes: np.ndarray):
     return [
         (int(code), np.nonzero(codes == code)[0]) for code in np.unique(codes)
     ]
+
+
+def tiled_layout_loop(layout):
+    """The pre-broadcast array tiling, verbatim.
+
+    Returns ``(packed_boxes, fin_cell, fin_role, fin_strike)`` of
+    ``layout``'s geometry, built one cell and one :class:`Aabb` at a
+    time.
+    """
+    boxes = []
+    fin_cell = []
+    fin_role = []
+    fin_strike = []
+    for row in range(layout.n_rows):
+        for col in range(layout.n_cols):
+            cell_index = row * layout.n_cols + col
+            mirror_x = col % 2 == 1
+            mirror_y = row % 2 == 1
+            origin = np.array(
+                [col * layout.cell.width_nm, row * layout.cell.height_nm, 0.0]
+            )
+            stored_one = layout.stored_bit(row, col) == 1
+            sensitivity = _SENSITIVE_Q1 if stored_one else _SENSITIVE_Q0
+            for role in ROLES:
+                nfin = (layout.nfins or {}).get(role, 1)
+                for box in layout.cell.fin_boxes(
+                    role, nfin, mirror_x, mirror_y
+                ):
+                    boxes.append(box.translated(origin))
+                    fin_cell.append(cell_index)
+                    fin_role.append(ROLES.index(role))
+                    fin_strike.append(sensitivity.get(role, -1))
+    return (
+        stack_boxes(boxes),
+        np.array(fin_cell, dtype=np.int64),
+        np.array(fin_role, dtype=np.int64),
+        np.array(fin_strike, dtype=np.int64),
+    )

@@ -398,6 +398,65 @@ print(json.dumps({"names": names, "survived": survived, "result": result}))
         # 6. no tracker cleaned up after the dead worker or at exit
         assert "resource_tracker" not in proc.stderr, proc.stderr[-3000:]
 
+    def test_worker_evictions_unmap_released_segments_in_a_fresh_process(
+        self, tmp_path
+    ):
+        """A warm worker unmaps the segments of the payloads it evicts.
+
+        The parent unlinks each payload's segment after its map, but the
+        memory stays allocated while any worker still maps it: a worker
+        that kept every attachment for life held every released
+        payload, so a long-lived daemon's workers grew with each new
+        model.  Each worker reports its live attachments and the
+        ``/dev/shm`` mappings of its address space.
+        """
+        script = tmp_path / "shm_evict.py"
+        script.write_text(
+            """
+import json, os, sys, time
+import numpy as np
+from repro.parallel import pack_payload, parallel_map
+from repro.parallel import shm
+
+def work(payload, task):
+    time.sleep(0.02)  # keeps both workers in every map
+    return float(payload["big"][task])
+
+def report(payload, task):
+    time.sleep(0.05)
+    with open("/proc/self/maps") as maps:
+        mapped = sum("/dev/shm/psm_" in line for line in maps)
+    return os.getpid(), len(shm._ATTACHMENTS), mapped
+
+for index in range(int(sys.argv[1])):
+    packed = pack_payload({"big": np.full(8192, float(index))})
+    assert len(packed.shm_fingerprints) == 1
+    parallel_map(work, list(range(8)), payload=packed, n_jobs=2, label="big")
+    shm.release_packed(packed)
+reports = parallel_map(report, list(range(8)), payload={}, n_jobs=2, label="r")
+print(json.dumps(reports))
+"""
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        env.pop(shm_mod.ENV_DISABLE, None)
+        payloads = shm_mod.PAYLOAD_CACHE_MAX + 4
+        proc = subprocess.run(
+            [sys.executable, str(script), str(payloads)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        reports = __import__("json").loads(proc.stdout.strip().splitlines()[-1])
+        assert reports
+        for _, attached, mapped in reports:
+            assert attached <= shm_mod.PAYLOAD_CACHE_MAX, reports
+            # plus the first payload's segment, which the pool's fork
+            # copied from the parent's own mapping
+            assert mapped <= shm_mod.PAYLOAD_CACHE_MAX + 1, reports
+
     def test_disabled_shm_falls_back_bit_identically(
         self, layout, pof_table, monkeypatch
     ):

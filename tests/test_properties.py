@@ -6,8 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Aabb, RayBatch, chord_lengths
+from repro.layout import CellLayout, SramArrayLayout
+from repro.layout.array import DATA_PATTERNS
 from repro.physics import ALPHA, PROTON, mass_stopping_power
 from repro.ser.pof import combine_seu, combine_total
+from repro.sram.cell import ROLES
+
+from .array_oracle import tiled_layout_loop
 
 
 class TestGeometryProperties:
@@ -52,6 +57,50 @@ class TestGeometryProperties:
         a = chord_lengths(rays_a, [box])[0, 0]
         b = chord_lengths(rays_b, [moved])[0, 0]
         assert a == pytest.approx(b, abs=1e-6)
+
+
+class TestLayoutProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_rows=st.integers(1, 17),
+        n_cols=st.integers(1, 17),
+        data_pattern=st.sampled_from(DATA_PATTERNS),
+        nfins=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+        collection_length_nm=st.floats(20.0, 100.0),
+        device_fin_pitch_nm=st.floats(10.0, 40.0),
+    )
+    def test_broadcast_tiling_matches_cell_loop(
+        self,
+        n_rows,
+        n_cols,
+        data_pattern,
+        nfins,
+        collection_length_nm,
+        device_fin_pitch_nm,
+    ):
+        """The broadcast build is bit-identical to per-cell tiling."""
+        layout = SramArrayLayout(
+            n_rows=n_rows,
+            n_cols=n_cols,
+            cell=CellLayout(
+                collection_length_nm=collection_length_nm,
+                device_fin_pitch_nm=device_fin_pitch_nm,
+            ),
+            data_pattern=data_pattern,
+            nfins=dict(zip(ROLES, nfins)),
+        )
+        expected = tiled_layout_loop(layout)
+        built = (
+            layout.packed_boxes,
+            layout.fin_cell,
+            layout.fin_role,
+            layout.fin_strike,
+        )
+        for want, got in zip(expected, built):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert layout.n_fins == len(expected[1])
 
 
 class TestPhysicsProperties:

@@ -617,3 +617,236 @@ class TestRealCampaign:
         # so its sweep cache key is a pure function of the spec
         assert flow.config.seed == 2014
         assert flow.config.particles == ("alpha",)
+
+
+def _result_json(result):
+    result = dict(result)
+    result.pop("source", None)
+    return json.dumps(result, sort_keys=True)
+
+
+class TestModelReuse:
+    """The engine builds each array model once and shares it."""
+
+    #: One changed value per QuerySpec field, and whether the field
+    #: changes the model key.
+    PERTURBATIONS = [
+        ("particles", ("alpha", "proton"), True),
+        ("vdd_list", (0.9,), True),
+        ("array_rows", 3, True),
+        ("array_cols", 4, True),
+        ("data_pattern", "checkerboard", True),
+        ("n_energy_bins", 3, False),
+        ("mc_particles", 600, False),
+        ("samples", 10, True),
+        ("yield_trials", 150, True),
+        ("yield_points", 4, True),
+        ("seed", 7, True),
+        ("variation", False, True),
+        ("cell_kernel", "fused", True),
+        ("adaptive", True, False),
+        ("target_se", 1e-3, False),
+        ("target_se_relative", True, False),
+        ("max_trials", 1000, False),
+        ("pilot_trials", 4096, False),
+        ("ecc", "SEC-DED", False),
+        ("interleave", 2, False),
+        ("ecc_pair_particles", 500, False),
+    ]
+
+    #: Fields that change the key although the simulator may come out
+    #: byte-identical: the artifact cache keys the POF table by its
+    #: kernel, and the two kernels' tables differ by at most one
+    #: variation sample (at this scale, not at all).
+    MAY_COINCIDE = {"cell_kernel"}
+
+    def test_model_key_changes_exactly_with_the_simulator(self, tmp_path):
+        import pickle
+        from dataclasses import fields
+
+        covered = {name for name, _, _ in self.PERTURBATIONS}
+        assert covered == {f.name for f in fields(QuerySpec)}
+        options = ExecutionOptions(cache_dir=str(tmp_path / "cache"))
+
+        def model(spec):
+            # the second flow loads every artifact the first one built,
+            # so each simulator is assembled the same way
+            build_flow(spec, options).simulator()
+            flow = build_flow(spec, options)
+            return flow.model_key(), pickle.dumps(flow.simulator())
+
+        base_key, base_bytes = model(_tiny_spec())
+        for name, value, changes in self.PERTURBATIONS:
+            key, pickled = model(_tiny_spec(**{name: value}))
+            assert (key != base_key) is changes, name
+            if key == base_key:
+                assert pickled == base_bytes, name
+            elif name not in self.MAY_COINCIDE:
+                assert pickled != base_bytes, name
+
+    def test_mixed_batch_matches_fresh_queries(self, tmp_path):
+        enable_metrics(fresh=True)
+        specs = [
+            _tiny_spec(
+                particles=particles,
+                mc_particles=mc,
+                n_energy_bins=bins,
+                ecc=ecc,
+                ecc_pair_particles=400,
+                seed=seed,
+            )
+            for seed in (3, 4)
+            for particles in (("alpha",), ("alpha", "proton"))
+            for mc in (300, 600)
+            for bins in (2, 3)
+            for ecc in (None, "SEC-DED")
+        ]
+        options = ExecutionOptions(cache_dir=str(tmp_path / "engine"))
+        with engine_ctx(options=options) as engine:
+            served = [
+                engine.submit(spec).result(timeout=120.0) for spec in specs
+            ]
+            stats = engine.stats()
+        fresh = ExecutionOptions(cache_dir=str(tmp_path / "fresh"))
+        for spec, result in zip(specs, served):
+            assert result["source"] == "campaign"
+            assert _result_json(result) == _result_json(
+                run_query(spec, options=fresh)
+            )
+        # 4 models (2 seeds x 2 particle sets) serve 32 campaigns; per
+        # model each (particle, energy) pair campaign runs once, then
+        # serves the other budget's ECC query
+        assert stats["campaigns"] == 32
+        assert stats["model_hits"] == 28
+        assert stats["pair_offset_hits"] == 12
+
+    def test_degraded_model_is_not_stored(self, tmp_path, monkeypatch):
+        from repro.parallel import RetryPolicy, get_lease, get_pack
+        from repro.parallel.engine import FAULT_ENV
+
+        enable_metrics(fresh=True)
+        get_lease().shutdown_all()
+        get_pack().release_all()
+        # the last of 5 energy points dies with the pool, so the LUT
+        # keeps its first rows (and its campaign something to sample)
+        marker = tmp_path / "killed"
+        monkeypatch.setenv(FAULT_ENV, f"yield_lut:4:{marker}")
+        options = ExecutionOptions(
+            cache_dir=str(tmp_path / "cache"),
+            n_jobs=2,
+            retry=RetryPolicy(retries=0, allow_partial=True),
+        )
+        try:
+            with engine_ctx(options=options) as engine:
+                engine.submit(_tiny_spec(yield_points=5)).result(
+                    timeout=120.0
+                )
+                assert marker.exists()
+                # the degraded model's pack went with its campaign
+                assert len(get_pack()) == 0
+                assert engine.stats()["model_hits"] == 0
+                engine.submit(
+                    _tiny_spec(yield_points=5, mc_particles=400)
+                ).result(timeout=120.0)
+                assert engine.stats()["model_hits"] == 0  # rebuilt
+                assert len(get_pack()) > 0  # and stored
+                engine.submit(
+                    _tiny_spec(yield_points=5, mc_particles=500)
+                ).result(timeout=120.0)
+                assert engine.stats()["model_hits"] == 1
+            assert len(get_pack()) == 0
+        finally:
+            get_lease().shutdown_all()
+            get_pack().release_all()
+
+    def test_concurrent_campaigns_share_one_model(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import engine as engine_mod
+
+        enable_metrics(fresh=True)
+        specs = [_tiny_spec(mc_particles=400), _tiny_spec(mc_particles=500)]
+        both_inside = threading.Barrier(2, timeout=60.0)
+        real_run_query = engine_mod.run_query
+
+        def overlapping_run_query(spec, **kwargs):
+            if spec in specs:
+                both_inside.wait()  # both campaigns hold the model here
+            return real_run_query(spec, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_query", overlapping_run_query)
+        options = ExecutionOptions(cache_dir=str(tmp_path / "engine"))
+        with engine_ctx(options=options, max_concurrent=2) as engine:
+            engine.submit(_tiny_spec()).result(timeout=120.0)
+            futures = [engine.submit(spec) for spec in specs]
+            served = [future.result(timeout=120.0) for future in futures]
+            stats = engine.stats()
+        assert stats["model_hits"] == 2
+        serial = ExecutionOptions(cache_dir=str(tmp_path / "serial"))
+        for spec, result in zip(specs, served):
+            assert _result_json(result) == _result_json(
+                real_run_query(spec, options=serial)
+            )
+
+    def test_held_model_is_released_when_its_campaign_ends(self):
+        import types
+
+        import numpy as np
+
+        from repro.parallel import get_pack, pack_payload
+        from repro.parallel.shm import PAYLOAD_CACHE_MAX
+        from repro.service.engine import _ModelLru
+
+        class _Flow:
+            def __init__(self, index):
+                simulator = types.SimpleNamespace(
+                    pof_table=None, yield_luts={}
+                )
+                pack = pack_payload({"big": np.full(8192, float(index))})
+                self.model = (simulator, pack)
+
+            def built_model(self):
+                return self.model
+
+        get_pack().release_all()
+        models = _ModelLru()
+        models.store("k0", _Flow(0), {})
+        held = models.checkout("k0")
+        for index in range(1, PAYLOAD_CACHE_MAX + 1):
+            models.store(f"k{index}", _Flow(index), {})
+        # k0 left the LRU, but a running campaign still holds it
+        assert models.checkout("k0") is None
+        assert len(get_pack()) == PAYLOAD_CACHE_MAX + 1
+        models.checkin(held)
+        assert len(get_pack()) == PAYLOAD_CACHE_MAX
+        held = models.checkout("k1")
+        models.close()
+        assert len(get_pack()) == 1
+        models.store("k9", _Flow(9), {})  # closed: released at once
+        assert len(get_pack()) == 1
+        models.checkin(held)
+        assert len(get_pack()) == 0
+
+    def test_shared_memory_stays_bounded(self, tmp_path):
+        from repro.parallel import get_lease, get_pack
+        from repro.parallel.shm import PAYLOAD_CACHE_MAX
+
+        get_lease().shutdown_all()
+        get_pack().release_all()
+        options = ExecutionOptions(cache_dir=str(tmp_path / "cache"), n_jobs=2)
+        live = []
+        try:
+            with engine_ctx(options=options) as engine:
+                for seed in range(2 * PAYLOAD_CACHE_MAX):
+                    engine.submit(_tiny_spec(seed=seed)).result(timeout=120.0)
+                    live.append(len(get_pack()))
+            assert live[0] > 0
+            # every model packs alike: the count stops growing once the
+            # LRU is full
+            assert live[PAYLOAD_CACHE_MAX - 1:] == [
+                live[PAYLOAD_CACHE_MAX - 1]
+            ] * (PAYLOAD_CACHE_MAX + 1)
+            assert len(get_pack()) == 0
+        finally:
+            get_lease().shutdown_all()
+            get_pack().release_all()
