@@ -604,9 +604,20 @@ class SerFlow:
         return spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
 
     def _integrate(self, particle_name, vdd_v, bins, results) -> FitResult:
-        """Record per-bin convergence, then fold the bins into a FIT."""
+        """Record per-bin convergence, then fold the bins into a FIT.
+
+        A FIT whose campaigns drew their pair counts from a degraded
+        yield LUT is degraded too, so no cache or memo keeps it.
+        """
         self._record_convergence(particle_name, vdd_v, results)
-        return integrate_fit(particle_name, vdd_v, bins, results)
+        simulator = self.simulator()
+        lut = simulator.yield_luts.get(particle_name)
+        degraded = simulator.config.deposition_mode == "lut" and (
+            lut is not None and lut.degraded
+        )
+        return integrate_fit(
+            particle_name, vdd_v, bins, results, degraded=degraded
+        )
 
     def fit(self, particle_name: str, vdd_v: float) -> FitResult:
         """FIT rate of one (particle, vdd) case (eqs. 7-8)."""

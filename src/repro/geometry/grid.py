@@ -95,11 +95,13 @@ class BoxGrid:
         ascending within a ray.
         """
         ray, box = self._candidates(rays)
+        # row gathers by ``take``: several times faster than ``a[idx]``
+        # for these narrow rows, and the same copied values
         t_near, t_far = _slab_interval(
-            rays.origins[ray],
-            rays.directions[ray],
-            self._lo[box],
-            self._hi[box],
+            rays.origins.take(ray, axis=0),
+            rays.directions.take(ray, axis=0),
+            self._lo.take(box, axis=0),
+            self._hi.take(box, axis=0),
         )
         lengths = t_far - np.maximum(t_near, 0.0)
         hit = lengths > 0.0
@@ -115,8 +117,8 @@ class BoxGrid:
         t0 = np.maximum(t_near, 0.0)
         live = np.flatnonzero(t_far > t0)
         t0, t1 = t0[live], t_far[live]
-        o = rays.origins[live, :2]
-        d = rays.directions[live, :2]
+        o = rays.origins.take(live, axis=0)[:, :2]
+        d = rays.directions.take(live, axis=0)[:, :2]
         # x/y end points of the forward segment inside the union
         with np.errstate(over="ignore", invalid="ignore"):
             start = o + t0[:, np.newaxis] * d
@@ -140,9 +142,10 @@ class BoxGrid:
         # one row per (ray, column) under the padded segment
         owner, rank = _expand(c1 - c0 + 1)
         col = c0[owner] + rank
-        x_a, y_a = start[owner, 0], start[owner, 1]
-        dx = end[owner, 0] - x_a
-        dy = end[owner, 1] - y_a
+        x_a = start[:, 0].take(owner)
+        y_a = start[:, 1].take(owner)
+        dx = end[:, 0].take(owner) - x_a
+        dy = end[:, 1].take(owner) - y_a
         pad_x, pad_y = pad_x[owner], pad_y[owner]
         left = self._union_lo[0] + col * self._bin_size[0] - pad_x
         right = left + self._bin_size[0] + 2.0 * pad_x

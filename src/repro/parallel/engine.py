@@ -94,7 +94,13 @@ from ..obs import get_logger, get_registry, kv, span
 from ..obs.events import disable_events, emit_event, get_event_bus
 from ..obs.registry import disable_metrics, enable_metrics
 from .pool import get_lease
-from .shm import PackedPayload, load_packed, pack_payload
+from .shm import (
+    PackedPayload,
+    close_inherited,
+    load_packed,
+    pack_payload,
+    release_packed,
+)
 
 _log = get_logger(__name__)
 
@@ -337,8 +343,10 @@ def _worker_init(event_queue):
     the registry between maps).  Under ``fork`` the worker inherits
     the parent's live registry state and event bus -- drop both, so
     snapshots only ever carry worker-side increments and worker events
-    reach the sink only through the parent.  The one exception is the
-    telemetry ``event_queue`` (owned by the
+    reach the sink only through the parent.  It also inherits the
+    mappings of every shared segment the parent owns: unmap them, so
+    a worker maps only the payloads it caches.  The one exception is
+    the telemetry ``event_queue`` (owned by the
     :class:`~repro.parallel.pool.PoolLease`, one per pool key): queues
     only cross the process boundary at construction time, so it is
     installed here for the worker's whole life; whether anything flows
@@ -349,6 +357,7 @@ def _worker_init(event_queue):
     _EVENT_BUFFER.clear()
     disable_events()
     disable_metrics()
+    close_inherited()
 
 
 def _sync_metrics(with_metrics: bool):
@@ -731,7 +740,8 @@ def _run_pooled(
     """Pool execution with retry rounds; returns (busy_s, lost shards).
 
     The payload is packed once and every round ships it (see
-    :func:`_run_round`).  A round that ends badly invalidates its
+    :func:`_run_round`); a pack made here is released when the map
+    ends, however it ends.  A round that ends badly invalidates its
     leased pool, so the retry round's lease forks a new pool of new
     workers -- a retried shard never lands on a worker that saw the
     failure.
@@ -739,64 +749,69 @@ def _run_pooled(
     remaining = list(pending)
     busy_total = 0.0
     attempt = 0
-    if isinstance(payload, PackedPayload):
-        packed = payload  # caller packed it once; ship as-is
-    else:
+    owned = not isinstance(payload, PackedPayload)
+    if owned:
         with metrics.time("parallel.pack"):
             packed = pack_payload(payload)
-    while remaining:
-        transient, fatal, busy_s = _run_round(
-            fn,
-            tasks,
-            remaining,
-            packed,
-            jobs,
-            label,
-            context,
-            policy,
-            journal,
-            results,
-            metrics,
-        )
-        busy_total += busy_s
-        if fatal is not None:
-            index, exc = fatal
-            raise TaskError(
-                f"shard {index} of {label!r} failed deterministically: "
-                f"{exc} (task={tasks[index]!r})",
-                shard=index,
-                label=label,
-            ) from exc
-        remaining = sorted(transient)
-        if not remaining:
-            break
-        attempt += 1
-        if attempt > policy.retries:
-            return busy_total, remaining
-        if metrics.enabled:
-            metrics.counter("parallel.retries").inc(len(remaining))
-        for index in remaining:
-            emit_event(
-                "progress",
-                label=label,
-                index=index,
-                state="retrying",
-                attempt=attempt,
-                retries=policy.retries,
+    else:
+        packed = payload  # caller packed it once and keeps it
+    try:
+        while remaining:
+            transient, fatal, busy_s = _run_round(
+                fn,
+                tasks,
+                remaining,
+                packed,
+                jobs,
+                label,
+                context,
+                policy,
+                journal,
+                results,
+                metrics,
             )
-        delay = policy.backoff_for(attempt)
-        _log.warning(
-            "retrying lost shards %s",
-            kv(
-                label=label,
-                shards=len(remaining),
-                attempt=f"{attempt}/{policy.retries}",
-                backoff_s=round(delay, 3),
-            ),
-        )
-        if delay > 0:
-            time.sleep(delay)
-    return busy_total, []
+            busy_total += busy_s
+            if fatal is not None:
+                index, exc = fatal
+                raise TaskError(
+                    f"shard {index} of {label!r} failed deterministically: "
+                    f"{exc} (task={tasks[index]!r})",
+                    shard=index,
+                    label=label,
+                ) from exc
+            remaining = sorted(transient)
+            if not remaining:
+                break
+            attempt += 1
+            if attempt > policy.retries:
+                return busy_total, remaining
+            if metrics.enabled:
+                metrics.counter("parallel.retries").inc(len(remaining))
+            for index in remaining:
+                emit_event(
+                    "progress",
+                    label=label,
+                    index=index,
+                    state="retrying",
+                    attempt=attempt,
+                    retries=policy.retries,
+                )
+            delay = policy.backoff_for(attempt)
+            _log.warning(
+                "retrying lost shards %s",
+                kv(
+                    label=label,
+                    shards=len(remaining),
+                    attempt=f"{attempt}/{policy.retries}",
+                    backoff_s=round(delay, 3),
+                ),
+            )
+            if delay > 0:
+                time.sleep(delay)
+        return busy_total, []
+    finally:
+        if owned:
+            release_packed(packed)
 
 
 class _EventPump:

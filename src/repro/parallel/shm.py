@@ -31,7 +31,9 @@ inside the pickled payload:
   so no ``/dev/shm`` entries outlive the process.  A segment's memory
   is freed once it is unlinked and every process has unmapped it.
   Forked workers inherit the pack's bookkeeping but never own the
-  segments -- every unlink path is guarded by the creating PID.
+  segments -- every unlink path is guarded by the creating PID -- and
+  a pool worker unmaps the inherited segments when it starts
+  (:func:`close_inherited`).
 
 When shared memory is unavailable (no writable ``/dev/shm``, exotic
 platforms) or disabled with ``REPRO_NO_SHM=1``, arrays stay inline in
@@ -272,8 +274,17 @@ class SharedArrayPack:
             metrics.gauge("parallel.shm.active").set(active)
 
     def release_all(self) -> None:
-        """Unlink every live segment (atexit hook; PID-guarded)."""
+        """Unlink every live segment (atexit hook; PID-guarded).
+
+        A forked child only unmaps the segments it inherited: the
+        parent still owns and serves them.
+        """
         if os.getpid() != self._owner_pid:
+            for segment in self._segments.values():
+                try:
+                    segment.close()
+                except BufferError:  # a view into it is still alive
+                    pass
             self._segments.clear()
             self._refs.clear()
             self._refcounts.clear()
@@ -297,6 +308,19 @@ def get_pack() -> SharedArrayPack:
         # parent's bookkeeping -- it gets its own empty pack.
         _PACK = SharedArrayPack()
     return _PACK
+
+
+def close_inherited() -> None:
+    """Unmap the segments a forked child inherited with the parent's pack.
+
+    Left mapped, they would pin every segment the parent owned at fork
+    time for the child's whole life, even after the parent unlinks
+    them.  Never unlinks.
+    """
+    global _PACK
+    if _PACK is not None and _PACK._owner_pid != os.getpid():
+        _PACK.release_all()
+        _PACK = None
 
 
 # -- payload packing (parent side) ------------------------------------------
@@ -348,6 +372,10 @@ class _PackingPickler(pickle.Pickler):
         ):
             ref = self._pack.share(obj)
             if ref is not None:
+                if ref.fingerprint in self.shared:
+                    # one retain per payload, however often the array
+                    # recurs in it: release_packed drops exactly one
+                    self._pack.release((ref.fingerprint,))
                 self.shared[ref.fingerprint] = ref
                 return (_PID_TAG, ref)
         return None

@@ -45,8 +45,9 @@ class FitResult:
         Failure rates in FIT (failures per 1e9 device hours).
     degraded:
         True when any folded MC campaign lost shards to worker
-        crashes: the rates are unbiased but rest on fewer particles,
-        so their standard errors are wider than requested.  Degraded
+        crashes, or when the campaigns drew their pair counts from a
+        degraded electron-yield LUT: the rates rest on fewer trials
+        than requested, so their standard errors are wider.  Degraded
         results are never written to the artifact cache.
     """
 
@@ -109,11 +110,14 @@ def integrate_fit(
     vdd_v: float,
     bins: EnergyBins,
     results: Sequence[ArrayPofResult],
+    degraded: bool = False,
 ) -> FitResult:
     """Fold per-energy MC results with the spectrum (eq. 8).
 
     ``results[i]`` must be the MC outcome at ``bins.representative_mev[i]``;
-    every result must share the same launch area.
+    every result must share the same launch area.  ``degraded`` flags
+    an input the results do not carry, such as a degraded yield LUT;
+    the FIT is degraded when it or any result is.
     """
     if len(results) != len(bins):
         raise ConfigError(
@@ -160,5 +164,5 @@ def integrate_fit(
         fit_total=per_second_to_fit(float(rates_per_s[0])),
         fit_seu=per_second_to_fit(float(rates_per_s[1])),
         fit_mbu=per_second_to_fit(float(rates_per_s[2])),
-        degraded=any(r.degraded for r in results),
+        degraded=degraded or any(r.degraded for r in results),
     )

@@ -754,9 +754,12 @@ class ArraySerSimulator:
         if n_hits == 0:
             return 0, 0, 0, None
 
-        # RayBatch renormalizes: chords come from these directions
+        # RayBatch renormalizes: chords come from these directions.
+        # ``compress`` copies the rows several times faster than a
+        # boolean index, and copies the same values.
         hit_rays = RayBatch(
-            rays.origins[array_hits], rays.directions[array_hits]
+            rays.origins.compress(array_hits, axis=0),
+            rays.directions.compress(array_hits, axis=0),
         )
         per_ray_energy = np.broadcast_to(
             np.asarray(energy_mev, dtype=np.float64), (len(rays),)
@@ -811,7 +814,9 @@ class ArraySerSimulator:
         touched = np.any(cell_charges > 0.0, axis=1)
         if not np.any(touched):
             return n_hits, n_strikes, n_events, None
-        pof = self.pof_table.query(vdd_v, cell_charges[touched])
+        pof = self.pof_table.query(
+            vdd_v, cell_charges.compress(touched, axis=0)
+        )
         keys = unique_keys[touched]
         rows = (keys // n_cells, keys % n_cells, pof)
         return n_hits, n_strikes, n_events, rows

@@ -275,7 +275,7 @@ class ElectronYieldLUT:
                     # No geometric hits at this statistics level: record a
                     # degenerate (all-zero) distribution rather than
                     # failing.  Queries skip such rows -- see
-                    # _collapse_empty_rows.
+                    # sample_pairs_many.
                     continue
                 mean_pairs[i] = float(np.mean(conditional))
                 quantiles[i] = np.quantile(conditional, quantile_grid)
@@ -345,73 +345,32 @@ class ElectronYieldLUT:
         """
         return self.hit_fraction > 0.0
 
-    def _collapse_bracket(self, lo: int, hi: int, w: float):
-        """Remap an interpolation bracket away from empty quantile rows.
-
-        Prefers the populated bracket endpoint; if both endpoints are
-        empty, snaps to the nearest populated row.  Returns the bracket
-        unchanged when both endpoints are populated (the common case).
-        """
-        populated = self._populated_rows()
-        if populated[lo] and populated[hi]:
-            return lo, hi, w
-        candidates = np.flatnonzero(populated)
-        if len(candidates) == 0:
-            raise LookupError_(
-                f"LUT for {self.particle_name!r} has no populated energy "
-                "rows to sample from"
-            )
-        if populated[lo]:
-            snap = int(lo)
-        elif populated[hi]:
-            snap = int(hi)
-        else:
-            position = lo + w * (hi - lo)
-            snap = int(candidates[np.argmin(np.abs(candidates - position))])
-        _log.warning(
-            "empty LUT row skipped in sampling %s",
-            kv(
-                particle=self.particle_name,
-                bracket=f"[{lo},{hi}]",
-                fallback_row=snap,
-                energy_mev=float(self.energies_mev[snap]),
-            ),
-        )
-        return snap, snap, 0.0
-
     def sample_pairs(
         self, energy_mev: float, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Sample ``n`` conditional pair counts at an energy.
+        """Sample ``n`` conditional pair counts at one energy.
 
-        Inverse-CDF sampling on the stored quantile table, with the two
-        bracketing energy rows blended in log-energy.  Empty (zero-hit)
-        rows never enter the blend: the query falls back to the nearest
-        populated row, with a warning through the ``repro`` logger.
+        The scalar entry to :meth:`sample_pairs_many`.
         """
         self._check_energy(energy_mev)
-        lo, hi, w = self._interp_weights(energy_mev)
-        lo, hi, w = self._collapse_bracket(lo, hi, w)
-        row = (1.0 - w) * self.quantiles[lo] + w * self.quantiles[hi]
-        u = rng.uniform(0.0, 1.0, size=n)
-        positions = u * (len(row) - 1)
-        lower = np.floor(positions).astype(int)
-        upper = np.minimum(lower + 1, len(row) - 1)
-        frac = positions - lower
-        return row[lower] * (1.0 - frac) + row[upper] * frac
+        return self.sample_pairs_many(np.full(n, float(energy_mev)), rng)
 
     def sample_pairs_many(
         self, energies_mev, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample one pair count per entry of an energy array.
 
-        Vectorized counterpart of :meth:`sample_pairs` for
-        mixed-energy batches (continuous-spectrum array MC): the two
-        bracketing quantile rows of each query are blended in
-        log-energy, then inverse-CDF sampled.  As in
-        :meth:`sample_pairs`, queries bracketed by empty (zero-hit)
-        rows snap to the nearest populated row instead of blending
-        toward zero.
+        Inverse-CDF sampling on the stored quantile table, with the two
+        bracketing energy rows of each query blended in log-energy.  A
+        draw reads two adjacent quantile columns, so only those four
+        table entries are gathered and blended.  Each blend runs
+        ``(1 - w) * q_lo + w * q_hi``, so a draw is bit-identical to
+        one read from the whole blended row (the test oracle
+        ``sample_pairs_blend_rows``); ``q_lo + w * (q_hi - q_lo)``
+        would round differently.  Queries bracketed by empty
+        (zero-hit) rows snap to the nearest populated row instead of
+        blending toward zero, with a warning through the ``repro``
+        logger.
         """
         energies = np.atleast_1d(np.asarray(energies_mev, dtype=np.float64))
         if np.any(energies <= 0):
@@ -458,17 +417,24 @@ class ElectronYieldLUT:
                     total=len(energies),
                 ),
             )
-        rows = (
-            (1.0 - weight)[:, np.newaxis] * self.quantiles[lo]
-            + weight[:, np.newaxis] * self.quantiles[hi]
-        )
+        n_q = self.quantiles.shape[1]
         u = rng.uniform(0.0, 1.0, size=len(energies))
-        positions = u * (rows.shape[1] - 1)
+        positions = u * (n_q - 1)
         lower = np.floor(positions).astype(int)
-        upper = np.minimum(lower + 1, rows.shape[1] - 1)
+        upper = np.minimum(lower + 1, n_q - 1)
         frac = positions - lower
-        idx = np.arange(len(energies))
-        return rows[idx, lower] * (1.0 - frac) + rows[idx, upper] * frac
+        # flat indices of the two bracketing rows' entries
+        lo = lo * n_q
+        hi = hi * n_q
+        keep = 1.0 - weight
+        table = self.quantiles
+        at_lower = keep * table.take(lo + lower) + weight * table.take(
+            hi + lower
+        )
+        at_upper = keep * table.take(lo + upper) + weight * table.take(
+            hi + upper
+        )
+        return at_lower * (1.0 - frac) + at_upper * frac
 
     def _check_energy(self, energy_mev: float):
         if energy_mev <= 0:

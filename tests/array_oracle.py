@@ -20,12 +20,16 @@ the shipped code to them:
 * :func:`group_codes_loop` -- the per-code rescans behind
   :func:`repro.sram.pof_lut._group_codes`;
 * :func:`tiled_layout_loop` -- the cell-by-cell, box-by-box tiling
-  behind :meth:`repro.layout.SramArrayLayout._build` (broadcast).
+  behind :meth:`repro.layout.SramArrayLayout._build` (broadcast);
+* :func:`sample_pairs_blend_rows` -- the whole-row quantile blend
+  behind :meth:`repro.transport.ElectronYieldLUT.sample_pairs_many`
+  (which gathers the four entries each query reads, then blends).
 """
 
 import numpy as np
 
 from repro.constants import ELEMENTARY_CHARGE_C
+from repro.errors import LookupError_
 from repro.geometry import RayBatch, chord_lengths, stack_boxes
 from repro.layout.array import _SENSITIVE_Q0, _SENSITIVE_Q1
 from repro.sram.cell import ROLES
@@ -222,3 +226,55 @@ def tiled_layout_loop(layout):
         np.array(fin_role, dtype=np.int64),
         np.array(fin_strike, dtype=np.int64),
     )
+
+
+def sample_pairs_blend_rows(lut, energies_mev, rng):
+    """The pre-gather LUT sampler, verbatim.
+
+    Blends both bracketing quantile rows of every query into an
+    ``(n, n_quantiles)`` matrix, then reads two entries of each row.
+    Empty-row snapping matches the shipped sampler, except that no
+    warning is logged.
+    """
+    energies = np.atleast_1d(np.asarray(energies_mev, dtype=np.float64))
+    if np.any(energies <= 0):
+        raise LookupError_("LUT energy query must be positive")
+    grid = lut.energies_mev
+    clipped = np.clip(energies, grid[0], grid[-1])
+    hi = np.clip(np.searchsorted(grid, clipped), 1, len(grid) - 1)
+    lo = hi - 1
+    weight = (np.log(clipped) - np.log(grid[lo])) / (
+        np.log(grid[hi]) - np.log(grid[lo])
+    )
+    populated = lut.hit_fraction > 0.0
+    bad = ~(populated[lo] & populated[hi])
+    if np.any(bad):
+        candidates = np.flatnonzero(populated)
+        if len(candidates) == 0:
+            raise LookupError_("LUT has no populated energy rows")
+        snap = np.where(populated[lo], lo, hi)
+        both_empty = bad & ~populated[lo] & ~populated[hi]
+        if np.any(both_empty):
+            position = lo[both_empty] + weight[both_empty]
+            snap[both_empty] = candidates[
+                np.argmin(
+                    np.abs(
+                        candidates[np.newaxis, :] - position[:, np.newaxis]
+                    ),
+                    axis=1,
+                )
+            ]
+        lo = np.where(bad, snap, lo)
+        hi = np.where(bad, snap, hi)
+        weight = np.where(bad, 0.0, weight)
+    rows = (
+        (1.0 - weight)[:, np.newaxis] * lut.quantiles[lo]
+        + weight[:, np.newaxis] * lut.quantiles[hi]
+    )
+    u = rng.uniform(0.0, 1.0, size=len(energies))
+    positions = u * (rows.shape[1] - 1)
+    lower = np.floor(positions).astype(int)
+    upper = np.minimum(lower + 1, rows.shape[1] - 1)
+    frac = positions - lower
+    idx = np.arange(len(energies))
+    return rows[idx, lower] * (1.0 - frac) + rows[idx, upper] * frac

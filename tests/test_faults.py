@@ -688,3 +688,65 @@ class TestDegradedCampaigns:
         assert get_registry().counter("lut_cache.degraded_skips").value == 1
         # nothing cached: a rerun misses and rebuilds
         assert not cache.path_for("yield-alpha", {"seed": 5}).exists()
+
+    def test_degraded_yield_lut_degrades_its_fits(
+        self, tmp_path, monkeypatch, metrics
+    ):
+        """A sweep folded through a degraded yield LUT is degraded: it
+        is neither cached nor memoized, so the next query reruns."""
+        from repro.service import (
+            CampaignEngine,
+            ExecutionOptions,
+            QuerySpec,
+            build_flow,
+        )
+
+        spec = QuerySpec(
+            particles=("alpha",),
+            vdd_list=(0.7,),
+            mc_particles=1000,
+            samples=16,
+            yield_trials=1000,
+            yield_points=5,
+            seed=3,
+        )
+
+        def options(cache_dir):
+            return ExecutionOptions(
+                cache_dir=str(cache_dir),
+                n_jobs=2,
+                retry=RetryPolicy(retries=0, allow_partial=True),
+            )
+
+        # the last of 5 energy points dies: the LUT keeps its first rows
+        marker = tmp_path / "killed-flow"
+        monkeypatch.setenv(FAULT_ENV, f"yield_lut:4:{marker}")
+        flow_cache = tmp_path / "flow-cache"
+        flow = build_flow(spec, options(flow_cache))
+        sweep = flow.sweep()
+        assert marker.exists()
+        assert flow.yield_luts()["alpha"].degraded
+        fit = sweep.get("alpha", 0.7)
+        assert fit.degraded
+        assert sweep.degraded
+        assert not list(flow_cache.glob("sweep-*.json"))
+
+        marker = tmp_path / "killed-engine"
+        monkeypatch.setenv(FAULT_ENV, f"yield_lut:4:{marker}")
+        engine_cache = tmp_path / "engine-cache"
+        engine = CampaignEngine(options=options(engine_cache))
+        try:
+            first = engine.submit(spec).result(timeout=120.0)
+            assert marker.exists()
+            assert first["degraded"]
+            assert [case["degraded"] for case in first["cases"]] == [True]
+            assert not list(engine_cache.glob("sweep-*.json"))
+            # the kill is spent: the repeat runs a clean campaign
+            second = engine.submit(spec).result(timeout=120.0)
+            stats = engine.stats()
+        finally:
+            engine.shutdown(wait=True, timeout_s=10.0)
+        assert stats["campaigns"] == 2
+        assert stats["memo_hits"] == 0
+        assert not second["degraded"]
+        assert len(list(engine_cache.glob("sweep-*.json"))) == 1

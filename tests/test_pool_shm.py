@@ -18,6 +18,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.errors import TaskError
 from repro.layout import SramArrayLayout
 from repro.obs.registry import disable_metrics, enable_metrics
 from repro.parallel import (
@@ -29,7 +30,7 @@ from repro.parallel import (
 )
 from repro.parallel import shm as shm_mod
 from repro.parallel.engine import FAULT_ENV
-from repro.parallel.shm import load_packed
+from repro.parallel.shm import load_packed, release_packed
 from repro.physics import ALPHA
 from repro.ser.mc import ArrayPofResult
 from repro.sram import PofTable
@@ -58,6 +59,26 @@ def metrics():
         yield registry
     finally:
         disable_metrics()
+
+
+@pytest.fixture()
+def shared_names(monkeypatch):
+    """Names of the segments the parent's pack shares during a test.
+
+    A pooled map releases the pack it made when it ends, so a test
+    that wants to look at its segments afterwards must note them here.
+    """
+    names = []
+    real_share = shm_mod.SharedArrayPack.share
+
+    def share(self, array):
+        ref = real_share(self, array)
+        if ref is not None and ref.name not in names:
+            names.append(ref.name)
+        return ref
+
+    monkeypatch.setattr(shm_mod.SharedArrayPack, "share", share)
+    return names
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +131,12 @@ def assert_results_identical(a, b):
 
 def _sum_task(payload, task):
     return float(np.sum(payload["big"])) + task
+
+
+def _failing_sum_task(payload, task):
+    if task == 2:
+        raise ValueError("task 2 is configured to fail")
+    return _sum_task(payload, task)
 
 
 def _echo_task(payload, task):
@@ -243,14 +270,16 @@ class TestSharedMemory:
             shared_memory.SharedMemory(name=name)
         assert len(get_pack()) == 0
 
-    def test_no_leaked_segments_after_campaigns(self, layout, pof_table):
+    def test_no_leaked_segments_after_campaigns(
+        self, layout, pof_table, shared_names
+    ):
         # force even the small synthetic fixture arrays into segments
         # (parent-side knob only; workers just attach what they get)
         old = shm_mod.MIN_SHM_BYTES
         shm_mod.MIN_SHM_BYTES = 0
         try:
             _two_campaign_sweep(layout, pof_table)
-            names = get_pack().segment_names()
+            names = list(shared_names)
             assert names  # the plane engaged
         finally:
             shm_mod.MIN_SHM_BYTES = old
@@ -260,7 +289,7 @@ class TestSharedMemory:
                 shared_memory.SharedMemory(name=name)
 
     def test_no_leaked_segments_after_worker_kill(
-        self, metrics, monkeypatch, tmp_path
+        self, metrics, monkeypatch, tmp_path, shared_names
     ):
         marker = tmp_path / "killed"
         monkeypatch.setenv(FAULT_ENV, f"shmkill:1:{marker}")
@@ -273,13 +302,69 @@ class TestSharedMemory:
             retry=RetryPolicy(retries=2, backoff_s=0.01),
         )
         assert marker.exists()
+        # the retried shard read the payload: the dead worker did not
+        # take the segments down
         assert result == [float(np.sum(BIG)) + t for t in range(4)]
-        names = get_pack().segment_names()
-        assert names  # the dead worker did not take the segments down
+        names = list(shared_names)
+        assert names
         get_pack().release_all()
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    def test_pooled_map_releases_its_own_pack(self, monkeypatch, tmp_path):
+        """A map releases the pack it made from a plain-dict payload --
+        whether it succeeds, retries, degrades or raises -- and leaves
+        a caller's pack alone, even when both share a segment."""
+        expected = [float(np.sum(BIG)) + t for t in range(4)]
+        other = BIG + 1.0
+
+        def pooled(payload, fn=_sum_task, retry=None):
+            return parallel_map(
+                fn,
+                [0, 1, 2, 3],
+                payload=payload,
+                n_jobs=2,
+                label="own",
+                retry=retry,
+            )
+
+        caller = pack_payload({"big": BIG})
+        caller_names = get_pack().segment_names()
+        before = len(caller_names)
+        assert before == 1
+        assert pooled(caller) == expected
+        assert len(get_pack()) == before  # the caller's stays
+        assert pooled({"big": other})[0] == float(np.sum(other))
+        assert len(get_pack()) == before
+        # the same array twice, and the caller's own segment: the map
+        # drops its retains, the caller keeps the segment
+        assert pooled({"big": BIG, "again": BIG}) == expected
+        assert get_pack().segment_names() == caller_names
+        with pytest.raises(TaskError):
+            pooled({"big": other}, fn=_failing_sum_task)
+        assert len(get_pack()) == before
+
+        marker = tmp_path / "killed"
+        monkeypatch.setenv(FAULT_ENV, f"own:1:{marker}")
+        retried = pooled(
+            {"big": other}, retry=RetryPolicy(retries=1, backoff_s=0.01)
+        )
+        assert marker.exists()
+        assert retried[1] == float(np.sum(other)) + 1
+        assert len(get_pack()) == before
+
+        marker = tmp_path / "killed-again"
+        monkeypatch.setenv(FAULT_ENV, f"own:1:{marker}")
+        degraded = pooled(
+            {"big": other},
+            retry=RetryPolicy(retries=0, allow_partial=True),
+        )
+        assert marker.exists()
+        assert None in degraded
+        assert len(get_pack()) == before
+        release_packed(caller)
+        assert len(get_pack()) == 0
 
     def test_atexit_cleans_segments_on_normal_exit(self, tmp_path):
         """A process that never releases explicitly still leaks nothing."""
@@ -288,13 +373,14 @@ class TestSharedMemory:
             """
 import json, sys
 import numpy as np
-from repro.parallel import parallel_map, get_pack
+from repro.parallel import get_pack, pack_payload, parallel_map
 
 def work(payload, task):
     return float(payload["big"][task])
 
-big = np.arange(16384, dtype=np.float64)
-parallel_map(work, [0, 1, 2, 3], payload={"big": big}, n_jobs=2, label="x")
+# a caller's pack is the caller's to release; this one never is
+packed = pack_payload({"big": np.arange(16384, dtype=np.float64)})
+parallel_map(work, [0, 1, 2, 3], payload=packed, n_jobs=2, label="x")
 print(json.dumps(list(get_pack().segment_names())))
 """
         )
@@ -334,7 +420,7 @@ print(json.dumps(list(get_pack().segment_names())))
             """
 import json, os, signal, time
 import numpy as np
-from repro.parallel import RetryPolicy, get_pack, parallel_map
+from repro.parallel import RetryPolicy, get_pack, pack_payload, parallel_map
 
 def work(payload, task):
     return os.getpid(), float(payload["big"][task]) if payload else 0.0
@@ -358,8 +444,9 @@ def children(pid):
 
 # 1. a small payload: the pool forks before any segment exists
 parallel_map(work, [0, 1, 2, 3], payload={}, n_jobs=2, label="small")
-# 2. a shared-memory payload: the workers attach its segment
-payload = {"big": np.arange(16384, dtype=np.float64)}
+# 2. a shared-memory payload, packed and kept by the caller (a map
+# releases the packs it makes itself): the workers attach its segment
+payload = pack_payload({"big": np.arange(16384, dtype=np.float64)})
 pids = [pid for pid, _ in parallel_map(
     work, [0, 1, 2, 3], payload=payload, n_jobs=2, label="big"
 )]
@@ -453,24 +540,29 @@ print(json.dumps(reports))
         assert reports
         for _, attached, mapped in reports:
             assert attached <= shm_mod.PAYLOAD_CACHE_MAX, reports
-            # plus the first payload's segment, which the pool's fork
-            # copied from the parent's own mapping
-            assert mapped <= shm_mod.PAYLOAD_CACHE_MAX + 1, reports
+            # no mapping without an attachment: the pool's fork copied
+            # the first payload's segment from the parent's own
+            # mapping, and the worker unmapped that copy when it
+            # started (the report map's own payload takes a cache
+            # slot, so the workers hold PAYLOAD_CACHE_MAX - 1)
+            assert mapped <= shm_mod.PAYLOAD_CACHE_MAX, reports
+            assert mapped <= attached, reports
 
     def test_disabled_shm_falls_back_bit_identically(
-        self, layout, pof_table, monkeypatch
+        self, layout, pof_table, monkeypatch, shared_names
     ):
         # force even the small synthetic fixture arrays into segments,
         # so the first run really uses the plane the switch turns off
         monkeypatch.setattr(shm_mod, "MIN_SHM_BYTES", 0)
         with_shm = _two_campaign_sweep(layout, pof_table)
-        assert len(get_pack()) > 0  # the plane engaged
+        assert shared_names  # the plane engaged
         get_lease().shutdown_all()
         get_pack().release_all()
+        shared_names.clear()
 
         monkeypatch.setenv("REPRO_NO_SHM", "1")
         without = _two_campaign_sweep(layout, pof_table)
-        assert len(get_pack()) == 0  # everything stayed inline
+        assert not shared_names  # everything stayed inline
         for a, b in zip(with_shm, without):
             assert_results_identical(a, b)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.geometry import FinGeometry, RayBatch, SoiFinWorld, SoiStack
@@ -12,6 +14,8 @@ from repro.transport import (
     TransportEngine,
     default_energy_grid,
 )
+
+from .array_oracle import sample_pairs_blend_rows
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +269,78 @@ class TestEmptyRowFallback:
             np.full(4000, 2.0), np.random.default_rng(7)
         )
         assert np.mean(many) == pytest.approx(100.0, rel=0.1)
+
+
+class TestGatherThenBlend:
+    """``sample_pairs_many`` against the whole-row blend it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_e=st.integers(2, 13),
+        n_q=st.integers(3, 129),
+        empty_bits=st.integers(0, 2**13 - 1),
+        placement=st.sampled_from(
+            ("below", "inside", "above", "grid", "mixed")
+        ),
+        mono=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # rows 0 and 1 empty, queries clamped onto [0, 1]: two-sided snap
+    @example(
+        n_e=4, n_q=5, empty_bits=0b0011, placement="below", mono=True, seed=2
+    )
+    # row 1 empty, queries on [0, 1]: one-sided snap
+    @example(
+        n_e=3, n_q=9, empty_bits=0b010, placement="below", mono=False, seed=1
+    )
+    def test_bit_identical_to_row_blend(
+        self, n_e, n_q, empty_bits, placement, mono, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = np.exp(
+            rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.05, 1.5, n_e))
+        )
+        populated = ((empty_bits >> np.arange(n_e)) & 1) == 0
+        if not populated.any():
+            populated[rng.integers(n_e)] = True
+        quantiles = np.sort(rng.gamma(2.0, 50.0, (n_e, n_q)), axis=1)
+        quantiles[~populated] = 0.0
+        lut = ElectronYieldLUT(
+            particle_name="alpha",
+            energies_mev=grid,
+            hit_fraction=np.where(
+                populated, rng.uniform(0.01, 0.5, n_e), 0.0
+            ),
+            mean_pairs=quantiles.mean(axis=1),
+            quantiles=quantiles,
+            trials_per_energy=1000,
+        )
+        n = int(rng.integers(1, 400))
+        draws = {
+            "below": grid[0] * rng.uniform(0.01, 1.0, n),
+            "inside": np.exp(
+                rng.uniform(np.log(grid[0]), np.log(grid[-1]), n)
+            ),
+            "above": grid[-1] * rng.uniform(1.0, 100.0, n),
+            "grid": grid[rng.integers(0, n_e, n)],
+        }
+        if placement == "mixed":
+            pick = rng.integers(0, len(draws), n)
+            energies = np.stack(list(draws.values()))[pick, np.arange(n)]
+        else:
+            energies = draws[placement]
+        if mono:
+            energies = np.full(n, energies[0])
+
+        shipped_rng = np.random.default_rng(seed + 1)
+        oracle_rng = np.random.default_rng(seed + 1)
+        shipped = lut.sample_pairs_many(energies, shipped_rng)
+        oracle = sample_pairs_blend_rows(lut, energies, oracle_rng)
+        assert shipped.dtype == oracle.dtype == np.float64
+        assert np.array_equal(shipped.view(np.int64), oracle.view(np.int64))
+        assert (
+            shipped_rng.bit_generator.state == oracle_rng.bit_generator.state
+        )
 
 
 class TestYieldShape:
