@@ -7,8 +7,7 @@ per-bin campaigns of :meth:`ArraySerSimulator.run`, once under the
 uniform campaign's *worst* per-bin standard error as the target.  The
 headline figure is ``trial_savings`` -- uniform trials over adaptive
 trials at equal-or-better max per-bin SE -- appended to a
-``BENCH_adaptive.json`` trajectory artifact that ``repro-ser obs
-bench-check`` regression-gates.
+``BENCH_adaptive.json`` trajectory artifact.
 
 Usage (CI runs the tiny scale)::
 

@@ -52,8 +52,7 @@ The ``obs`` subcommand family inspects what the flags above produce:
 ``obs tail`` renders an event stream (``--follow`` live-tails a
 running campaign with ETA and stall warnings), ``obs summarize``
 folds a trace/events/manifest file into per-span p50/p99 tables,
-``obs diff`` compares two run manifests, and ``obs bench-check``
-regression-gates a committed ``BENCH_*.json`` trajectory.
+and ``obs diff`` compares two run manifests.
 """
 
 from __future__ import annotations
@@ -671,18 +670,6 @@ def cmd_obs_diff(args) -> int:
     return 1 if args.fail_on_diff else 0
 
 
-def cmd_obs_bench_check(args) -> int:
-    from .obs.inspect import bench_check
-
-    exit_code = 0
-    for path in args.paths:
-        ok, report = bench_check(path, max_regress=args.max_regress)
-        _say(report)
-        if not ok:
-            exit_code = 1
-    return exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ser",
@@ -896,22 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when the manifests differ",
     )
     p_diff.set_defaults(func=cmd_obs_diff)
-
-    p_bench = obs_sub.add_parser(
-        "bench-check",
-        help="regression-gate BENCH_*.json trajectories (newest vs best)",
-    )
-    p_bench.add_argument("paths", nargs="+", metavar="BENCH.json")
-    p_bench.add_argument(
-        "--max-regress",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="allowed relative drop from the historical best "
-        "(default: 0.10; committed trajectories span machines, so CI "
-        "uses a generous value)",
-    )
-    p_bench.set_defaults(func=cmd_obs_bench_check)
 
     for command_parser in (
         p_build, p_fit, p_sweep, p_qcrit, p_report, p_figures, p_snm,

@@ -13,9 +13,10 @@ Event kinds
 -----------
 * ``round`` — a :func:`~repro.parallel.parallel_map` fan-out started
   or ended (label, execution path, task/worker counts).
-* ``progress`` — one shard changed state: ``started`` / ``finished``
-  (emitted **inside the worker process**, shipped over a
-  ``multiprocessing`` queue), ``retrying`` / ``lost`` (parent side).
+* ``progress`` — one shard changed state: ``started`` (put **inside
+  the worker process** on the pool's ``multiprocessing`` queue before
+  the shard runs), ``finished`` (emitted by the parent when it stores
+  the shard's result), ``retrying`` / ``lost`` (parent side).
 * ``heartbeat`` — periodic liveness while a pooled round is in
   flight: done/total, elapsed, ETA.  A silent stream means a stalled
   run; ``repro-ser obs tail`` turns that into stall warnings.
@@ -27,8 +28,9 @@ Event kinds
 
 Every event is a flat JSON-safe dict stamped by the parent-process
 :class:`EventBus` with a monotonically increasing ``seq`` — the total
-order consumers rely on — plus the bus wall-clock ``t``.  Worker-side
-events carry their own ``t_worker`` and ``pid``.
+order consumers rely on — plus the bus wall-clock ``t``.  Shard
+``started`` and ``finished`` events carry the worker's ``t_worker`` and
+``pid``.
 
 Consumers
 ---------
@@ -41,8 +43,9 @@ in that state**: :func:`events_enabled` is one global read, and no
 queues are drained, no lines written, no dicts built.
 
 Pool workers never own a bus of their own — :func:`disable_events`
-is called in every worker initializer, and worker emissions travel
-through the engine's event queue to be sequenced by the parent.
+is called in every worker initializer, and a worker's ``started``
+travels through the engine's event queue to be sequenced by the
+parent.
 """
 
 from __future__ import annotations
@@ -118,11 +121,12 @@ class EventRing:
 class EventBus:
     """Parent-process event hub: stamps order, fans out to sinks.
 
-    ``emit`` is the only write path; it assigns the global ``seq``
-    under a lock (events from the queue-drainer thread and the main
-    thread interleave), stamps the wall clock, and forwards to the
-    JSONL sink and/or ring.  Emission must never break the science:
-    sink errors are swallowed after disabling the sink.
+    ``emit`` is the only write path; under one lock (rounds running
+    on concurrent threads interleave their events) it assigns the
+    global ``seq``, stamps the wall clock, and forwards to the JSONL
+    sink and/or ring, so every sink holds the events in ``seq`` order.
+    Emission must never break the science: sink errors are swallowed
+    after disabling the sink.
     """
 
     def __init__(
@@ -167,29 +171,29 @@ class EventBus:
             self._seq += 1
             event["seq"] = self._seq
             event["t"] = time.time()
-        if self.ring is not None:
-            self.ring.append(event)
-        if self.writer is not None:
-            try:
-                self.writer.write(event)
-            except OSError as exc:  # telemetry must never sink the campaign
-                # drop the sink for good: a dead writer stays dead, so
-                # later emits must not re-serialize and re-fail (and
-                # ``bus.path`` must stop advertising a sink that no
-                # longer exists).  The ring keeps working.
-                path = self.writer.path
-                self.writer.close()
-                self.writer = None
+            if self.ring is not None:
+                self.ring.append(event)
+            if self.writer is not None:
+                try:
+                    self.writer.write(event)
+                except OSError as exc:  # never sink the campaign
+                    # drop the sink for good: a dead writer stays dead,
+                    # so later emits must not re-serialize and re-fail
+                    # (and ``bus.path`` must stop advertising a sink
+                    # that no longer exists).  The ring keeps working.
+                    path = self.writer.path
+                    self.writer.close()
+                    self.writer = None
+                    self.dropped += 1
+                    self._count_drop()
+                    _log.warning(
+                        "event sink lost, dropping further events %s",
+                        kv(path=path, error=exc),
+                    )
+            elif self.dropped:
+                # sink already declared dead: count, never retry.
                 self.dropped += 1
                 self._count_drop()
-                _log.warning(
-                    "event sink lost, dropping further events %s",
-                    kv(path=path, error=exc),
-                )
-        elif self.dropped:
-            # sink already declared dead: count, never retry.
-            self.dropped += 1
-            self._count_drop()
         return event
 
     @staticmethod

@@ -1,10 +1,9 @@
 """Inspection toolkit behind the ``repro-ser obs`` subcommands.
 
 Everything the live telemetry plane writes -- event streams
-(:mod:`repro.obs.events`), span traces (:mod:`repro.obs.trace`), run
-manifests (:mod:`repro.obs.manifest`), and the committed ``BENCH_*``
-performance trajectories -- is JSON on disk; this module turns those
-files back into human-readable answers:
+(:mod:`repro.obs.events`), span traces (:mod:`repro.obs.trace`) and run
+manifests (:mod:`repro.obs.manifest`) -- is JSON on disk; this module
+turns those files back into human-readable answers:
 
 * :func:`tail_events` / :func:`follow_events` -- render an event
   stream (optionally live, tailing a file another process is still
@@ -15,8 +14,6 @@ files back into human-readable answers:
 * :func:`diff_manifests` -- field-by-field comparison of two run
   manifests: stage timings, MC trial counts, execution-plane
   environment, convergence.
-* :func:`bench_check` -- regression-gate the most recent entry of a
-  ``BENCH_*.json`` trajectory against the best of its history.
 
 All functions are pure (paths in, structured data + rendered text
 out) so tests can drive them without a subprocess; the CLI layer in
@@ -36,7 +33,6 @@ from .jsonl import read_jsonl
 from .registry import _exact_quantile
 
 __all__ = [
-    "bench_check",
     "diff_manifests",
     "follow_events",
     "format_event",
@@ -505,49 +501,3 @@ def diff_manifests(
         "compared": len(set(flat_a) | set(flat_b)),
     }
     return diffs, meta
-
-
-def bench_check(
-    path: Union[str, Path], max_regress: float = 0.10
-) -> Tuple[bool, str]:
-    """Regression-gate the newest entry of a ``BENCH_*.json`` trajectory.
-
-    The benchmark files are append-only lists of runs; the key figure
-    is ``speedup`` (flow/parallel benches),
-    ``speedup_default_vs_seed`` (characterization bench) or
-    ``trial_savings`` (adaptive-sampling bench).  The check
-    passes when the newest entry's figure is within ``max_regress``
-    (relative) of the best figure in its history -- a one-entry file
-    passes trivially (nothing to regress against).  Entries from a
-    different platform/CPU count than the newest are still compared:
-    the committed trajectory *is* cross-machine, so gate with a
-    generous ``max_regress`` in CI.
-    """
-    with open(path) as handle:
-        entries = json.load(handle)
-    if not isinstance(entries, list) or not entries:
-        return False, f"{path}: not a benchmark trajectory (expected a list)"
-    metric = None
-    for candidate in ("speedup", "speedup_default_vs_seed", "trial_savings"):
-        if candidate in entries[-1]:
-            metric = candidate
-            break
-    if metric is None:
-        return False, f"{path}: newest entry has no speedup figure"
-    newest = float(entries[-1][metric])
-    history = [
-        float(entry[metric]) for entry in entries[:-1] if metric in entry
-    ]
-    if not history:
-        return True, (
-            f"{Path(path).name}: {metric}={newest:.2f}x "
-            f"(single entry, nothing to regress against)"
-        )
-    best = max(history)
-    floor = best * (1.0 - max_regress)
-    ok = newest >= floor
-    verdict = "ok" if ok else "REGRESSION"
-    return ok, (
-        f"{Path(path).name}: {metric}={newest:.2f}x vs best {best:.2f}x "
-        f"(floor {floor:.2f}x at -{max_regress:.0%}) -- {verdict}"
-    )

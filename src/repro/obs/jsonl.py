@@ -43,10 +43,10 @@ def _reset_locks_after_fork():
     """Replace every live writer's lock with a fresh one in the child.
 
     A pool worker can be forked at any instant -- including while a
-    parent thread (the event pump, a span exiting) holds a writer's
-    lock mid-``write``.  The child inherits that lock *locked* with
-    nobody to release it, so the first child-side ``write`` or
-    ``close`` (worker initializers call
+    parent thread (a concurrent round emitting events, a span exiting)
+    holds a writer's lock mid-``write``.  The child inherits that lock
+    *locked* with nobody to release it, so the first child-side
+    ``write`` or ``close`` (worker initializers call
     :func:`~repro.obs.events.disable_events`) would deadlock forever.
     The lock only serializes threads *within* one process -- cross-
     process exclusion comes from ``O_APPEND`` whole-line writes -- so

@@ -13,7 +13,6 @@ arrays through shared memory -- transport only, never results.
 from .engine import (
     AUTO_INLINE_THRESHOLD_S,
     WARM_AUTO_INLINE_THRESHOLD_S,
-    ParallelConfig,
     RetryPolicy,
     parallel_map,
     resolve_jobs,
@@ -35,7 +34,6 @@ __all__ = [
     "WARM_AUTO_INLINE_THRESHOLD_S",
     "MIN_SHM_BYTES",
     "PackedPayload",
-    "ParallelConfig",
     "PoolLease",
     "RetryPolicy",
     "SharedArrayPack",

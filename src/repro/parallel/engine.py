@@ -63,22 +63,24 @@ Live telemetry
 When an :class:`~repro.obs.events.EventBus` is configured
 (``--events``, :func:`~repro.obs.events.configure_events`), every map
 additionally streams typed events *while it runs*: ``round``
-start/end, per-shard ``progress`` (``started``/``finished`` emitted
-**inside the worker** and shipped over a ``multiprocessing`` queue;
-``retrying``/``lost`` emitted by the parent), and periodic
-``heartbeat`` events with done/total counts and an ETA.  A pump
-thread (:class:`_EventPump`) drains the worker queue into the bus,
-which stamps the global ``seq`` that totally orders the stream.  With
-no bus configured (the default), none of this machinery runs: no
-queue is drained, no thread started, no event dict built.
+start/end, per-shard ``progress`` and periodic ``heartbeat`` events
+with done/total counts and an ETA.  A pool worker puts one event per
+shard on its pool's event queue, ``started``, before it runs the
+shard.  The round's own wait loop forwards what the queue holds each
+time it wakes (a completion, or the heartbeat period) and emits every
+other shard state itself: ``finished`` when it stores a result,
+``retrying`` and ``lost`` when shards fail.  The bus stamps the global
+``seq`` that totally orders the stream.  With no bus configured (the
+default), none of this runs: nothing is written to the queue or read
+from it, and no event dict is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError
@@ -107,7 +109,6 @@ _log = get_logger(__name__)
 __all__ = [
     "AUTO_INLINE_THRESHOLD_S",
     "WARM_AUTO_INLINE_THRESHOLD_S",
-    "ParallelConfig",
     "RetryPolicy",
     "parallel_map",
     "resolve_jobs",
@@ -121,31 +122,6 @@ __all__ = [
 #: by the fault-injection tests and the CI fault-smoke job; never set
 #: it in production.
 FAULT_ENV = "REPRO_PARALLEL_KILL"
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs of the process-pool execution engine.
-
-    Attributes
-    ----------
-    n_jobs:
-        Worker processes; ``1`` runs inline (no pool), ``0`` means
-        "one per CPU".
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default,
-        ``fork`` on Linux).
-    """
-
-    n_jobs: int = 1
-    start_method: Optional[str] = None
-
-    def __post_init__(self):
-        if self.n_jobs < 0:
-            raise ConfigError("n_jobs cannot be negative (0 means auto)")
-
-    def resolved_jobs(self) -> int:
-        return resolve_jobs(self.n_jobs)
 
 
 @dataclass(frozen=True)
@@ -249,54 +225,9 @@ def spawn_seeds(rng: np.random.Generator, n: int) -> List[np.random.SeedSequence
 #: result yet (``None`` is a legal shard result, so it cannot serve).
 _PENDING = object()
 
-#: Worker-side end of the telemetry queue, installed by the pool
-#: initializer (``None`` = this worker never emits events).
+#: Worker-side end of the pool's event queue, installed by the pool
+#: initializer.
 _EVENT_QUEUE: Any = None
-
-#: Worker-side coalescing buffer.  Every ``put`` into the event queue
-#: costs the worker a feeder-thread wake-up (~tens of µs of wall time
-#: when shards are short), so ``started`` events are buffered and ride
-#: along with the shard's ``finished`` put -- one queue message per
-#: shard -- unless the *previous* shard ran longer than
-#: :data:`_EVENT_FLUSH_BUSY_S`.  Shards within a round are homogeneous
-#: campaigns, so the last duration predicts the next: for slow shards
-#: the ``started`` event is pushed immediately (that is the event that
-#: says *which* shard is stuck on *which* pid), for fast shards its
-#: liveness value is nil and the batch halves the queue traffic.
-_EVENT_FLUSH_BUSY_S = 0.05
-_EVENT_BUFFER: List[dict] = []
-_EVENT_LAST_BUSY_S: Optional[float] = None
-
-
-def _emit_worker_event(
-    state: str, label: str, index: int, flush: bool = True, **extra
-):
-    """Buffer one shard progress event; flush pushes the batch.
-
-    Telemetry must never sink the science: a full/closed queue or a
-    parent that went away just drops the batch.
-    """
-    queue = _EVENT_QUEUE
-    if queue is None:
-        return
-    event = {
-        "kind": "progress",
-        "label": label,
-        "index": index,
-        "state": state,
-        "pid": os.getpid(),
-        "t_worker": time.time(),
-    }
-    event.update(extra)
-    _EVENT_BUFFER.append(event)
-    if not flush:
-        return
-    batch = list(_EVENT_BUFFER)
-    _EVENT_BUFFER.clear()
-    try:
-        queue.put_nowait(batch)
-    except Exception:  # pragma: no cover -- full pipe / dead parent
-        pass
 
 
 def _maybe_inject_fault(label: str, index: int, spec: Optional[str] = None):
@@ -325,14 +256,6 @@ def _maybe_inject_fault(label: str, index: int, spec: Optional[str] = None):
     os._exit(17)
 
 
-def _slow_shards() -> bool:
-    """Whether the last shard ran long enough to flush eagerly."""
-    return (
-        _EVENT_LAST_BUSY_S is None
-        or _EVENT_LAST_BUSY_S > _EVENT_FLUSH_BUSY_S
-    )
-
-
 def _worker_init(event_queue):
     """Initializer of pool workers: no payload, no metrics.
 
@@ -349,12 +272,11 @@ def _worker_init(event_queue):
     the telemetry ``event_queue`` (owned by the
     :class:`~repro.parallel.pool.PoolLease`, one per pool key): queues
     only cross the process boundary at construction time, so it is
-    installed here for the worker's whole life; whether anything flows
-    through it is decided per task by the ``with_events`` flag.
+    installed here for the worker's whole life; whether anything is
+    put on it is decided per task by the ``with_events`` flag.
     """
     global _EVENT_QUEUE
     _EVENT_QUEUE = event_queue
-    _EVENT_BUFFER.clear()
     disable_events()
     disable_metrics()
     close_inherited()
@@ -379,35 +301,50 @@ def _invoke(
     fault_spec: Optional[str],
     with_events: bool,
 ):
-    """Run one task in a worker; return (result, metrics snapshot, busy s).
+    """Run one task in a worker.
 
-    The payload arrives packed (pickled once in the parent, bulk
-    arrays as shared-memory references) and is rebuilt at most once
-    per fingerprint per worker; busy time covers only ``fn`` itself.
-    ``fault_spec`` is the parent's :data:`FAULT_ENV` value at submit
-    time (a worker's own environment may predate the test arming the
-    hook), and ``with_events`` the parent's live telemetry state (a
-    worker's queue outlives any one map, so emission is decided per
-    task, like metrics).
+    Returns ``(result, metrics snapshot, busy s, pid, finish time)``;
+    the parent stamps the shard's ``finished`` event from the last
+    three.  The payload arrives packed (pickled once in the parent,
+    bulk arrays as shared-memory references) and is rebuilt at most
+    once per fingerprint per worker; busy time covers only ``fn``
+    itself.  ``fault_spec`` is the parent's :data:`FAULT_ENV` value at
+    submit time (a worker's own environment may predate the test
+    arming the hook), and ``with_events`` the parent's live telemetry
+    state (a worker's queue outlives any one map, so emission is
+    decided per task, like metrics).  With events on, the shard's
+    ``started`` goes on the pool's ``SimpleQueue`` before ``fn`` runs:
+    its ``put`` writes to the pipe in this thread, so the event is
+    there before the result can reach the parent.
     """
-    global _EVENT_LAST_BUSY_S
     _sync_metrics(with_metrics)
     _maybe_inject_fault(label, index, spec=fault_spec)
     payload = load_packed(packed)
+    pid = os.getpid()
     if with_events:
-        _emit_worker_event("started", label, index, flush=_slow_shards())
+        try:
+            _EVENT_QUEUE.put(
+                {
+                    "kind": "progress",
+                    "label": label,
+                    "index": index,
+                    "state": "started",
+                    "pid": pid,
+                    "t_worker": time.time(),
+                }
+            )
+        except OSError:  # telemetry must never sink the science
+            pass
     t0 = time.perf_counter()
     result = fn(payload, task)
     busy_s = time.perf_counter() - t0
-    _EVENT_LAST_BUSY_S = busy_s
-    if with_events:
-        _emit_worker_event("finished", label, index, busy_s=round(busy_s, 6))
+    t_done = time.time()
     registry = get_registry()
     snapshot = None
     if registry.enabled:
         snapshot = registry.snapshot()
         registry.reset()
-    return result, snapshot, busy_s
+    return result, snapshot, busy_s, pid, t_done
 
 
 def _in_worker() -> bool:
@@ -814,128 +751,41 @@ def _run_pooled(
             release_packed(packed)
 
 
-class _EventPump:
-    """Drains one round's worker event queue into the parent bus.
+#: Serializes the parent's reads of the pools' event queues.  Rounds
+#: on concurrent threads share a pool's queue; each emits what it reads
+#: before letting go, so an event one round has read is on the bus
+#: before another round emits a later ``finished``.
+_EVENT_READ_LOCK = threading.Lock()
 
-    A daemon thread forwards worker-originated ``progress`` dicts to
-    :meth:`~repro.obs.events.EventBus.emit_raw` (which stamps the
-    global ``seq``) and interleaves ``heartbeat`` events -- one
-    immediately at round start, one every ``bus.heartbeat_s`` while
-    shards are in flight, and one final beat at round end -- carrying
-    done/total progress, elapsed wall time, and a linear ETA.  A
-    stalled round therefore still produces heartbeats (with a frozen
-    ``done``), which is exactly the signal ``repro-ser obs tail``
-    turns into stall warnings; a *silent* stream means the parent
-    itself died.
-    """
 
-    #: Queue poll period [s]; bounds both heartbeat jitter and how
-    #: long stop() can lag the round's end.
-    _POLL_S = 0.05
-    #: Longest stop() waits for a stored shard's late ``finished`` [s].
-    _STRAGGLER_WAIT_S = 1.0
-
-    def __init__(self, bus, queue, label: str, total: int):
-        self.bus = bus
-        self.queue = queue
-        self.label = label
-        self.total = total
-        self.done = 0
-        self._finished = set()
-        self._t0 = time.monotonic()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"event-pump-{label}", daemon=True
-        )
-        self._thread.start()
-
-    def _heartbeat(self, final: bool = False):
-        elapsed = time.monotonic() - self._t0
-        eta = None
-        if 0 < self.done < self.total:
-            eta = elapsed / self.done * (self.total - self.done)
-        self.bus.emit(
-            "heartbeat",
-            label=self.label,
-            done=self.done,
-            total=self.total,
-            elapsed_s=round(elapsed, 4),
-            eta_s=round(eta, 4) if eta is not None else None,
-            final=final,
-        )
-
-    def _forward(self, item):
-        # workers coalesce: one queue message is a batch (list) of
-        # progress events, kept in emission order.
-        events = item if isinstance(item, list) else [item]
-        for event in events:
-            if event.get("state") == "finished":
-                self.done += 1
-                if event.get("label") == self.label:
-                    self._finished.add(event.get("index"))
-            self.bus.emit_raw(event)
-
-    def _drain(self):
-        while True:
-            try:
-                event = self.queue.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                return
-            if event is not None:
-                self._forward(event)
-
-    def _run(self):
-        self._heartbeat()
-        next_beat = self._t0 + self.bus.heartbeat_s
-        while not self._stop.is_set():
-            try:
-                event = self.queue.get(timeout=self._POLL_S)
-            except queue_mod.Empty:
-                event = None
-            except (OSError, ValueError):  # queue torn down under us
-                break
-            if event is not None:
-                self._forward(event)
-            if time.monotonic() >= next_beat:
-                self._heartbeat()
-                next_beat = time.monotonic() + self.bus.heartbeat_s
-
-    def stop(self, stored=()):
-        """End the round: drain stragglers, emit the final heartbeat.
-
-        ``stored`` names the shards whose results the round stored.  A
-        worker puts ``finished`` on the queue before it returns the
-        result, but the queue's feeder thread writes it to the pipe
-        asynchronously, so it can arrive after the result.  Reading
-        goes on, up to :attr:`_STRAGGLER_WAIT_S`, until every stored
-        shard's ``finished`` has been forwarded -- otherwise the event
-        would drop out of its round, or show up in the next map on the
-        same pool.
-        """
-        self._stop.set()
-        # A ``None`` sentinel wakes the poll loop immediately -- without
-        # it every round's teardown eats up to a full _POLL_S, which
-        # dominates sweeps made of many short campaign maps.
+def _forward_events(bus, queue) -> None:
+    """Forward every worker event the queue holds to the bus."""
+    with _EVENT_READ_LOCK:
         try:
-            self.queue.put_nowait(None)
-        except (OSError, ValueError):  # pragma: no cover -- torn down
+            while not queue.empty():
+                bus.emit_raw(queue.get())
+        except OSError:  # a failed round closed the pool's queue
             pass
-        self._thread.join(timeout=5.0)
-        self._drain()
-        missing = set(stored) - self._finished
-        deadline = time.monotonic() + self._STRAGGLER_WAIT_S
-        while missing:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                break
-            try:
-                event = self.queue.get(timeout=left)
-            except (queue_mod.Empty, OSError, ValueError):
-                break
-            if event is not None:
-                self._forward(event)
-            missing -= self._finished
-        self._heartbeat(final=True)
+
+
+def _heartbeat(bus, label: str, done: int, total: int, t0: float, final=False):
+    """Emit one round's liveness beat: done/total, elapsed, linear ETA.
+
+    A stalled round keeps beating with a frozen ``done`` -- exactly the
+    signal ``repro-ser obs tail`` turns into stall warnings; a *silent*
+    stream means the parent itself died.
+    """
+    elapsed = time.monotonic() - t0
+    eta = elapsed / done * (total - done) if 0 < done < total else None
+    bus.emit(
+        "heartbeat",
+        label=label,
+        done=done,
+        total=total,
+        elapsed_s=round(elapsed, 4),
+        eta_s=round(eta, 4) if eta is not None else None,
+        final=final,
+    )
 
 
 def _run_round(
@@ -959,6 +809,13 @@ def _run_round(
     (worker death, watchdog), in which case the lease is invalidated
     so the next round or map forks a new one.
 
+    The wait loop wakes on every completion, when the watchdog window
+    (``policy.task_timeout_s`` since the last completion) runs out, and,
+    with a bus live, every ``bus.heartbeat_s``.  At each wake it
+    forwards the workers' ``started`` events, emits ``finished`` for
+    each shard it stores, and beats when a heartbeat is due; the round
+    also beats at its start and end.
+
     Returns ``(transient, fatal, busy_s)``: the shard indices lost to
     worker death or the watchdog, the first deterministic task failure
     (or ``None``), and the summed worker busy time of the shards that
@@ -968,16 +825,18 @@ def _run_round(
     lease = get_lease()
     executor, _reused = lease.acquire(context, jobs, initializer=_worker_init)
     bus = get_event_bus()
-    pump = (
-        _EventPump(bus, lease.event_queue(context, jobs), label, len(indices))
-        if bus is not None
-        else None
-    )
     transient: List[int] = []
-    stored: List[int] = []
     fatal = None
     busy_total = 0.0
     healthy = True
+    done_count = 0
+    watchdog_s = policy.task_timeout_s or math.inf  # None = off
+    t0 = last_done = time.monotonic()
+    next_beat = math.inf
+    if bus is not None:
+        queue = lease.event_queue(context, jobs)
+        _heartbeat(bus, label, 0, len(indices), t0)
+        next_beat = t0 + bus.heartbeat_s
     try:
         fault_spec = os.environ.get(FAULT_ENV)
         try:
@@ -1002,12 +861,21 @@ def _run_round(
             transient.extend(indices)
             return transient, None, busy_total
         while waiting:
+            wake_at = min(last_done + watchdog_s, next_beat)
+            timeout = None
+            if wake_at < math.inf:
+                timeout = max(wake_at - time.monotonic(), 0.0)
             done, _ = _futures_wait(
-                list(waiting),
-                timeout=policy.task_timeout_s,
-                return_when=FIRST_COMPLETED,
+                list(waiting), timeout=timeout, return_when=FIRST_COMPLETED
             )
-            if not done:
+            now = time.monotonic()
+            if bus is not None:
+                # every shard in ``done`` put its ``started`` before its
+                # result left the worker, so it is read by now
+                _forward_events(bus, queue)
+            if done:
+                last_done = now
+            elif now - last_done >= watchdog_s:
                 # watchdog: nothing completed within the window --
                 # declare the in-flight shards lost and kill the pool.
                 healthy = False
@@ -1025,7 +893,7 @@ def _run_round(
             for future in done:
                 index = waiting.pop(future)
                 try:
-                    result, snapshot, busy_s = future.result()
+                    result, snapshot, busy_s, pid, t_done = future.result()
                 except (BrokenProcessPool, CancelledError):
                     transient.append(index)
                     broken = True
@@ -1038,23 +906,36 @@ def _run_round(
                     return transient, fatal, busy_total
                 else:
                     results[index] = result
-                    stored.append(index)
+                    done_count += 1
                     busy_total += busy_s
                     if snapshot is not None:
                         metrics.merge_snapshot(snapshot)
                     if journal is not None:
                         journal.record(index, result)
+                    if bus is not None:
+                        bus.emit(
+                            "progress",
+                            label=label,
+                            index=index,
+                            state="finished",
+                            pid=pid,
+                            t_worker=t_done,
+                            busy_s=round(busy_s, 6),
+                        )
             if broken:
                 # the pool is unusable: every shard still waiting will
                 # fail the same way -- mark them lost in one sweep.
                 healthy = False
                 transient.extend(waiting.values())
                 waiting.clear()
+            if now >= next_beat:
+                _heartbeat(bus, label, done_count, len(indices), t0)
+                next_beat = now + bus.heartbeat_s
         return transient, None, busy_total
     finally:
-        if pump is not None:
-            # after a bad round the pool's survivors are terminated and
-            # their queued events die with them: nothing to wait for
-            pump.stop(stored if healthy else ())
+        if bus is not None:
+            _heartbeat(bus, label, done_count, len(indices), t0, final=True)
         if not healthy:
-            lease.invalidate(context, jobs)
+            # no round may be mid-read when the pool's queue closes
+            with _EVENT_READ_LOCK:
+                lease.invalidate(context, jobs)

@@ -21,16 +21,18 @@ Workers are started *without* a payload: each task ships a
 rebuilds once per distinct payload fingerprint (see
 :mod:`repro.parallel.shm`).
 
-Each warm pool also owns one ``multiprocessing`` **event queue**,
-created alongside the executor and handed to every worker through the
-pool initializer (queues are only picklable at process-construction
-time, so the queue must exist *before* the workers do -- per-map
-plumbing would be too late for workers that outlive the map).  Workers
-push small telemetry dicts (shard started/finished, see
-:mod:`repro.obs.events`) through it mid-round; the engine's pump
-thread drains it into the parent :class:`~repro.obs.events.EventBus`.
-The queue always exists -- whether anything flows is decided per task
-by the parent's live telemetry state, so an idle queue costs one pipe.
+Each warm pool also owns one ``multiprocessing.SimpleQueue``, its
+**event queue**, created alongside the executor and handed to every
+worker through the pool initializer (queues are only picklable at
+process-construction time, so the queue must exist *before* the
+workers do -- per-map plumbing would be too late for workers that
+outlive the map).  A worker puts a shard's ``started`` event on it
+(see :mod:`repro.obs.events`) before running the shard; the round
+that submitted the shard forwards it to the parent
+:class:`~repro.obs.events.EventBus` from its own wait loop.  The queue
+always exists -- whether anything is put on it is decided per task by
+the parent's live telemetry state, so an idle queue costs one pipe
+and no thread.
 """
 
 from __future__ import annotations
@@ -90,14 +92,6 @@ class PoolLease:
         return self._queues[_pool_key(context, jobs)]
 
     @staticmethod
-    def _close_queue(queue) -> None:
-        try:
-            queue.close()
-            queue.cancel_join_thread()
-        except (OSError, ValueError):  # pragma: no cover -- defensive
-            pass
-
-    @staticmethod
     def _broken(executor: ProcessPoolExecutor) -> bool:
         return bool(getattr(executor, "_broken", False))
 
@@ -130,8 +124,9 @@ class PoolLease:
             resource_tracker.ensure_running()
         # The telemetry queue must be born with the pool: queues are
         # only picklable through the Process constructor, and warm
-        # workers outlive any single map.
-        queue = context.Queue()
+        # workers outlive any single map.  A SimpleQueue has no feeder
+        # thread: a worker's put is in the pipe when put returns.
+        queue = context.SimpleQueue()
         executor = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=context,
@@ -158,7 +153,7 @@ class PoolLease:
         if executor is None:
             return
         _shutdown_executor(executor)
-        self._close_queue(self._queues.pop(key))
+        self._queues.pop(key).close()
         metrics = get_registry()
         if metrics.enabled:
             metrics.counter("parallel.pool.invalidated").inc()
@@ -188,7 +183,7 @@ class PoolLease:
                     _shutdown_executor(executor)
         self._pools.clear()
         for queue in self._queues.values():
-            self._close_queue(queue)
+            queue.close()
         self._queues.clear()
         metrics = get_registry()
         if metrics.enabled:

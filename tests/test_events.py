@@ -13,6 +13,7 @@ torn stream.  The flow-level test is the acceptance path: a tiny
 
 import json
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -69,27 +70,23 @@ def _counting_task(payload, task):
     return task * task
 
 
-class _LatePuts:
-    """Worker event queue whose puts land ~0.2 s late.
-
-    Stands in for a feeder thread that writes a shard's ``finished``
-    to the pipe after the shard's result has reached the parent.
-    """
-
-    def __init__(self, queue):
-        self.queue = queue
-
-    def put_nowait(self, item):
-        timer = threading.Timer(0.2, self.queue.put_nowait, args=(item,))
-        timer.daemon = True
-        timer.start()
+def _stuck_task(payload, task):
+    if task == payload:
+        time.sleep(10.0)
+    return task
 
 
-def _late_events_task(payload, task):
+class _BrokenPuts:
+    """Worker event queue whose pipe is gone: every ``put`` raises."""
+
+    def put(self, item):
+        raise BrokenPipeError("event pipe is gone")
+
+
+def _broken_events_task(payload, task):
     import repro.parallel.engine as engine
 
-    if not isinstance(engine._EVENT_QUEUE, _LatePuts):
-        engine._EVENT_QUEUE = _LatePuts(engine._EVENT_QUEUE)
+    engine._EVENT_QUEUE = _BrokenPuts()
     return task * task
 
 
@@ -265,20 +262,27 @@ class TestParallelEvents:
         assert len(_progress(events, "evreuse", "finished")) == 6
 
     def test_late_finished_events_stay_in_their_round(self, tmp_path):
-        """A ``finished`` that trails its shard's result is not dropped."""
+        """A shard's ``finished`` comes from the parent, in its round.
+
+        The task breaks its worker's event queue, so no ``started``
+        after a worker's first shard gets through; every stored shard
+        still finishes exactly once, inside the round, and the final
+        heartbeat counts it.
+        """
         get_lease().shutdown_all()
         configure_events(tmp_path / "ev.jsonl")
         try:
             results = parallel_map(
-                _late_events_task, [2, 3, 4, 5], n_jobs=2, label="evlate"
+                _broken_events_task, [2, 3, 4, 5], n_jobs=2, label="evlate"
             )
         finally:
             disable_events()
-            # the workers keep the delaying queue: retire them
+            # the workers keep the broken queue: retire them
             get_lease().shutdown_all()
         assert results == [4, 9, 16, 25]
         events = _read_events(tmp_path / "ev.jsonl")
         _assert_ordered(events)
+        assert len(_progress(events, "evlate", "started")) < 4
         finished = _progress(events, "evlate", "finished")
         assert sorted(e["index"] for e in finished) == [0, 1, 2, 3]
         end = [e for e in events if e["kind"] == "round"][-1]
@@ -286,6 +290,107 @@ class TestParallelEvents:
         assert all(e["seq"] < end["seq"] for e in finished)
         final = [e for e in events if e["kind"] == "heartbeat"][-1]
         assert final["final"] and final["done"] == 4
+
+    def test_concurrent_rounds_finish_each_shard_once(self):
+        """Two threads' pooled maps share one pool's event queue.
+
+        Each round forwards whatever the queue holds, the other round's
+        ``started`` events included, yet every stored shard of each
+        label finishes exactly once after its ``started``, each final
+        heartbeat counts only its own round, and no round waits out
+        the other's stragglers.
+        """
+        parallel_map(_square_task, [0, 1], n_jobs=2, label="warmup")
+        bus = configure_events()
+        outputs = {}
+        walls = []
+
+        def run(label):
+            outputs[label] = parallel_map(
+                _square_task, list(range(24)), n_jobs=2, label=label
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for rep in range(5):
+                pair = [f"cc{rep}a", f"cc{rep}b"]
+                threads = [
+                    threading.Thread(target=run, args=(label,))
+                    for label in pair
+                ]
+                t0 = time.perf_counter()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                walls.append(time.perf_counter() - t0)
+                assert not any(thread.is_alive() for thread in threads)
+                for label in pair:
+                    assert outputs[label] == [t * t for t in range(24)]
+            events = bus.ring.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+            disable_events()
+        _assert_ordered(events)
+        for label in outputs:
+            started = {
+                e["index"]: e["seq"] for e in _progress(events, label, "started")
+            }
+            finished = _progress(events, label, "finished")
+            assert sorted(e["index"] for e in finished) == list(range(24))
+            assert all(started[e["index"]] < e["seq"] for e in finished)
+            final = [
+                e
+                for e in events
+                if e["kind"] == "heartbeat"
+                and e["label"] == label
+                and e["final"]
+            ]
+            assert len(final) == 1
+            assert final[0]["done"] == final[0]["total"] == 24
+        assert min(walls) < 0.6
+
+    def test_watchdog_loses_stuck_shard_while_heartbeats_continue(self):
+        """The watchdog window runs from the last completion, not a beat."""
+        bus = configure_events(heartbeat_s=0.1)
+        t0 = time.perf_counter()
+        try:
+            results = parallel_map(
+                _stuck_task,
+                [0, 1, 2, 3],
+                payload=1,  # shard 1 sleeps 10 s
+                n_jobs=2,
+                label="evstuck",
+                retry=RetryPolicy(
+                    retries=0, allow_partial=True, task_timeout_s=1.0
+                ),
+            )
+            events = bus.ring.snapshot()
+        finally:
+            disable_events()
+        assert time.perf_counter() - t0 < 5.0  # did not wait the 10 s out
+        assert results == [0, None, 2, 3]
+        _assert_ordered(events)
+        lost = _progress(events, "evstuck", "lost")
+        assert [e["index"] for e in lost] == [1]
+        # the stuck shard's ``started`` names it before it is lost
+        assert any(
+            e["index"] == 1 and e["seq"] < lost[0]["seq"]
+            for e in _progress(events, "evstuck", "started")
+        )
+        last_finished = max(
+            e["seq"] for e in _progress(events, "evstuck", "finished")
+        )
+        stalled = [
+            e
+            for e in events
+            if e["kind"] == "heartbeat"
+            and e["label"] == "evstuck"
+            and e["seq"] > last_finished
+        ]
+        assert len(stalled) >= 5
+        assert {e["done"] for e in stalled} == {3}
 
     def test_no_bus_means_no_events_and_no_queue_for_fresh_pools(self):
         """Without a bus, a newly forked pool's queue carries nothing."""
@@ -380,6 +485,35 @@ class TestKillEvents:
             rounds[0]["seq"] < e["seq"] < rounds[-1]["seq"]
             for e in lost_events
         )
+
+
+    def test_degraded_round_finishes_each_stored_shard_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A broken round's ``finished`` events are its stored shards."""
+        marker = tmp_path / "killed"
+        monkeypatch.setenv(FAULT_ENV, f"evpart:3:{marker}")
+        configure_events(tmp_path / "ev.jsonl")
+        try:
+            results = parallel_map(
+                _square_task,
+                list(range(8)),
+                n_jobs=2,
+                label="evpart",
+                retry=RetryPolicy(retries=0, allow_partial=True),
+            )
+        finally:
+            disable_events()
+        assert marker.exists() and results[3] is None
+        stored = [i for i, r in enumerate(results) if r is not None]
+        assert stored  # shards 0 and 1 returned before shard 3 was taken
+        events = _read_events(tmp_path / "ev.jsonl")
+        _assert_ordered(events)
+        finished = _progress(events, "evpart", "finished")
+        assert sorted(e["index"] for e in finished) == stored
+        end = [e for e in events if e["kind"] == "round"][-1]
+        assert end["phase"] == "end"
+        assert all(e["seq"] < end["seq"] for e in finished)
 
 
 # -- convergence events --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The ``repro-ser obs`` inspection CLI: tail, summarize, diff, bench-check."""
+"""The ``repro-ser obs`` inspection CLI: tail, summarize, diff."""
 
 import json
 
@@ -8,7 +8,7 @@ from repro.cli import main as cli_main
 from repro.obs import build_manifest, disable_metrics, enable_metrics
 from repro.obs.convergence import record_bin, reset_convergence
 from repro.obs.events import configure_events, disable_events, emit_event
-from repro.obs.inspect import bench_check, diff_manifests, follow_events
+from repro.obs.inspect import diff_manifests, follow_events
 from repro.obs.trace import configure_tracing, reset_tracing, span
 
 
@@ -168,66 +168,6 @@ class TestObsDiff:
         assert meta["a"]["command"] == "fit"
         # the raw sample buffers never appear as diffs
         assert not any(key.endswith(".samples") for key in keys)
-
-
-class TestBenchCheck:
-    @staticmethod
-    def _write(path, speedups, metric="speedup"):
-        path.write_text(
-            json.dumps([{metric: value} for value in speedups])
-        )
-        return path
-
-    def test_single_entry_passes(self, tmp_path):
-        path = self._write(tmp_path / "BENCH_x.json", [2.0])
-        ok, report = bench_check(path)
-        assert ok and "single entry" in report
-
-    def test_within_floor_passes(self, tmp_path):
-        path = self._write(tmp_path / "BENCH_x.json", [2.0, 1.95])
-        ok, report = bench_check(path, max_regress=0.10)
-        assert ok and "ok" in report
-
-    def test_regression_fails(self, tmp_path):
-        path = self._write(tmp_path / "BENCH_x.json", [2.0, 1.0])
-        ok, report = bench_check(path, max_regress=0.10)
-        assert not ok and "REGRESSION" in report
-
-    def test_characterize_metric_recognized(self, tmp_path):
-        path = self._write(
-            tmp_path / "BENCH_char.json",
-            [3.0, 3.1],
-            metric="speedup_default_vs_seed",
-        )
-        ok, report = bench_check(path)
-        assert ok and "speedup_default_vs_seed" in report
-
-    def test_cli_gates_multiple_paths(self, tmp_path, capsys):
-        good = self._write(tmp_path / "BENCH_good.json", [2.0, 2.1])
-        bad = self._write(tmp_path / "BENCH_bad.json", [2.0, 1.0])
-        assert (
-            cli_main(
-                ["obs", "bench-check", str(good), str(bad), "--max-regress", "0.1"]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "ok" in out and "REGRESSION" in out
-
-    def test_garbage_file_fails_cleanly(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text("{}")
-        ok, report = bench_check(path)
-        assert not ok and "trajectory" in report
-
-    def test_committed_trajectories_are_valid(self):
-        """The repo's own BENCH files parse and carry a key figure."""
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1]
-        for name in ("BENCH_adaptive.json",):
-            ok, report = bench_check(root / name, max_regress=1.0)
-            assert ok, report
 
 
 def _event_line(seq, label):
