@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..io import ArtifactCache, config_hash
-from ..layout import CellLayout, SramArrayLayout
+from ..layout import DATA_PATTERNS, CellLayout, SramArrayLayout
 from ..obs import get_logger, get_registry, kv, span
 from ..parallel import (
     PackedPayload,
@@ -61,7 +61,11 @@ from ..ser import (
 )
 from ..ser.mc import array_shard_decode, array_shard_encode
 from ..transport import ElectronYieldLUT, TransportEngine
-from ..transport.lut import lut_shard_decode, lut_shard_encode
+from ..transport.lut import (
+    MIN_TRIALS_PER_ENERGY,
+    lut_shard_decode,
+    lut_shard_encode,
+)
 
 _log = get_logger(__name__)
 
@@ -133,6 +137,16 @@ class FlowConfig:
             raise ConfigError("need at least one MC particle per bin")
         if self.yield_energy_points < 2:
             raise ConfigError("need at least two yield energy points")
+        if self.yield_trials_per_energy < MIN_TRIALS_PER_ENERGY:
+            raise ConfigError(
+                f"need >= {MIN_TRIALS_PER_ENERGY} yield trials per energy"
+            )
+        if self.array_rows < 1 or self.array_cols < 1:
+            raise ConfigError("array must have at least one cell")
+        if self.data_pattern not in DATA_PATTERNS:
+            raise ConfigError(f"unknown data pattern {self.data_pattern!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def energy_range_for(self, particle_name: str) -> Tuple[float, float]:
         """FIT integration energy range [MeV] for a particle."""

@@ -7,11 +7,6 @@ from .ionization import (
     pairs_to_charge_coulomb,
     sample_pairs,
 )
-from .neutron import (
-    NeutronInteractionModel,
-    SeaLevelNeutronSpectrum,
-    si_recoil_let_kev_per_nm,
-)
 from .particle import ALPHA, PROTON, ParticleType, get_particle
 from .sampling import (
     DIRECTION_LAWS,
@@ -61,9 +56,6 @@ __all__ = [
     "DIRECTION_LAWS",
     "SeaLevelProtonSpectrum",
     "AlphaEmissionSpectrum",
-    "SeaLevelNeutronSpectrum",
-    "NeutronInteractionModel",
-    "si_recoil_let_kev_per_nm",
     "EnergyBins",
     "spectrum_for",
     "ALPHA_EMISSION_RATE_PER_CM2_H",

@@ -278,8 +278,4 @@ def spectrum_for(particle_name: str, **kwargs):
         return SeaLevelProtonSpectrum(**kwargs)
     if particle_name == "alpha":
         return AlphaEmissionSpectrum(**kwargs)
-    if particle_name == "neutron":
-        from .neutron import SeaLevelNeutronSpectrum
-
-        return SeaLevelNeutronSpectrum(**kwargs)
     raise ConfigError(f"no ground-level spectrum for particle {particle_name!r}")

@@ -9,7 +9,6 @@ from .heavy_ion import (
 )
 from .fit import FitResult, fit_from_spectrum_run, integrate_fit
 from .fusion import BatchPlan, CampaignPoint
-from .neutron_mc import NeutronMcConfig, NeutronSerSimulator, neutron_fit
 from .mc import (
     DEFAULT_DIRECTION_LAWS,
     DEPOSITION_MODES,
@@ -17,7 +16,6 @@ from .mc import (
     ArrayPofResult,
     ArraySerSimulator,
 )
-from .pof import combine, combine_mbu, combine_seu, combine_total
 from .results import SerSweep
 from .adaptive import (
     AdaptiveBin,
@@ -44,10 +42,6 @@ __all__ = [
     "CampaignPoint",
     "DEPOSITION_MODES",
     "DEFAULT_DIRECTION_LAWS",
-    "combine",
-    "combine_total",
-    "combine_seu",
-    "combine_mbu",
     "FitResult",
     "integrate_fit",
     "fit_from_spectrum_run",
@@ -55,9 +49,6 @@ __all__ = [
     "CrossSectionPoint",
     "WeibullFit",
     "fit_weibull",
-    "NeutronSerSimulator",
-    "NeutronMcConfig",
-    "neutron_fit",
     "PairOffsetStatistics",
     "collect_pair_offsets",
     "SerSweep",

@@ -57,6 +57,13 @@ class CampaignPoint:
     :meth:`~repro.ser.mc.ArraySerSimulator.run_spectrum`); an adaptive
     stratum point carries its ``stratum`` dict (see
     :mod:`repro.ser.adaptive`).
+
+    A LET-beam point (``let_kev_per_nm`` set, see
+    :class:`~repro.ser.heavy_ion.HeavyIonCampaign`) names no particle
+    species: every strike deposits ``LET x chord`` with no straggling,
+    ``particle_name`` and ``energy_mev`` only label the result, and
+    ``direction_law`` (or, when ``None``, the configured law of
+    ``particle_name``) aims the beam.
     """
 
     particle_name: str
@@ -67,6 +74,8 @@ class CampaignPoint:
     spectrum: object = field(default=None, compare=False, repr=False)
     e_range: Optional[Tuple[float, float]] = None
     stratum: Optional[dict] = None
+    let_kev_per_nm: Optional[float] = None
+    direction_law: Optional[str] = None
 
     @classmethod
     def uniform(
@@ -76,9 +85,7 @@ class CampaignPoint:
         vdd_v: float,
         n_particles: int,
         seed,
-        *,
-        spectrum=None,
-        e_range=None,
+        **fields,
     ) -> "CampaignPoint":
         """A whole campaign of ``n_particles``, as ``simulator.run`` draws it.
 
@@ -87,7 +94,9 @@ class CampaignPoint:
         block, and block ``i`` gets the ``i``-th child stream spawned
         off ``seed``: a :class:`~numpy.random.SeedSequence`, or a
         :class:`~numpy.random.Generator` whose seed sequence keeps its
-        spawn counter across calls.
+        spawn counter across calls.  ``fields`` sets the point's other
+        fields by name (``spectrum``, ``e_range``, ``let_kev_per_nm``,
+        ``direction_law``).
         """
         if energy_mev <= 0:
             raise ConfigError("energy must be positive")
@@ -101,8 +110,7 @@ class CampaignPoint:
             float(energy_mev),
             float(vdd_v),
             tuple(zip(sizes, seeds)),
-            spectrum=spectrum,
-            e_range=e_range,
+            **fields,
         )
 
     @property

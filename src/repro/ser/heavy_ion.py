@@ -17,17 +17,15 @@ normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from ..constants import ELEMENTARY_CHARGE_C, SILICON_PAIR_ENERGY_EV
 from ..errors import ConfigError
-from ..geometry import BoxGrid
-from ..physics import sample_rays
-from ..sram import PofTable
 from ..layout import SramArrayLayout
-from .pof import combine
+from ..sram import PofTable
+from .fusion import BatchPlan, CampaignPoint
+from .mc import ArrayMcConfig, ArraySerSimulator
 
 
 @dataclass(frozen=True)
@@ -67,27 +65,23 @@ class WeibullFit:
 
 
 class HeavyIonCampaign:
-    """Mono-LET beam campaigns against one array + POF table."""
+    """Mono-LET beam campaigns against one array + POF table.
+
+    Each beam runs as a one-point :class:`~repro.ser.fusion.BatchPlan`
+    on :attr:`simulator`, the array Monte Carlo behind every FIT: same
+    draw blocks, same strike kernel, same merge.
+    """
 
     def __init__(
         self,
         layout: SramArrayLayout,
         pof_table: PofTable,
         margin_nm: float = 100.0,
-        chunk_size: int = 8192,
     ):
-        if margin_nm < 0:
-            raise ConfigError("margin cannot be negative")
-        if chunk_size < 1:
-            raise ConfigError("chunk size must be positive")
-        self.layout = layout
-        self.pof_table = pof_table
-        self.margin_nm = float(margin_nm)
-        self.chunk_size = int(chunk_size)
-        sensitive = layout.fin_strike >= 0
-        self._grid = BoxGrid(layout.packed_boxes[sensitive])
-        self._cells = layout.fin_cell[sensitive]
-        self._strikes = layout.fin_strike[sensitive]
+        # a LET point deposits LET x chord in either deposition mode;
+        # "direct" only spares the simulator the yield LUTs it never reads
+        config = ArrayMcConfig(deposition_mode="direct", margin_nm=margin_nm)
+        self.simulator = ArraySerSimulator(layout, pof_table, config=config)
 
     def run_let(
         self,
@@ -101,54 +95,29 @@ class HeavyIonCampaign:
 
         ``sigma = POF_per_particle * A_launch / n_bits`` -- the upset
         count per unit fluence per bit, exactly how beam data are
-        reduced.
+        reduced.  Draw block ``i`` takes the ``i``-th child stream
+        spawned off ``rng``, so a sweep sharing one generator gives
+        every LET its own streams.
         """
         if let_kev_per_nm <= 0:
             raise ConfigError("LET must be positive")
-        if n_particles < 1:
-            raise ConfigError("need at least one particle")
-
-        x_range, y_range, z, launch_area = self.layout.launch_window(
-            self.margin_nm
+        # a beam is named by its LET, which also labels its energy
+        point = CampaignPoint.uniform(
+            "heavy-ion",
+            let_kev_per_nm,
+            vdd_v,
+            n_particles,
+            rng,
+            let_kev_per_nm=float(let_kev_per_nm),
+            direction_law=direction_law,
         )
-        charge_per_nm = (
-            let_kev_per_nm * 1.0e3 / SILICON_PAIR_ENERGY_EV
-        ) * ELEMENTARY_CHARGE_C
-
-        pof_sum = 0.0
-        remaining = n_particles
-        while remaining > 0:
-            batch = min(remaining, self.chunk_size)
-            remaining -= batch
-            rays = sample_rays(batch, rng, x_range, y_range, z, direction_law)
-            ray_idx, fin_idx, chords = self._grid.chords(rays)
-            if len(fin_idx) == 0:
-                continue
-            struck, event_idx = np.unique(ray_idx, return_inverse=True)
-            charges = chords * charge_per_nm
-
-            n_events = len(struck)
-            tensor = np.zeros((n_events, self.layout.n_cells, 3))
-            np.add.at(
-                tensor,
-                (event_idx, self._cells[fin_idx], self._strikes[fin_idx]),
-                charges,
-            )
-            mask = np.any(tensor > 0.0, axis=2)
-            ev_i, cell_i = np.nonzero(mask)
-            pof_cells = np.zeros((n_events, self.layout.n_cells))
-            pof_cells[ev_i, cell_i] = self.pof_table.query(
-                vdd_v, tensor[ev_i, cell_i, :]
-            )
-            total, _, _ = combine(pof_cells)
-            pof_sum += float(np.sum(total))
-
-        pof = pof_sum / n_particles
-        sigma = pof * launch_area / self.layout.n_cells
+        (result,) = BatchPlan(self.simulator, [point]).execute()
+        n_cells = self.simulator.layout.n_cells
+        sigma = result.pof_total * result.launch_area_cm2 / n_cells
         return CrossSectionPoint(
             let_kev_per_nm=float(let_kev_per_nm),
             cross_section_cm2_per_bit=float(sigma),
-            pof_per_particle=float(pof),
+            pof_per_particle=float(result.pof_total),
             n_particles=n_particles,
         )
 

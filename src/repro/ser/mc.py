@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..constants import ELEMENTARY_CHARGE_C
+from ..constants import ELEMENTARY_CHARGE_C, SILICON_PAIR_ENERGY_EV
 from ..errors import ConfigError
 from ..geometry import BoxGrid, RayBatch, chord_lengths
 from ..layout import SramArrayLayout
@@ -50,7 +50,6 @@ from ..physics import (
 from ..physics.sampling import sample_directions
 from ..sram import PofTable
 from ..transport import ElectronYieldLUT
-from .pof import _ONE_MINUS_EPS
 
 _log = get_logger(__name__)
 
@@ -59,6 +58,11 @@ DEPOSITION_MODES = ("lut", "direct")
 #: Default angular law per particle species: package alphas arrive
 #: isotropically, atmospheric protons follow the cosine law.
 DEFAULT_DIRECTION_LAWS = {"alpha": "isotropic", "proton": "cosine"}
+
+#: Probabilities are clipped below 1 by this margin so the numerically
+#: convenient ``prod * sum(p / (1-p))`` form of eq. 5 stays finite; the
+#: induced error is ~1e-12 absolute, far below MC noise.
+_ONE_MINUS_EPS = 1.0 - 1.0e-12
 
 #: RNG granularity of a campaign.  Particles are partitioned into draw
 #: blocks of this fixed size and each block owns one spawned child
@@ -687,18 +691,22 @@ class ArraySerSimulator:
         """
         rng = np.random.default_rng(seed)
         x_range, y_range, z, launch_area = self._window
-        particle = get_particle(point.particle_name)
-        law = self.config.law_for(particle.name)
+        law = point.direction_law or self.config.law_for(point.particle_name)
         stratum = point.stratum
-        if point.spectrum is not None:
-            e_min, e_max = point.e_range
-            if stratum is not None and stratum.get("e_range") is not None:
-                e_min, e_max = stratum["e_range"]
-            energy = point.spectrum.sample_energies(
-                block_size, rng, e_min_mev=e_min, e_max_mev=e_max
-            )
+        if point.let_kev_per_nm is not None:
+            # a LET beam names no species: the kernel's per-strike
+            # "energy" carries the LET instead (see _pairs_for_strikes)
+            particle, energy = None, point.let_kev_per_nm
         else:
+            particle = get_particle(point.particle_name)
             energy = point.energy_mev
+            if point.spectrum is not None:
+                e_min, e_max = point.e_range
+                if stratum is not None and stratum.get("e_range") is not None:
+                    e_min, e_max = stratum["e_range"]
+                energy = point.spectrum.sample_energies(
+                    block_size, rng, e_min_mev=e_min, e_max_mev=e_max
+                )
         if stratum is not None and stratum.get("rects") is not None:
             rays = _sample_stratum_rays(
                 block_size, rng, stratum["rects"], z, law
@@ -711,7 +719,7 @@ class ArraySerSimulator:
         _log.debug(
             "array-mc block %s",
             kv(
-                particle=particle.name,
+                particle=point.particle_name,
                 energy_mev=point.energy_mev,
                 vdd=point.vdd_v,
                 particles=block_size,
@@ -720,7 +728,7 @@ class ArraySerSimulator:
             ),
         )
         return ArrayPofResult(
-            particle_name=particle.name,
+            particle_name=point.particle_name,
             energy_mev=point.energy_mev,
             vdd_v=point.vdd_v,
             n_particles=block_size,
@@ -860,8 +868,8 @@ class ArraySerSimulator:
     def _sparse_multiplicity(self, pof, starts) -> np.ndarray:
         """Summed Poisson-binomial PMF over variable-size event groups.
 
-        The dynamic program of :func:`repro.ser.pof.multiplicity_pmf`
-        run rank-by-rank: step ``r`` folds the ``r``-th touched cell of
+        The oracle's dense dynamic program (``multiplicity_pmf``) run
+        rank-by-rank: step ``r`` folds the ``r``-th touched cell of
         every event in at once, so the loop length is the largest
         per-event cell count, not the cell total.
         """
@@ -890,8 +898,12 @@ class ArraySerSimulator:
 
         ``strike_energies`` is the per-strike particle energy array
         (constant for mono-energetic campaigns, per-track for spectrum
-        sampling).
+        sampling).  A LET beam (``particle is None``) passes its LET
+        [keV/nm] there instead and deposits exactly ``LET x chord``:
+        no straggling and no yield LUT, whatever the deposition mode.
         """
+        if particle is None:
+            return strike_energies * chord_nm * 1.0e3 / SILICON_PAIR_ENERGY_EV
         if self.config.deposition_mode == "direct":
             deposits = sample_deposits_kev(
                 particle, strike_energies, chord_nm, rng

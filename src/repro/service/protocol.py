@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
 from ..io import config_hash
 
 __all__ = [
@@ -55,6 +55,24 @@ ECC_SCHEMES = ("none", "SEC-DED", "DEC-TED")
 
 class QueryError(ConfigError):
     """A request that cannot be turned into a well-formed campaign."""
+
+
+def _is_json_type(hint, value) -> bool:
+    """Whether ``value`` is a JSON value of the field type ``hint``.
+
+    An integer is not a bool, a float may be an integer, and a list
+    field takes a list, not a string.
+    """
+    if get_origin(hint) is Union:
+        return any(_is_json_type(arg, value) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(
+            _is_json_type(item, entry) for entry in value
+        )
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,13 @@ class QuerySpec:
     ecc_pair_particles: int = 20000
 
     def __post_init__(self):
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if not _is_json_type(_FIELD_TYPES[spec_field.name], value):
+                raise QueryError(
+                    f"spec field {spec_field.name!r} must be "
+                    f"{spec_field.type}, got {value!r}"
+                )
         # normalize list-ish inputs so from_dict(json) and native
         # construction canonicalize identically
         object.__setattr__(
@@ -103,10 +128,6 @@ class QuerySpec:
         object.__setattr__(
             self, "vdd_list", tuple(float(v) for v in self.vdd_list)
         )
-        if not self.particles:
-            raise QueryError("query needs at least one particle")
-        if not self.vdd_list:
-            raise QueryError("query needs at least one vdd")
         if self.ecc is not None and self.ecc not in ECC_SCHEMES:
             raise QueryError(
                 f"unknown ecc scheme {self.ecc!r} (one of {ECC_SCHEMES})"
@@ -115,6 +136,8 @@ class QuerySpec:
             raise QueryError("interleave distance must be >= 1")
         if self.ecc_pair_particles < 1:
             raise QueryError("ecc_pair_particles must be positive")
+        # every other range is checked once, by the config that holds it
+        self.to_flow_config()
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QuerySpec":
@@ -149,15 +172,15 @@ class QuerySpec:
         from ..ser import AdaptiveConfig
         from ..sram import CharacterizationConfig
 
-        adaptive = None
-        if self.adaptive:
-            adaptive = AdaptiveConfig(
-                target_se=self.target_se,
-                relative_target=self.target_se_relative,
-                pilot_trials=self.pilot_trials,
-                max_trials=self.max_trials,
-            )
         try:
+            adaptive = None
+            if self.adaptive:
+                adaptive = AdaptiveConfig(
+                    target_se=self.target_se,
+                    relative_target=self.target_se_relative,
+                    pilot_trials=self.pilot_trials,
+                    max_trials=self.max_trials,
+                )
             return FlowConfig(
                 particles=self.particles,
                 vdd_list=self.vdd_list,
@@ -177,7 +200,7 @@ class QuerySpec:
                 seed=self.seed,
                 adaptive=adaptive,
             )
-        except ConfigError as exc:
+        except ReproError as exc:
             raise QueryError(str(exc)) from exc
 
     def canonical_key(self, design=None) -> str:
@@ -206,6 +229,11 @@ class QuerySpec:
                 ),
             },
         )
+
+
+#: Resolved once, not per spec: resolving the annotations costs more
+#: than the rest of a spec's construction.
+_FIELD_TYPES = get_type_hints(QuerySpec)
 
 
 def encode_line(message: dict) -> bytes:

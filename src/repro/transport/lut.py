@@ -40,6 +40,9 @@ _DEFAULT_QUANTILES = 129
 #: ``trials_per_energy`` -- never on the worker count.
 TRIALS_PER_SHARD = 100_000
 
+#: Fewest trials per energy point that give a usable pair-count CDF.
+MIN_TRIALS_PER_ENERGY = 100
+
 
 def _shard_sizes(trials: int) -> list:
     full, rest = divmod(trials, TRIALS_PER_SHARD)
@@ -183,8 +186,11 @@ class ElectronYieldLUT:
             Optional :class:`~repro.parallel.ShardJournal` checkpoint;
             cleared automatically once the build completes undegraded.
         """
-        if trials_per_energy < 100:
-            raise ConfigError("need >= 100 trials per energy for a usable CDF")
+        if trials_per_energy < MIN_TRIALS_PER_ENERGY:
+            raise ConfigError(
+                f"need >= {MIN_TRIALS_PER_ENERGY} trials per energy for a "
+                "usable CDF"
+            )
         if n_quantiles < 3:
             raise ConfigError("need >= 3 quantiles")
         engine = engine if engine is not None else TransportEngine()

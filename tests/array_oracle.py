@@ -23,17 +23,103 @@ the shipped code to them:
   behind :meth:`repro.layout.SramArrayLayout._build` (broadcast);
 * :func:`sample_pairs_blend_rows` -- the whole-row quantile blend
   behind :meth:`repro.transport.ElectronYieldLUT.sample_pairs_many`
-  (which gathers the four entries each query reads, then blends).
+  (which gathers the four entries each query reads, then blends);
+* :func:`combine` (eqs. 4-6 on a dense ``(events, cells)`` POF matrix,
+  also as :func:`combine_total` / :func:`combine_seu` /
+  :func:`combine_mbu`) and :func:`multiplicity_pmf` -- the dense
+  combination behind the segmented reductions of
+  :meth:`~repro.ser.ArraySerSimulator._process_batch` and
+  :meth:`~repro.ser.ArraySerSimulator._sparse_multiplicity`.
 """
+
+from typing import Tuple
 
 import numpy as np
 
 from repro.constants import ELEMENTARY_CHARGE_C
-from repro.errors import LookupError_
+from repro.errors import ConfigError, LookupError_
 from repro.geometry import RayBatch, chord_lengths, stack_boxes
 from repro.layout.array import _SENSITIVE_Q0, _SENSITIVE_Q1
 from repro.sram.cell import ROLES
-from repro.ser.pof import combine, multiplicity_pmf
+from repro.ser.mc import _ONE_MINUS_EPS
+
+
+# -- POF combination across cells (paper eqs. 4-6) -----------------------------
+#
+# Given per-cell failure probabilities for one particle event,
+#
+# * ``POF_tot = 1 - prod_i (1 - POF_i)``              (eq. 4)
+# * ``POF_SEU = sum_i POF_i * prod_{j != i} (1 - POF_j)``  (eq. 5)
+# * ``POF_MBU = POF_tot - POF_SEU``                   (eq. 6)
+#
+# All functions are vectorized along a leading batch axis (one row per
+# Monte Carlo event).
+
+
+def _validate(pofs) -> np.ndarray:
+    pofs = np.atleast_2d(np.asarray(pofs, dtype=np.float64))
+    if np.any((pofs < 0.0) | (pofs > 1.0)):
+        raise ConfigError("cell POFs must lie in [0, 1]")
+    return pofs
+
+
+def combine_total(pofs) -> np.ndarray:
+    """Eq. 4: probability at least one cell fails, per event row."""
+    pofs = _validate(pofs)
+    return 1.0 - np.prod(1.0 - pofs, axis=-1)
+
+
+def combine_seu(pofs) -> np.ndarray:
+    """Eq. 5: probability exactly one cell fails, per event row."""
+    pofs = np.minimum(_validate(pofs), _ONE_MINUS_EPS)
+    survive = 1.0 - pofs
+    total_survive = np.prod(survive, axis=-1)
+    odds = pofs / survive
+    return total_survive * np.sum(odds, axis=-1)
+
+
+def combine_mbu(pofs) -> np.ndarray:
+    """Eq. 6: probability two or more cells fail, per event row."""
+    return np.maximum(combine_total(pofs) - combine_seu(pofs), 0.0)
+
+
+def combine(pofs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(total, seu, mbu)`` per event row in one pass."""
+    total = combine_total(pofs)
+    seu = combine_seu(pofs)
+    mbu = np.maximum(total - seu, 0.0)
+    return total, seu, mbu
+
+
+def multiplicity_pmf(pofs, max_k: int = 8) -> np.ndarray:
+    """Failure-count distribution per event (Poisson binomial).
+
+    Generalizes eqs. 4-6: ``pmf[:, k]`` is the probability that exactly
+    ``k`` cells fail in the event (``k = 0 .. max_k``, with the final
+    bin absorbing ``>= max_k`` failures).  The cluster-size view is what
+    an ECC architect needs: single-error-correcting codes survive
+    ``k = 1`` but not ``k >= 2`` within a word.
+
+    Vectorized dynamic program over the event batch: each cell updates
+    ``pmf <- pmf * (1 - p) + shift(pmf) * p``.
+    """
+    pofs = _validate(pofs)
+    if max_k < 1:
+        raise ConfigError("need max_k >= 1")
+    n_events = pofs.shape[0]
+    pmf = np.zeros((n_events, max_k + 1), dtype=np.float64)
+    pmf[:, 0] = 1.0
+    for j in range(pofs.shape[1]):
+        p = pofs[:, j][:, np.newaxis]
+        shifted = np.zeros_like(pmf)
+        shifted[:, 1:] = pmf[:, :-1]
+        # the top bin absorbs overflow (k >= max_k stays in place)
+        shifted[:, -1] += pmf[:, -1]
+        pmf = pmf * (1.0 - p) + shifted * p
+    return pmf
+
+
+# -- array-MC kernels ----------------------------------------------------------
 
 
 def gather_strikes_dense(simulator, particle, energy_mev, rays, rng):

@@ -67,8 +67,15 @@ class TestConfig:
         assert sim.config.deposition_mode == "direct"
 
     def test_invalid_mode(self):
-        with pytest.raises(ConfigError):
-            ArrayMcConfig(deposition_mode="teleport")
+        invalid = (
+            {"deposition_mode": "teleport"},
+            {"chunk_size": 0},
+            {"chunk_size": -5},
+            {"margin_nm": -1.0},
+        )
+        for fields in invalid:
+            with pytest.raises(ConfigError):
+                ArrayMcConfig(**fields)
 
     def test_direction_law_defaults(self):
         config = ArrayMcConfig()

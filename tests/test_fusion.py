@@ -4,7 +4,10 @@ Covers the contracts of :mod:`repro.ser.fusion` and its flow wiring:
 
 * bit-identity -- a plan's points equal separate ``simulator.run``
   calls, and ``SerFlow.fit`` / ``sweep`` / ``pof_vs_energy`` each equal
-  per-point runs seeded with ``flow._campaign_seed(stage, ...)``;
+  per-point runs seeded with ``flow._campaign_seed(stage, ...)``; a
+  LET-beam point equals its own one-point plan when fused with an
+  alpha point, and ``HeavyIonCampaign.run_let`` for any worker count
+  and chunk size;
 * pinned literals -- a tiny flow's FITs and sweep cache key, captured
   before the per-campaign driver was removed, never drift;
 * fault tolerance -- lost blocks follow the caller's retry policy (a
@@ -40,6 +43,7 @@ from repro.ser import (
     ArraySerSimulator,
     BatchPlan,
     CampaignPoint,
+    HeavyIonCampaign,
     integrate_fit,
 )
 from repro.ser import clusters
@@ -94,6 +98,19 @@ def layout():
 def make_simulator(layout, pof_table, **overrides):
     config = ArrayMcConfig(deposition_mode="direct", **overrides)
     return ArraySerSimulator(layout, pof_table, config=config)
+
+
+def let_point(let, n, seed):
+    """The vertical-beam point ``HeavyIonCampaign.run_let`` builds."""
+    return CampaignPoint.uniform(
+        "heavy-ion",
+        let,
+        0.7,
+        n,
+        seed,
+        let_kev_per_nm=let,
+        direction_law="beam:1.0",
+    )
 
 
 def run_campaign(layout, pof_table, *, seed=42, n=6000, **overrides):
@@ -176,6 +193,50 @@ class TestBatchPlan:
         assert len(fused) == 2
         for merged, single in zip(fused, individual):
             assert_results_identical(merged, single)
+
+    def test_let_point_fused_with_alpha_matches_own_plans(
+        self, layout, pof_table
+    ):
+        """A LET point's branch never reaches another point's blocks.
+
+        Both points have 9000 particles (blocks 4096 + 4096 + 808) and a
+        task holds two blocks, so the middle task mixes an alpha block
+        with a LET block.
+        """
+        simulator = make_simulator(layout, pof_table)
+        points = [
+            CampaignPoint.uniform(
+                "alpha", 5.0, 0.7, 9000, np.random.SeedSequence(101)
+            ),
+            let_point(0.5, 9000, np.random.SeedSequence(202)),
+        ]
+        fused = BatchPlan(simulator, points).execute()
+        for merged, point in zip(fused, points):
+            (alone,) = BatchPlan(simulator, [point]).execute()
+            assert_results_identical(merged, alone)
+        assert fused[1].particle_name == "heavy-ion"
+        assert fused[1].pof_total > 0.0
+
+    def test_let_point_identical_across_jobs_and_chunks(
+        self, layout, pof_table, metrics, clean_engine_state
+    ):
+        """``run_let`` equals its point's plan at any worker count and
+        chunk size; 60k particles are enough work that two workers
+        really fork."""
+        campaign = HeavyIonCampaign(layout, pof_table)
+        n = 60000
+        expected = campaign.run_let(0.5, 0.7, n, np.random.default_rng(5))
+        results = []
+        for chunk_size, n_jobs in ((4096, 1), (16384, 1), (4096, 2)):
+            config = replace(campaign.simulator.config, chunk_size=chunk_size)
+            simulator = ArraySerSimulator(layout, pof_table, config=config)
+            point = let_point(0.5, n, np.random.default_rng(5))
+            (result,) = BatchPlan(simulator, [point], n_jobs=n_jobs).execute()
+            assert result.pof_total == expected.pof_per_particle
+            results.append(result)
+        for result in results[1:]:
+            assert_results_identical(result, results[0])
+        assert get_registry().snapshot()["counters"]["parallel.maps"] == 1
 
     def test_fused_plan_metrics(self, layout, pof_table, metrics):
         simulator = make_simulator(layout, pof_table)

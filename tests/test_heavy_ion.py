@@ -85,15 +85,6 @@ class TestCrossSectionCurve:
         with pytest.raises(ConfigError):
             campaign.run_let(1.0, 0.7, 0, rng)
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_non_positive_chunk_size_rejected(self, campaign, chunk_size):
-        """0 made ``run_let`` loop forever; a negative size failed deep
-        in numpy."""
-        with pytest.raises(ConfigError):
-            HeavyIonCampaign(
-                campaign.layout, campaign.pof_table, chunk_size=chunk_size
-            )
-
 
 class TestWeibullFit:
     def test_fit_recovers_threshold(self, curve):

@@ -44,13 +44,8 @@ UNREACHED_ALLOWLIST = {
         "and sram.access use it"
     ),
     "ser.heavy_ion": (
-        "sequential campaign loop; moves onto BatchPlan or is deleted "
-        "with the other campaign loops"
-    ),
-    "ser.neutron_mc": (
-        "sequential campaign loop; moves onto BatchPlan or is deleted "
-        "with the other campaign loops; the neutron figure bench runs "
-        "it in CI"
+        "LET beams as BatchPlan points: tests/test_validation_analytic.py "
+        "runs the closed-form vertical beam through it and the FIT kernel"
     ),
     "sram.access": (
         "read-disturb/write analysis, undecided; two examples use it"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.ser.pof import combine, multiplicity_pmf
+
+from .array_oracle import combine, multiplicity_pmf
 
 pof_rows = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=6)
 

@@ -9,10 +9,9 @@ from repro.geometry import Aabb, RayBatch, chord_lengths
 from repro.layout import CellLayout, SramArrayLayout
 from repro.layout.array import DATA_PATTERNS
 from repro.physics import ALPHA, PROTON, mass_stopping_power
-from repro.ser.pof import combine_seu, combine_total
 from repro.sram.cell import ROLES
 
-from .array_oracle import tiled_layout_loop
+from .array_oracle import combine_seu, combine_total, tiled_layout_loop
 
 
 class TestGeometryProperties:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.ser import combine, combine_mbu, combine_seu, combine_total
+
+from .array_oracle import combine, combine_mbu, combine_seu, combine_total
 
 pof_rows = st.lists(
     st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8

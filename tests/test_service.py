@@ -106,6 +106,23 @@ def _wait_until(predicate, timeout_s=5.0):
     return predicate()
 
 
+#: Requests that must get ``QueryError`` (``bad-request`` from the
+#: daemon) before any campaign is admitted: out-of-range values, JSON
+#: values of the wrong type, and a config error raised while the spec
+#: compiles.
+MALFORMED_SPECS = (
+    {"array_rows": 0},
+    {"samples": 1.5},
+    {"seed": "x"},
+    {"seed": -1},
+    {"yield_trials": 0},
+    {"data_pattern": "zzz"},
+    {"mc_particles": True},
+    {"particles": "alpha"},
+    {"adaptive": True, "target_se": -1},
+)
+
+
 class _GatedRunner:
     """Counts calls; campaigns whose seed is gated block until released."""
 
@@ -167,6 +184,9 @@ class TestQuerySpec:
             QuerySpec(ecc="hamming")
         with pytest.raises(QueryError):
             QuerySpec(interleave=0)
+        for payload in MALFORMED_SPECS:
+            with pytest.raises(QueryError):
+                QuerySpec.from_dict(payload)
 
     def test_defaults_match_cli_defaults(self):
         """An empty query asks what a bare ``repro-ser sweep`` computes."""
@@ -432,14 +452,20 @@ class TestServiceDaemon:
         assert all(r is not None and r["ok"] for r in replies)
 
     def test_malformed_spec_rejected_as_bad_request(self, tmp_path):
-        engine = CampaignEngine(runner=_GatedRunner())
+        runner = _GatedRunner()
+        engine = CampaignEngine(runner=runner)
         try:
             with _DaemonHarness(engine, tmp_path / "ser.sock") as harness:
                 with harness.client() as client:
                     with pytest.raises(ServiceError, match="bad-request"):
                         client.query({"no_such_field": 1})
+                    for payload in MALFORMED_SPECS:
+                        with pytest.raises(ServiceError, match="bad-request"):
+                            client.query(payload)
                     # the connection survives a bad request
                     assert client.ping()
+            assert runner.calls == []
+            assert engine.stats()["campaigns"] == 0
         finally:
             engine.shutdown(wait=True, timeout_s=10.0)
 

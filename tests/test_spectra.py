@@ -128,12 +128,6 @@ class TestFactory:
         assert isinstance(spectrum_for("alpha"), AlphaEmissionSpectrum)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ConfigError):
-            spectrum_for("muon")
-
-
-class TestNeutronFactory:
-    def test_neutron_registered(self):
-        from repro.physics.neutron import SeaLevelNeutronSpectrum
-
-        assert isinstance(spectrum_for("neutron"), SeaLevelNeutronSpectrum)
+        for name in ("muon", "neutron"):
+            with pytest.raises(ConfigError):
+                spectrum_for(name)
