@@ -201,7 +201,6 @@ def _add_common(parser):
         action="store_true",
         help="neglect process variation (nominal binary POFs)",
     )
-    _add_cell_kernel(parser)
     _add_adaptive(parser)
 
 
@@ -246,18 +245,6 @@ def _add_adaptive(parser):
     )
 
 
-def _add_cell_kernel(parser):
-    group = parser.add_argument_group("cell kernel")
-    group.add_argument(
-        "--cell-kernel",
-        choices=("fused", "tabulated"),
-        default="tabulated",
-        help="FastCell current kernel for POF characterization "
-        "(default: tabulated I-V lookups; fused evaluates the compact "
-        "model directly, within a 0.01 POF budget of tabulated)",
-    )
-
-
 def _spec_from_args(args, vdd_list=None):
     """Compile parsed arguments into the canonical query spec.
 
@@ -279,7 +266,6 @@ def _spec_from_args(args, vdd_list=None):
         yield_points=args.yield_points,
         seed=args.seed,
         variation=not args.no_variation,
-        cell_kernel=args.cell_kernel,
         adaptive=getattr(args, "adaptive", False),
         target_se=getattr(args, "target_se", 5e-4),
         target_se_relative=getattr(args, "target_se_relative", False),

@@ -101,7 +101,8 @@ class FlowConfig:
     # device level
     yield_energy_points: int = 13
     yield_trials_per_energy: int = 20000
-    # cell level
+    # cell level; the flow writes its own ``vdd_list`` and
+    # ``process_variation`` into this config
     characterization: CharacterizationConfig = field(
         default_factory=CharacterizationConfig
     )
@@ -113,7 +114,6 @@ class FlowConfig:
     n_energy_bins: int = 8
     mc_particles_per_bin: int = 100000
     deposition_mode: str = "lut"
-    margin_nm: float = 100.0
     seed: int = 2014
     #: Per-particle (e_min, e_max) folded into the FIT integral; None
     #: selects :data:`DEFAULT_ENERGY_RANGES`.
@@ -147,6 +147,15 @@ class FlowConfig:
             raise ConfigError(f"unknown data pattern {self.data_pattern!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        object.__setattr__(
+            self,
+            "characterization",
+            replace(
+                self.characterization,
+                vdd_list=tuple(self.vdd_list),
+                process_variation=self.process_variation,
+            ),
+        )
 
     def energy_range_for(self, particle_name: str) -> Tuple[float, float]:
         """FIT integration energy range [MeV] for a particle."""
@@ -157,14 +166,6 @@ class FlowConfig:
             raise ConfigError(
                 f"no energy range configured for {particle_name!r}"
             ) from None
-
-    def effective_characterization(self) -> CharacterizationConfig:
-        """Cell config with the flow's vdd list and PV flag applied."""
-        return replace(
-            self.characterization,
-            vdd_list=tuple(self.vdd_list),
-            process_variation=self.process_variation,
-        )
 
 
 class SerFlow:
@@ -334,7 +335,7 @@ class SerFlow:
 
     def _pof_key(self) -> tuple:
         """``(char_config, tech)``: the POF table's artifact-cache key."""
-        return self.config.effective_characterization(), self.design.tech
+        return self.config.characterization, self.design.tech
 
     def pof_table(self) -> PofTable:
         """Cell POF LUTs (built once, cached)."""
@@ -395,7 +396,6 @@ class SerFlow:
     def _mc_config(self) -> ArrayMcConfig:
         return ArrayMcConfig(
             deposition_mode=self.config.deposition_mode,
-            margin_nm=self.config.margin_nm,
             n_jobs=self.n_jobs,
         )
 

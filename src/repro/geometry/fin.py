@@ -160,11 +160,6 @@ class SoiFinWorld:
         """All material volumes, fin first."""
         return list(self._volumes)
 
-    @property
-    def fin_volume(self) -> Volume:
-        """The (single) charge-collecting fin volume."""
-        return self._volumes[0]
-
     def bounds(self) -> Aabb:
         """World bounding box enclosing every volume plus the top margin."""
         lo = np.min([v.box.lo for v in self._volumes], axis=0)

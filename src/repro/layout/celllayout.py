@@ -148,8 +148,3 @@ class CellLayout:
                 )
             )
         return boxes
-
-    @property
-    def area_nm2(self) -> float:
-        """Cell footprint [nm^2]."""
-        return self.width_nm * self.height_nm

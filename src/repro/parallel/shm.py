@@ -146,9 +146,6 @@ class SharedArrayPack:
         """Names of the currently live segments (tests, leak checks)."""
         return tuple(seg.name for seg in self._segments.values())
 
-    def total_bytes(self) -> int:
-        return sum(seg.size for seg in self._segments.values())
-
     def available(self) -> bool:
         """Probe (once) whether shared memory works on this host."""
         if self._available is None:

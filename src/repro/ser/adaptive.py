@@ -58,6 +58,14 @@ from .mc import DRAW_BLOCK_SIZE, ArrayPofResult
 
 _log = get_logger(__name__)
 
+#: Halo [nm] inflating the sensitive-fin bounding box of the ``core``
+#: position stratum.
+HALO_NM = 200.0
+#: Energy sub-strata per spectrum bin, and the clip of their
+#: POF(E)-gradient allocation tilt.
+ENERGY_STRATA_PER_BIN = 4
+MAX_TILT = 8.0
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -84,18 +92,12 @@ class AdaptiveConfig:
     #: Draw blocks distributed per refinement round and the round cap.
     round_blocks: int = 16
     max_rounds: int = 64
-    #: Position stratification (core/frame split of the launch window)
-    #: and the halo [nm] inflating the sensitive-fin bounding box.
-    stratify: bool = True
-    halo_nm: float = 200.0
-    #: Energy sub-strata per spectrum bin (<= 1 disables) and the
-    #: POF(E)-gradient tilt clip for their allocation priority.
-    energy_strata: int = 4
-    max_tilt: float = 8.0
 
     def __post_init__(self):
-        if self.target_se <= 0:
-            raise ConfigError("target standard error must be positive")
+        if not (math.isfinite(self.target_se) and self.target_se > 0):
+            raise ConfigError(
+                "target standard error must be positive and finite"
+            )
         if self.pilot_trials < 1:
             raise ConfigError("pilot needs at least one trial")
         if self.max_trials is not None and self.max_trials < 1:
@@ -104,12 +106,6 @@ class AdaptiveConfig:
             raise ConfigError("need at least one block per round")
         if self.max_rounds < 1:
             raise ConfigError("need at least one round")
-        if self.halo_nm < 0:
-            raise ConfigError("halo cannot be negative")
-        if self.energy_strata < 0:
-            raise ConfigError("energy strata count cannot be negative")
-        if self.max_tilt < 1.0:
-            raise ConfigError("max_tilt must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ class AdaptiveRoundRecord:
     """One executed round: what was assigned and where it left each bin."""
 
     index: int
-    #: ``{bin key: {stratum name (None = uniform): draw blocks}}``.
-    allocation: Dict[str, Dict[Optional[str], int]]
+    #: ``{bin key: {stratum name: draw blocks}}``.
+    allocation: Dict[str, Dict[str, int]]
     #: Cumulative trials and the post-round standard error per bin.
     cumulative_trials: Dict[str, int]
     standard_errors: Dict[str, float]
@@ -272,18 +268,10 @@ def energy_strata(spectrum, e_lo: float, e_hi: float, count: int) -> List[dict]:
     return strata
 
 
-def _combined_strata(pos: Optional[List[dict]], energy: Optional[List[dict]]):
-    """Cross product of position x energy strata (either side optional).
-
-    Returns ``[None]`` when both are off -- plain uniform blocks, merged
-    on the legacy bit-identical path.
-    """
-    if pos is None and energy is None:
-        return [None]
+def _combined_strata(pos: List[dict], energy: Optional[List[dict]]):
+    """Cross product of position x energy strata (energy optional)."""
     if energy is None:
         return list(pos)
-    if pos is None:
-        return list(energy)
     combined = []
     for p in pos:
         for e in energy:
@@ -349,28 +337,25 @@ class AdaptiveCampaignController:
 
     # -- strata ----------------------------------------------------------
 
-    def _strata_for(self, bin_: AdaptiveBin) -> List[Optional[dict]]:
-        pos = None
-        if self.config.stratify:
-            if self._position_strata is None:
-                self._position_strata = position_strata(
-                    self.simulator.layout,
-                    self.simulator.config.margin_nm,
-                    self.config.halo_nm,
-                )
-            pos = self._position_strata
+    def _strata_for(self, bin_: AdaptiveBin) -> List[dict]:
+        if self._position_strata is None:
+            self._position_strata = position_strata(
+                self.simulator.layout,
+                self.simulator.config.margin_nm,
+                HALO_NM,
+            )
         energy = None
-        if bin_.spectrum is not None and self.config.energy_strata >= 2:
+        if bin_.spectrum is not None:
             energy = energy_strata(
                 bin_.spectrum,
                 bin_.e_range[0],
                 bin_.e_range[1],
-                self.config.energy_strata,
+                ENERGY_STRATA_PER_BIN,
             )
-        return _combined_strata(pos, energy)
+        return _combined_strata(self._position_strata, energy)
 
     @staticmethod
-    def _pilot_split(strata, n_blocks: int) -> Dict[Optional[str], int]:
+    def _pilot_split(strata, n_blocks: int) -> Dict[str, int]:
         """Pilot blocks per stratum: >= 1 each, rest by largest remainder.
 
         Every stratum *must* appear in the pilot -- the weighted merge
@@ -378,8 +363,6 @@ class AdaptiveCampaignController:
         controller needs at least a rough variance estimate per stratum
         to allocate later rounds.
         """
-        if strata == [None]:
-            return {None: n_blocks}
         names = [stratum["name"] for stratum in strata]
         weights = [stratum["weight"] for stratum in strata]
         n_blocks = max(n_blocks, len(strata))
@@ -402,9 +385,9 @@ class AdaptiveCampaignController:
     # -- per-stratum statistics (pure functions of block results) --------
 
     @staticmethod
-    def _stratum_stats(blocks) -> Dict[Optional[str], Tuple[int, float, int]]:
+    def _stratum_stats(blocks) -> Dict[str, Tuple[int, float, int]]:
         """``{stratum: (trials, pooled pof, hits)}`` over a bin's blocks."""
-        stats: Dict[Optional[str], List[ArrayPofResult]] = {}
+        stats: Dict[str, List[ArrayPofResult]] = {}
         for block in blocks:
             stats.setdefault(block.stratum, []).append(block)
         out = {}
@@ -424,7 +407,7 @@ class AdaptiveCampaignController:
 
         by_index: Dict[int, List[dict]] = {}
         for stratum in strata:
-            if stratum is None or "e_index" not in stratum:
+            if "e_index" not in stratum:
                 return {}
             by_index.setdefault(stratum["e_index"], []).append(stratum)
         if len(by_index) < 2:
@@ -440,23 +423,19 @@ class AdaptiveCampaignController:
             centers.append(math.log(members[0]["log_center"]))
             pofs.append(pof_sum / n_tot if n_tot else 0.0)
             indices.append(e_index)
-        tilts = build_energy_tilt(centers, pofs, self.config.max_tilt)
+        tilts = build_energy_tilt(centers, pofs, MAX_TILT)
         by_e = dict(zip(indices, tilts))
         return {
             stratum["name"]: by_e[stratum["e_index"]] for stratum in strata
         }
 
-    def _split_round(
-        self, strata, blocks, n_blocks: int
-    ) -> Dict[Optional[str], int]:
+    def _split_round(self, strata, blocks, n_blocks: int) -> Dict[str, int]:
         """One bin's refinement blocks, split across its strata."""
         from ..analysis.convergence import (
             StratumState,
             split_blocks_across_strata,
         )
 
-        if strata == [None]:
-            return {None: n_blocks}
         stats = self._stratum_stats(blocks)
         tilts = self._tilts_for(strata, stats)
         states = []
@@ -493,8 +472,7 @@ class AdaptiveCampaignController:
                 continue
             child_seeds = iter(seeds[bin_.key].spawn(sum(alloc.values())))
             for stratum in strata[bin_.key]:
-                name = None if stratum is None else stratum["name"]
-                count = alloc.get(name, 0)
+                count = alloc.get(stratum["name"], 0)
                 if count == 0:
                     continue
                 points.append(

@@ -175,14 +175,6 @@ class ArrayPofResult:
         return self._given_hit(self.pof_total)
 
     @property
-    def pof_seu_given_hit(self) -> float:
-        return self._given_hit(self.pof_seu)
-
-    @property
-    def pof_mbu_given_hit(self) -> float:
-        return self._given_hit(self.pof_mbu)
-
-    @property
     def mbu_to_seu_ratio(self) -> float:
         """MBU/SEU ratio (paper Fig. 10).
 

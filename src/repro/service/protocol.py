@@ -99,8 +99,6 @@ class QuerySpec:
     yield_points: int = 13
     seed: int = 2014
     variation: bool = True
-    # cell kernel ("fused" | "tabulated")
-    cell_kernel: str = "tabulated"
     # adaptive sampling (changes results => part of the key)
     adaptive: bool = False
     target_se: float = 5e-4
@@ -187,9 +185,7 @@ class QuerySpec:
                 yield_trials_per_energy=self.yield_trials,
                 yield_energy_points=self.yield_points,
                 characterization=CharacterizationConfig(
-                    vdd_list=self.vdd_list,
-                    n_samples=self.samples,
-                    kernel=self.cell_kernel,
+                    n_samples=self.samples
                 ),
                 process_variation=self.variation,
                 array_rows=self.array_rows,

@@ -85,10 +85,6 @@ class SramCellDesign:
         except ValueError:
             raise ConfigError(f"unknown role {role!r}") from None
 
-    def sensitive_indices(self) -> list:
-        """Role indices of (I1, I2, I3) in :data:`ROLES` order."""
-        return [self.role_index(r) for r in SENSITIVE_ROLES]
-
     # -- netlist construction -------------------------------------------------
 
     def build_circuit(

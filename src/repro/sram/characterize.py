@@ -11,6 +11,7 @@ fixed-``q1`` line -- found by bisection -- fixes the whole table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,11 +30,8 @@ from .strike import ALL_COMBOS, combo_label
 
 _log = get_logger(__name__)
 
-#: Cell current kernels a characterization may select.
-KERNEL_CHOICES = ("fused", "tabulated")
-
 #: Headroom factor on the variation sample's max |dVth| when sizing the
-#: tabulated kernel's I-V tables.
+#: I-V tables.
 _TABLE_PAD_HEADROOM = 1.5
 
 
@@ -68,16 +66,11 @@ class CharacterizationConfig:
         Seed for the variation sampling.
     t_sim_s / dt_s:
         Integration horizon and step of the strike simulations.
-    enforce_monotone:
-        Clean MC noise by making POF non-decreasing along every charge
-        axis (POF is physically monotone in each collected charge).
-    kernel:
-        :class:`~repro.sram.fastcell.FastCell` current kernel, one of
-        :data:`KERNEL_CHOICES`.  The default ``"tabulated"``
-        interpolates per-(role-type, Vdd) I-V tables built once per Vdd
-        task; ``"fused"`` evaluates the compact model directly
-        (max |dPOF| <= 0.01 between the two; see
-        ``docs/performance.md``).
+
+    The cell runs the tabulated :class:`~repro.sram.fastcell.FastCell`
+    kernel on per-(role-type, Vdd) I-V tables built once per Vdd task,
+    and every grid is made non-decreasing along each charge axis (POF
+    is physically monotone in each collected charge).
     """
 
     vdd_list: Tuple[float, ...] = (0.7, 0.8, 0.9, 1.0, 1.1)
@@ -91,12 +84,12 @@ class CharacterizationConfig:
     seed: int = 2014
     t_sim_s: float = 3.0e-11
     dt_s: float = 2.5e-13
-    enforce_monotone: bool = True
-    kernel: str = "tabulated"
 
     def __post_init__(self):
-        if not self.vdd_list or any(v <= 0 for v in self.vdd_list):
-            raise ConfigError("vdd_list must contain positive voltages")
+        if not self.vdd_list or not all(
+            math.isfinite(v) and v > 0 for v in self.vdd_list
+        ):
+            raise ConfigError("vdd_list must hold positive finite voltages")
         if list(self.vdd_list) != sorted(self.vdd_list):
             raise ConfigError("vdd_list must be sorted ascending")
         if self.n_charge_points < 4:
@@ -111,11 +104,6 @@ class CharacterizationConfig:
             raise ConfigError("t_sim_s must be positive")
         if not 0 < self.dt_s <= self.t_sim_s:
             raise ConfigError("need 0 < dt_s <= t_sim_s")
-        if self.kernel not in KERNEL_CHOICES:
-            raise ConfigError(
-                f"unknown cell kernel {self.kernel!r}; "
-                f"choose from {KERNEL_CHOICES}"
-            )
 
     def charge_axis_c(self) -> np.ndarray:
         """The shared log-spaced charge axis [C]."""
@@ -230,19 +218,17 @@ def _flip_outcomes(cell, rows, shifts, settled, config):
 def _characterize_task(payload, vdd):
     """Pool worker: the seven finished POF grids of one Vdd.
 
-    The task builds its own I-V tables (tabulated kernel) and settles
-    its own baselines: both are pure functions of (design, vdd, shifts,
-    shift pad), and the shifts and pad come from the parent, so results
-    are identical for any worker count.  Grids come back in
+    The task builds its own I-V tables and settles its own baselines:
+    both are pure functions of (design, vdd, shifts, shift pad), and the
+    shifts and pad come from the parent, so results are identical for
+    any worker count.  Grids come back in
     :data:`~repro.sram.strike.ALL_COMBOS` order.
     """
     design = payload["design"]
     config = payload["config"]
     shifts = payload["shifts"]
-    tables = None
-    if config.kernel == "tabulated":
-        tables = IVTables(design, vdd, shift_pad_v=payload["shift_pad_v"])
-        get_registry().counter("characterize.kernel.table_builds").inc()
+    tables = IVTables(design, vdd, shift_pad_v=payload["shift_pad_v"])
+    get_registry().counter("characterize.kernel.table_builds").inc()
     cell = FastCell(design, vdd, tables)
     settled = cell.settle(shifts, dt_s=config.dt_s)
 
@@ -253,9 +239,9 @@ def _characterize_task(payload, vdd):
     grids = []
     for combo, inverse in zip(ALL_COMBOS, inverses):
         combo_axis = config.axis_for_combo(combo)
-        grid = pof_rows[inverse].reshape((len(combo_axis),) * len(combo))
-        if config.enforce_monotone:
-            grid = _enforce_monotone(grid)
+        grid = _enforce_monotone(
+            pof_rows[inverse].reshape((len(combo_axis),) * len(combo))
+        )
         grids.append(
             _resample_to_axis(grid, combo_axis, payload["shared_axis"])
         )
@@ -413,9 +399,8 @@ def _task_cost_hint_s(config: CharacterizationConfig, n_samples: int) -> float:
     _, line_len = np.unique(rows[:, 0], return_counts=True)
     halvings = np.ceil(np.log2(line_len + 1))
     steps = max(int(round(config.t_sim_s / config.dt_s)), 1)
-    table_s = 0.05 if config.kernel == "tabulated" else 0.0
     per_step_s = 1e-4 * halvings.max() + 1e-7 * n_samples * halvings.sum()
-    return table_s + steps * float(per_step_s)
+    return 0.05 + steps * float(per_step_s)
 
 
 def _resample_to_axis(

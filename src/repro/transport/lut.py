@@ -334,14 +334,6 @@ class ElectronYieldLUT:
         lo, hi, w = self._interp_weights(energy_mev)
         return float((1.0 - w) * self.mean_pairs[lo] + w * self.mean_pairs[hi])
 
-    def hit_fraction_at(self, energy_mev: float) -> float:
-        """Fin-crossing probability, log-interpolated in energy."""
-        self._check_energy(energy_mev)
-        lo, hi, w = self._interp_weights(energy_mev)
-        return float(
-            (1.0 - w) * self.hit_fraction[lo] + w * self.hit_fraction[hi]
-        )
-
     def _populated_rows(self) -> np.ndarray:
         """Mask of energy rows whose quantile table saw real hits.
 

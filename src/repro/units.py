@@ -69,11 +69,6 @@ def cm_to_nm(length_cm):
     return length_cm * NM_PER_CM
 
 
-def nm_to_um(length_nm):
-    """Convert nanometres to micrometres."""
-    return length_nm / NM_PER_UM
-
-
 def um_to_nm(length_um):
     """Convert micrometres to nanometres."""
     return length_um * NM_PER_UM

@@ -1,10 +1,10 @@
 """Reference cell kernels and characterization, kept as test oracles.
 
-The shipped cell runs one path per caller: the fused (or tabulated)
-current kernel with early-exit relaxation, and the characterization
-bisects each variation sample's flip frontier.  These oracles swap the
-optimizations back out so tests can hold the shipped path to its
-contracts:
+The shipped cell runs one path per caller: the tabulated current
+kernel (the fused one where no I-V tables are built) with early-exit
+relaxation, and the characterization bisects each variation sample's
+flip frontier.  These oracles swap the optimizations back out so tests
+can hold the shipped path to its contracts:
 
 * :class:`FullHorizonCell` -- the shipped current kernel, but every
   trajectory is integrated to the full horizon (no early exit);
@@ -110,14 +110,14 @@ class ExactCell(FullHorizonCell):
         return exact_node_currents(self, a, b, ctx.shifts)
 
 
-def dense_pof_table(design, config, cell_cls=FastCell):
+def dense_pof_table(design, config, cell_cls=FastCell, kernel="tabulated"):
     """The characterization with every grid point simulated densely.
 
     Samples the same variation shifts as
     :func:`~repro.sram.characterize_cell`, sizes the I-V tables with the
-    same pad, settles per Vdd, runs every mesh point of every combo for
-    every sample, and finishes each grid with the shipped monotone and
-    resampling steps.
+    same pad (``kernel="tabulated"``; ``"fused"`` builds none), settles
+    per Vdd, runs every mesh point of every combo for every sample, and
+    finishes each grid with the shipped monotone and resampling steps.
     """
     n_samples = config.n_samples if config.process_variation else 1
     variation = VariationModel(
@@ -132,7 +132,7 @@ def dense_pof_table(design, config, cell_cls=FastCell):
     pof = {combo: [] for combo in ALL_COMBOS}
     for vdd in config.vdd_list:
         tables = None
-        if config.kernel == "tabulated":
+        if kernel == "tabulated":
             tables = IVTables(design, vdd, shift_pad_v=pad)
         cell = cell_cls(design, vdd, tables)
         settled = cell.settle(shifts, dt_s=config.dt_s)
@@ -154,9 +154,7 @@ def dense_pof_table(design, config, cell_cls=FastCell):
                 dt_s=config.dt_s,
             )
             pof_flat = flipped.reshape(n_points, n_samples).mean(axis=1)
-            grid = pof_flat.reshape(mesh[0].shape)
-            if config.enforce_monotone:
-                grid = _enforce_monotone(grid)
+            grid = _enforce_monotone(pof_flat.reshape(mesh[0].shape))
             pof[combo].append(_resample_to_axis(grid, axis, shared_axis))
     return PofTable(
         vdd_list=np.array(config.vdd_list),

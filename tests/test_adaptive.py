@@ -99,11 +99,11 @@ class TestAdaptiveConfig:
     def test_defaults_valid(self):
         config = AdaptiveConfig()
         assert config.target_se > 0
-        assert config.stratify
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            AdaptiveConfig(target_se=0.0)
+        for target_se in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                AdaptiveConfig(target_se=target_se)
         with pytest.raises(ConfigError):
             AdaptiveConfig(pilot_trials=0)
         with pytest.raises(ConfigError):
@@ -112,10 +112,6 @@ class TestAdaptiveConfig:
             AdaptiveConfig(round_blocks=0)
         with pytest.raises(ConfigError):
             AdaptiveConfig(max_rounds=0)
-        with pytest.raises(ConfigError):
-            AdaptiveConfig(halo_nm=-1.0)
-        with pytest.raises(ConfigError):
-            AdaptiveConfig(max_tilt=0.5)
 
     def test_controller_needs_some_ceiling(self, layout, pof_table):
         simulator = make_simulator(layout, pof_table)

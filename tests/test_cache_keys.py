@@ -4,12 +4,16 @@
 :class:`~repro.service.QuerySpec` hold only result-affecting fields, so
 hashing them wholesale is sound; results-invariant execution knobs
 live on :class:`~repro.service.ExecutionOptions` and never reach a key.
+A :class:`~repro.core.FlowConfig` writes its own Vdds and variation
+flag into its cell config, so two flows that compute the same tables
+share their keys.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.core import FlowConfig, SerFlow
 from repro.io import config_hash
 from repro.parallel import RetryPolicy
 from repro.service import ExecutionOptions, QueryError, QuerySpec, build_flow
@@ -30,8 +34,6 @@ CHANGED_CHARACTERIZATION = dict(
     seed=7,
     t_sim_s=4.0e-11,
     dt_s=2.0e-13,
-    enforce_monotone=False,
-    kernel="fused",
 )
 
 
@@ -49,27 +51,47 @@ class TestCharacterizationKey:
         assert config_hash(changed) != config_hash(base)
 
 
+class TestFlowKey:
+    @pytest.mark.parametrize(
+        "cell_config",
+        [
+            CharacterizationConfig(vdd_list=(0.7,)),
+            CharacterizationConfig(process_variation=False),
+        ],
+        ids=["vdd_list", "process_variation"],
+    )
+    def test_cell_config_takes_the_flows_vdds_and_variation(
+        self, tmp_path, cell_config
+    ):
+        """The flow's Vdds and variation flag, not the ones its nested
+        cell config names, enter the POF and sweep keys."""
+        base = FlowConfig(particles=("alpha",), vdd_list=(0.8, 0.9))
+
+        def keys(config):
+            flow = SerFlow(config, cache_dir=str(tmp_path))
+            return (
+                flow.cache.path_for("pof", *flow._pof_key()),
+                flow.cache.path_for(
+                    "sweep",
+                    flow.config,
+                    flow.design.tech,
+                    {"particles": ["alpha"], "vdds": [0.8, 0.9]},
+                ),
+            )
+
+        other = dataclasses.replace(base, characterization=cell_config)
+        assert keys(other) == keys(base)
+
+
 class TestQueryKey:
-    def test_cell_kernel_is_the_only_cell_field(self):
-        cell_fields = [
-            f.name
-            for f in dataclasses.fields(QuerySpec)
-            if f.name.startswith("cell_")
-        ]
-        assert cell_fields == ["cell_kernel"]
-
-    def test_cell_kernel_changes_the_key(self):
-        assert (
-            _tiny_spec(cell_kernel="fused").canonical_key()
-            != _tiny_spec(cell_kernel="tabulated").canonical_key()
-        )
-
     @pytest.mark.parametrize(
         "field, value",
         [
             ("cell_early_exit", False),
             ("cell_max_batch", 10),
             ("cell_kernel", "exact"),
+            ("cell_kernel", "fused"),
+            ("cell_kernel", "tabulated"),
         ],
     )
     def test_removed_cell_knobs_rejected(self, field, value):

@@ -144,7 +144,7 @@ class TestConfigValidation:
 
     def test_process_variation_override_propagates(self):
         config = FlowConfig(process_variation=False)
-        assert not config.effective_characterization().process_variation
+        assert not config.characterization.process_variation
 
 
 class TestSweepCache:

@@ -155,14 +155,19 @@ def clean_engine_state():
 
 
 class TestCampaignIdentity:
-    def test_identical_across_chunking_and_jobs(self, layout, pof_table):
-        baseline = run_campaign(layout, pof_table, n=9000, chunk_size=4096)
-        rechunked = run_campaign(layout, pof_table, n=9000, chunk_size=16384)
+    def test_identical_across_chunking_and_jobs(
+        self, layout, pof_table, metrics, clean_engine_state
+    ):
+        """60k particles are enough work that two workers really fork."""
+        n = 60000
+        baseline = run_campaign(layout, pof_table, n=n, chunk_size=4096)
+        rechunked = run_campaign(layout, pof_table, n=n, chunk_size=16384)
         fanned = run_campaign(
-            layout, pof_table, n=9000, chunk_size=4096, n_jobs=2
+            layout, pof_table, n=n, chunk_size=4096, n_jobs=2
         )
         assert_results_identical(baseline, rechunked)
         assert_results_identical(baseline, fanned)
+        assert get_registry().snapshot()["counters"]["parallel.maps"] == 1
 
 
 # -- batch plans ---------------------------------------------------------------
@@ -267,7 +272,7 @@ class TestBatchPlan:
 #: The tiny flow whose FITs were captured from the per-campaign
 #: driver; the plan driver must reproduce them exactly.  Campaign seeds
 #: do not depend on the cache key, so a key change leaves FITs alone.
-TINY_SWEEP_FILE = "sweep-a748d02d9157c6e0.json"
+TINY_SWEEP_FILE = "sweep-9ac4bc83149a58cf.json"
 TINY_FITS = {
     0.7: (5.217408050499548e-05, 5.133992598015584e-05, 8.341545248396705e-07),
     0.9: (3.687700709525638e-05, 3.612665772441431e-05, 7.503493708420602e-07),

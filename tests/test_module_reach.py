@@ -21,11 +21,17 @@ or give it a caller.
 The scripts no CI job runs get a lighter check: every ``repro`` import
 in ``examples/`` and ``benchmarks/`` must name an importable module or
 attribute, so a deletion cannot strand them.
+
+Below the module level, every function, method and class defined under
+``src/repro`` must be named somewhere besides its own definition, so a
+helper nothing calls does not linger.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -274,3 +280,30 @@ def test_script_imports_resolve(script):
         ):
             missing.append(f"{module_name}.{name}")
     assert not missing, f"{script.name} imports what is gone: {missing}"
+
+
+#: Where a definition may be named.
+NAMING_DIRS = ("src", "tests", "benchmarks", "examples", "serbench")
+
+
+def test_every_definition_is_named_elsewhere():
+    """Each function, method and class under ``src/repro`` (dunders
+    aside) is named as a word in some ``.py`` file of
+    :data:`NAMING_DIRS` more often than it is defined."""
+    definitions = collections.Counter()
+    for path in sorted((SRC_DIR / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                definitions[node.name] += 1
+    words = collections.Counter()
+    for directory in NAMING_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    unnamed = sorted(
+        name for name, count in definitions.items() if words[name] <= count
+    )
+    assert not unnamed, f"defined under src/repro but never named: {unnamed}"
