@@ -36,7 +36,7 @@ from ..parallel import (
     pack_payload,
     resolve_jobs,
 )
-from ..physics import get_particle, spectrum_for
+from ..physics import EnergyBins, get_particle, spectrum_for
 from ..sram import (
     CharacterizationConfig,
     PofTable,
@@ -215,6 +215,7 @@ class SerFlow:
         self._layout: Optional[SramArrayLayout] = None
         self._simulator: Optional[ArraySerSimulator] = None
         self._campaign_pack: Optional[PackedPayload] = None
+        self._bins: Dict[str, EnergyBins] = {}
 
     def _journal_for(self, name: str, encode, decode, *config_objects):
         """A shard journal under the cache dir, or ``None``.
@@ -527,7 +528,9 @@ class SerFlow:
         Completed pool tasks are journaled under ``name`` so an
         interrupted scan resumes bit-identically; the plan runs under
         ``retry.strict()``, since :func:`~repro.ser.fit.integrate_fit`
-        needs every bin's full result.
+        needs every bin's full result.  The journal key names the task
+        layout (whole blocks filled to ``chunk_size`` particles), so a
+        journal written under another layout is never loaded.
         """
         points = [
             CampaignPoint.uniform(
@@ -559,6 +562,7 @@ class SerFlow:
                     for particle_name, vdd_v, energies in cases
                 ],
                 "n_particles": int(n_particles),
+                "layout": "blocks-filled-to-chunk-size",
             },
         )
         results = BatchPlan(
@@ -612,10 +616,18 @@ class SerFlow:
             )
 
     def _fit_bins(self, particle_name: str):
-        """The FIT energy bins of one particle (eq. 8 discretization)."""
-        spectrum = spectrum_for(particle_name)
-        e_lo, e_hi = self.config.energy_range_for(particle_name)
-        return spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
+        """The FIT energy bins of one particle (eq. 8 discretization).
+
+        Built once per flow and particle: the bins depend only on the
+        config, and each build integrates the spectrum afresh.
+        """
+        bins = self._bins.get(particle_name)
+        if bins is None:
+            spectrum = spectrum_for(particle_name)
+            e_lo, e_hi = self.config.energy_range_for(particle_name)
+            bins = spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
+            self._bins[particle_name] = bins
+        return bins
 
     def _integrate(self, particle_name, vdd_v, bins, results) -> FitResult:
         """Record per-bin convergence, then fold the bins into a FIT.

@@ -62,6 +62,19 @@ class RayBatch:
         object.__setattr__(self, "origins", origins)
         object.__setattr__(self, "directions", directions)
 
+    @classmethod
+    def concatenate(cls, batches) -> "RayBatch":
+        """The rays of several batches, in order.
+
+        Their directions are unit vectors already, so they are copied
+        as they are: normalizing them again could move their last bits.
+        """
+        joined = object.__new__(cls)
+        for name in ("origins", "directions"):
+            rows = np.concatenate([getattr(batch, name) for batch in batches])
+            object.__setattr__(joined, name, rows)
+        return joined
+
     def __len__(self) -> int:
         return self.origins.shape[0]
 

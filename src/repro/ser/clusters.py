@@ -20,6 +20,12 @@ from ..layout import SramArrayLayout
 from ..physics import ParticleType, sample_rays
 from .mc import ArraySerSimulator
 
+#: Rays per strike pass of a pair-offset campaign.  Each batch draws
+#: from the campaign's one generator, so the batch size is part of the
+#: result; it is fixed here rather than taken from ``chunk_size``,
+#: which only schedules pool tasks.
+PAIR_BATCH_SIZE = 8192
+
 
 @dataclass
 class PairOffsetStatistics:
@@ -92,7 +98,7 @@ def collect_pair_offsets(
     value_parts = []
     remaining = n_particles
     while remaining > 0:
-        batch = min(remaining, simulator.config.chunk_size)
+        batch = min(remaining, PAIR_BATCH_SIZE)
         remaining -= batch
         rays = sample_rays(batch, rng, x_range, y_range, z, law)
         pof_cells = _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng)
@@ -166,18 +172,19 @@ def _pair_streams(pof_cells, n_cols: int):
 def _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):
     """Per-event per-cell POF matrix for a ray batch (or None).
 
-    Scatters the touched (event, cell) POFs of the simulator's own
-    strike path (:meth:`ArraySerSimulator._touched_pofs`) into the
-    ``(events, cells)`` matrix that :func:`_pair_streams` reads.
+    Runs the batch through the simulator's strike stages as a
+    one-batch pass (:meth:`ArraySerSimulator._gather`, then
+    :meth:`ArraySerSimulator._touched`) and scatters the touched
+    (event, cell) POFs into the ``(events, cells)`` matrix that
+    :func:`_pair_streams` reads.
     """
-    _, _, n_events, touched = simulator._touched_pofs(
-        particle, energy_mev, vdd_v, rays, rng
-    )
-    if touched is None:
+    strikes = simulator._gather([(particle, energy_mev, rays, rng)])
+    event_of, cell_of, pof, _ = simulator._touched(strikes, [vdd_v])
+    if len(pof) == 0:
         return None
-    event_of, cell_of, pof = touched
     pof_cells = np.zeros(
-        (n_events, simulator.layout.n_cells), dtype=np.float64
+        (strikes.event_bounds[-1], simulator.layout.n_cells),
+        dtype=np.float64,
     )
     pof_cells[event_of, cell_of] = pof
     return pof_cells

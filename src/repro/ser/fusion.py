@@ -8,14 +8,17 @@ plan over its (particle, Vdd, energy) points, and an adaptive round
 (:mod:`repro.ser.adaptive`) is one plan over its (bin, stratum) points.
 :meth:`BatchPlan.run_blocks` runs every block of every point as a
 single :func:`~repro.parallel.parallel_map` (label ``array_mc``):
-blocks of different points share pool tasks of about ``chunk_size``
-particles, and the one broadcast payload (the simulator) serves all.
+whole blocks, of any points, fill each pool task until it holds at
+least ``chunk_size`` particles, a task's blocks run through one strike
+pass (:meth:`~repro.ser.mc.ArraySerSimulator._run_task`), and the one
+broadcast payload (the simulator) serves all.
 
 Determinism: a point's blocks are fixed when it is built, and a block's
 result depends only on its point, size and seed, never on the task
-that ran it.  Points merge their blocks in block order, so every
-result is bit-identical for any worker count and any ``chunk_size``
-(asserted by ``tests/test_fusion.py``).
+that ran it (``tests/test_one_pass.py`` holds every task grouping to
+the per-block oracle).  Points merge their blocks in block order, so
+every result is bit-identical for any worker count and any
+``chunk_size`` (asserted by ``tests/test_fusion.py``).
 
 Fault tolerance: completed pool tasks journal through the array-shard
 codec, so an interrupted plan resumes bit-identically; a journaled
@@ -30,7 +33,6 @@ survivors flagged ``degraded``, and one that lost every block raises.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -119,16 +121,33 @@ class CampaignPoint:
 
 
 def _block_task(payload, task):
-    """Pool worker: run a task's draw blocks (any mix of points), in order.
+    """Pool worker: run a task's draw blocks (any mix of points) as one pass.
 
     Each unit is ``(point, size, seed)``, the point shipped with empty
     ``blocks``; a block's result depends on nothing else, so it is the
     same whichever task, and whichever other points, it shares.
     """
-    simulator = payload["simulator"]
-    return [
-        simulator._run_block(point, size, seed) for point, size, seed in task
-    ]
+    return payload["simulator"]._run_task(task)
+
+
+def _fill_tasks(units, chunk_size: int):
+    """Whole blocks to each task until it holds ``chunk_size`` particles.
+
+    Full :data:`~repro.ser.mc.DRAW_BLOCK_SIZE` blocks land
+    ``ceil(chunk_size / DRAW_BLOCK_SIZE)`` to a task, as they always
+    have, so one-point plans keep their task layout; smaller blocks
+    pack more to a task.
+    """
+    tasks, task, held = [], [], 0
+    for unit in units:
+        task.append(unit)
+        held += unit[1]
+        if held >= chunk_size:
+            tasks.append(task)
+            task, held = [], 0
+    if task:
+        tasks.append(task)
+    return tasks
 
 
 class BatchPlan:
@@ -179,12 +198,7 @@ class BatchPlan:
         for point in self.points:
             bare = dataclasses.replace(point, blocks=())
             units.extend((bare, size, seed) for size, seed in point.blocks)
-        per_task = max(
-            1, math.ceil(self.simulator.config.chunk_size / DRAW_BLOCK_SIZE)
-        )
-        tasks = [
-            units[i : i + per_task] for i in range(0, len(units), per_task)
-        ]
+        tasks = _fill_tasks(units, self.simulator.config.chunk_size)
         total_particles = sum(point.n_particles for point in self.points)
 
         metrics = get_registry()

@@ -21,17 +21,19 @@ Execution model (docs/performance.md): a campaign is partitioned into
 fixed-size *draw blocks* of :data:`DRAW_BLOCK_SIZE` particles.  Block
 ``i`` always consumes the ``i``-th child stream spawned off the
 caller's generator, and the campaign runs as a one-point
-:class:`~repro.ser.fusion.BatchPlan`, which bundles blocks into pool
-tasks of roughly ``chunk_size`` particles and merges the per-block
-partial results in block order -- so for a fixed seed the campaign
-result is bit-identical for any ``n_jobs`` and any ``chunk_size``.
+:class:`~repro.ser.fusion.BatchPlan`, which fills each pool task with
+whole blocks until it holds at least ``chunk_size`` particles, runs a
+task's blocks through one vectorized strike pass
+(:meth:`ArraySerSimulator._run_task`) and merges the per-block partial
+results in block order -- so for a fixed seed the campaign result is
+bit-identical for any ``n_jobs`` and any ``chunk_size``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +79,9 @@ class ArrayMcConfig:
 
     deposition_mode: str = "lut"
     margin_nm: float = 100.0
-    #: Target particles per pool task (rounded up to whole draw
-    #: blocks).  A scheduling knob only -- it never changes results.
+    #: Particles per pool task: whole draw blocks fill a task until it
+    #: holds at least this many.  A scheduling knob only -- it never
+    #: changes results.
     chunk_size: int = 8192
     direction_laws: Optional[Dict[str, str]] = None
     #: Largest tracked failure multiplicity (the last PMF bin absorbs
@@ -532,6 +535,30 @@ def _sample_stratum_rays(n, rng, rects, z, law) -> RayBatch:
     return RayBatch(origins, sample_directions(n, rng, law))
 
 
+class _Strikes(NamedTuple):
+    """Per-strike arrays of one :meth:`ArraySerSimulator._gather` pass.
+
+    Batch ``b`` crossed the array bounding box with ``hits[b]`` tracks
+    and owns strikes ``strike_bounds[b]:strike_bounds[b + 1]`` and
+    events ``event_bounds[b]:event_bounds[b + 1]``.
+    """
+
+    hits: np.ndarray
+    strike_bounds: np.ndarray
+    event_bounds: np.ndarray
+    event_of: np.ndarray
+    cell_of: np.ndarray
+    strike_of: np.ndarray
+    charges: np.ndarray
+
+    @classmethod
+    def empty(cls, hits) -> "_Strikes":
+        """A pass whose batches struck no sensitive fin."""
+        bounds = np.zeros(len(hits) + 1, dtype=np.intp)
+        none = np.zeros(0, dtype=np.intp)
+        return cls(hits, bounds, bounds, none, none, none, np.zeros(0))
+
+
 def array_shard_encode(result) -> list:
     """JSON-safe encoding of one pool task's draw-block results."""
     return [block.to_dict() for block in result]
@@ -573,7 +600,6 @@ class ArraySerSimulator:
         self._bbox_packed = np.concatenate(
             [self._array_bbox.lo, self._array_bbox.hi]
         )[np.newaxis, :]
-        self._empty_pmf = np.zeros(self.config.max_multiplicity + 1)
         self._window = self.layout.launch_window(self.config.margin_nm)
 
     def run(
@@ -669,8 +695,16 @@ class ArraySerSimulator:
             journal.clear()
         return merged
 
-    def _run_block(self, point, block_size: int, seed) -> ArrayPofResult:
-        """One draw block of ``point``: sample, strike, combine -- own stream.
+    def _run_task(self, task) -> List[ArrayPofResult]:
+        """A pool task's draw blocks ``(point, size, seed)``, as one pass.
+
+        Each block draws its energies, rays and pair counts from its own
+        generator, in the order a lone block always has (:meth:`_draw`),
+        so its result depends only on its point, size and seed, never
+        on the task that ran it.  The strike stages then run once over
+        the task's rows: :meth:`_gather`, :meth:`_touched` (one POF
+        query per run of same-Vdd blocks) and :meth:`_combine`, which
+        sums each block over its own contiguous slice of events.
 
         A point with a ``stratum`` dict (see :mod:`repro.ser.adaptive`)
         draws from that one sampling stratum: ``rects`` confines launch
@@ -681,8 +715,58 @@ class ArraySerSimulator:
         values are conditional on the stratum (``launch_area_cm2``
         still names the full window).
         """
+        batches = [self._draw(point, size, seed) for point, size, seed in task]
+        strikes = self._gather(batches)
+        event_of, _, pof, row_bounds = self._touched(
+            strikes, [point.vdd_v for point, _, _ in task]
+        )
+        sums, pmfs = self._combine(event_of, pof, row_bounds)
+        n_strikes = np.diff(strikes.strike_bounds)
+        launch_area = self._window[3]
+        results = []
+        for b, (point, size, _) in enumerate(task):
+            hits, block_strikes = int(strikes.hits[b]), int(n_strikes[b])
+            _log.debug(
+                "array-mc block %s",
+                kv(
+                    particle=point.particle_name,
+                    energy_mev=point.energy_mev,
+                    vdd=point.vdd_v,
+                    particles=size,
+                    hits=hits,
+                    strikes=block_strikes,
+                ),
+            )
+            stratum = point.stratum
+            results.append(
+                ArrayPofResult(
+                    particle_name=point.particle_name,
+                    energy_mev=point.energy_mev,
+                    vdd_v=point.vdd_v,
+                    n_particles=size,
+                    n_array_hits=hits,
+                    n_fin_strikes=block_strikes,
+                    pof_total=float(sums[b, 0]) / size,
+                    pof_seu=float(sums[b, 1]) / size,
+                    pof_mbu=float(sums[b, 2]) / size,
+                    launch_area_cm2=launch_area,
+                    multiplicity_pmf=pmfs[b] / size,
+                    weight=(
+                        1.0 if stratum is None else float(stratum["weight"])
+                    ),
+                    stratum=(None if stratum is None else stratum["name"]),
+                )
+            )
+        return results
+
+    def _draw(self, point, size: int, seed):
+        """One draw block's ``(particle, energy, rays, rng)``, own stream.
+
+        Spectrum energies come first, then the rays; the generator is
+        returned for the block's pair counts, drawn by :meth:`_gather`.
+        """
         rng = np.random.default_rng(seed)
-        x_range, y_range, z, launch_area = self._window
+        x_range, y_range, z, _ = self._window
         law = point.direction_law or self.config.law_for(point.particle_name)
         stratum = point.stratum
         if point.let_kev_per_nm is not None:
@@ -697,62 +781,38 @@ class ArraySerSimulator:
                 if stratum is not None and stratum.get("e_range") is not None:
                     e_min, e_max = stratum["e_range"]
                 energy = point.spectrum.sample_energies(
-                    block_size, rng, e_min_mev=e_min, e_max_mev=e_max
+                    size, rng, e_min_mev=e_min, e_max_mev=e_max
                 )
         if stratum is not None and stratum.get("rects") is not None:
-            rays = _sample_stratum_rays(
-                block_size, rng, stratum["rects"], z, law
-            )
+            rays = _sample_stratum_rays(size, rng, stratum["rects"], z, law)
         else:
-            rays = sample_rays(block_size, rng, x_range, y_range, z, law)
-        totals, seus, mbus, hits, strikes, pmf = self._process_batch(
-            particle, energy, point.vdd_v, rays, rng
-        )
-        _log.debug(
-            "array-mc block %s",
-            kv(
-                particle=point.particle_name,
-                energy_mev=point.energy_mev,
-                vdd=point.vdd_v,
-                particles=block_size,
-                hits=hits,
-                strikes=strikes,
-            ),
-        )
-        return ArrayPofResult(
-            particle_name=point.particle_name,
-            energy_mev=point.energy_mev,
-            vdd_v=point.vdd_v,
-            n_particles=block_size,
-            n_array_hits=hits,
-            n_fin_strikes=strikes,
-            pof_total=totals / block_size,
-            pof_seu=seus / block_size,
-            pof_mbu=mbus / block_size,
-            launch_area_cm2=launch_area,
-            multiplicity_pmf=pmf / block_size,
-            weight=(1.0 if stratum is None else float(stratum["weight"])),
-            stratum=(None if stratum is None else stratum["name"]),
-        )
+            rays = sample_rays(size, rng, x_range, y_range, z, law)
+        return particle, energy, rays, rng
 
     # -- kernel ----------------------------------------------------------------
 
-    def _gather_strikes(self, particle, energy_mev, rays: RayBatch, rng):
-        """Front half of the kernel: rays -> per-strike charges.
+    def _gather(self, batches) -> _Strikes:
+        """Front stage: the rays of several batches -> per-strike charges.
 
-        Returns ``(n_hits, n_strikes, n_events, strikes)`` where
-        ``strikes`` is ``(event_idx, cell_of, strike_of, charges)`` or
-        ``None`` when the batch produced no fin strikes.  Events are
-        the struck tracks numbered in ray order, and strikes come out
-        ray-major with fins ascending -- the order the generator is
-        drawn in, one draw per strike.
+        ``batches`` holds one ``(particle, energy, rays, rng)`` per
+        batch (``energy`` a scalar or one value per ray).  The bounding
+        box prefilter and the fin chords run once over every batch's
+        rays; each batch then draws its strikes' pair counts from its
+        own generator.  Events are the struck tracks numbered in ray
+        order across the batches, and strikes come out ray-major with
+        fins ascending -- the order a generator is drawn in, one draw
+        per strike.
         """
+        sizes = [len(rays) for _, _, rays, _ in batches]
+        ray_bounds = np.concatenate(([0], np.cumsum(sizes)))
+        rays = RayBatch.concatenate([rays for _, _, rays, _ in batches])
         # Cheap prefilter: only tracks crossing the array bounding box
         # can strike a fin; its count is the result's n_array_hits.
         array_hits = chord_lengths(rays, self._bbox_packed)[:, 0] > 0.0
-        n_hits = int(np.sum(array_hits))
-        if n_hits == 0:
-            return 0, 0, 0, None
+        hit_bounds = np.searchsorted(np.flatnonzero(array_hits), ray_bounds)
+        hits = np.diff(hit_bounds)
+        if hit_bounds[-1] == 0:
+            return _Strikes.empty(hits)
 
         # RayBatch renormalizes: chords come from these directions.
         # ``compress`` copies the rows several times faster than a
@@ -761,79 +821,93 @@ class ArraySerSimulator:
             rays.origins.compress(array_hits, axis=0),
             rays.directions.compress(array_hits, axis=0),
         )
-        per_ray_energy = np.broadcast_to(
-            np.asarray(energy_mev, dtype=np.float64), (len(rays),)
-        )[array_hits]
         ray_idx, fin_idx, chord_vals = self._fin_grid.chords(hit_rays)
         if len(fin_idx) == 0:
-            return n_hits, 0, 0, None
-
-        struck, event_idx = np.unique(ray_idx, return_inverse=True)
+            return _Strikes.empty(hits)
+        strike_bounds = np.searchsorted(ray_idx, hit_bounds)
+        struck, event_of = np.unique(ray_idx, return_inverse=True)
+        per_ray_energy = np.concatenate(
+            [
+                np.broadcast_to(np.asarray(energy, dtype=np.float64), (size,))
+                for (_, energy, _, _), size in zip(batches, sizes)
+            ]
+        ).compress(array_hits)
         strike_energies = per_ray_energy[ray_idx]
 
-        pairs = self._pairs_for_strikes(
-            particle, strike_energies, chord_vals, rng
+        charges = []
+        for b, (particle, _, _, rng) in enumerate(batches):
+            lo, hi = strike_bounds[b], strike_bounds[b + 1]
+            if lo < hi:
+                pairs = self._pairs_for_strikes(
+                    particle, strike_energies[lo:hi], chord_vals[lo:hi], rng
+                )
+                charges.append(pairs * ELEMENTARY_CHARGE_C)
+        return _Strikes(
+            hits=hits,
+            strike_bounds=strike_bounds,
+            event_bounds=np.searchsorted(struck, hit_bounds),
+            event_of=event_of,
+            cell_of=self._sens_cell[fin_idx],
+            strike_of=self._sens_strike[fin_idx],
+            charges=np.concatenate(charges),
         )
-        charges = pairs * ELEMENTARY_CHARGE_C
-        strikes = (
-            event_idx,
-            self._sens_cell[fin_idx],
-            self._sens_strike[fin_idx],
-            charges,
-        )
-        return n_hits, len(fin_idx), len(struck), strikes
 
-    def _touched_pofs(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
-        """Rays -> the POF of each (event, cell) that collected charge.
+    def _touched(self, strikes: _Strikes, vdds):
+        """Strikes -> the POF of each (event, cell) that collected charge.
 
-        Returns ``(n_hits, n_strikes, n_events, touched)`` where
-        ``touched`` is ``(event_of, cell_of, pof)`` with one row per
-        (event, cell) pair that collected charge, or ``None`` when no
-        cell did.  Never allocates the dense ``(n_events, n_cells, 3)``
-        charge tensor of the reference kernel (``process_batch_dense``
-        in ``tests/array_oracle.py``): strikes are folded into
-        per-(event, cell) charge triples via ``np.unique``, and the POF
+        Returns ``(event_of, cell_of, pof, row_bounds)``: one row per
+        touched (event, cell) pair, event-major with cells ascending,
+        and batch ``b``'s rows at ``row_bounds[b]:row_bounds[b + 1]``.
+        ``vdds`` holds each batch's supply voltage; the POF table is
+        queried once per run of consecutive same-Vdd batches.  Never
+        allocates the dense ``(n_events, n_cells, 3)`` charge tensor of
+        the reference kernel (``process_batch_dense`` in
+        ``tests/array_oracle.py``): strikes are folded into
+        per-(event, cell) charge triples via ``np.unique``, and the
         table is queried only on the touched rows.
         """
-        n_hits, n_strikes, n_events, strikes = self._gather_strikes(
-            particle, energy_mev, rays, rng
-        )
-        if strikes is None:
-            return n_hits, n_strikes, n_events, None
-        ray_idx, cell_of, strike_of, charges = strikes
-
         # one row per touched (event, cell) pair; np.unique sorts the
         # keys, so rows come out event-major with cells ascending --
         # the same per-event cell order the dense kernel reduces in.
         n_cells = self.layout.n_cells
-        key = ray_idx.astype(np.int64) * n_cells + cell_of
+        key = strikes.event_of.astype(np.int64) * n_cells + strikes.cell_of
         unique_keys, inverse = np.unique(key, return_inverse=True)
         cell_charges = np.zeros((len(unique_keys), 3), dtype=np.float64)
-        np.add.at(cell_charges, (inverse, strike_of), charges)
+        np.add.at(cell_charges, (inverse, strikes.strike_of), strikes.charges)
 
         touched = np.any(cell_charges > 0.0, axis=1)
-        if not np.any(touched):
-            return n_hits, n_strikes, n_events, None
-        pof = self.pof_table.query(
-            vdd_v, cell_charges.compress(touched, axis=0)
-        )
         keys = unique_keys[touched]
-        rows = (keys // n_cells, keys % n_cells, pof)
-        return n_hits, n_strikes, n_events, rows
+        charges = cell_charges.compress(touched, axis=0)
+        event_of = keys // n_cells
+        row_bounds = np.searchsorted(event_of, strikes.event_bounds)
+        pof = np.empty(len(keys), dtype=np.float64)
+        first = 0
+        for b in range(1, len(vdds) + 1):
+            if b < len(vdds) and vdds[b] == vdds[first]:
+                continue
+            lo, hi = row_bounds[first], row_bounds[b]
+            if lo < hi:
+                pof[lo:hi] = self.pof_table.query(vdds[first], charges[lo:hi])
+            first = b
+        return event_of, keys % n_cells, pof, row_bounds
 
-    def _process_batch(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
-        """Sparse strike kernel: eqs. 4-6 and the multiplicity PMF.
+    def _combine(self, event_of, pof, row_bounds):
+        """Eqs. 4-6 and the multiplicity PMF, summed per batch.
 
-        Evaluated with segmented reductions over the touched (event,
-        cell) rows of :meth:`_touched_pofs`.
+        Segmented reductions over each event's touched rows (from
+        :meth:`_touched`); every batch then sums its own slice of
+        events.  Returns ``(sums, pmfs)``: ``sums[b]`` holds batch
+        ``b``'s summed total/SEU/MBU probabilities and ``pmfs[b]`` its
+        summed multiplicity PMF with the k=0 bin zeroed (misses
+        dominate it; it is not tracked).
         """
-        n_hits, n_strikes, _, touched = self._touched_pofs(
-            particle, energy_mev, vdd_v, rays, rng
+        n_batches = len(row_bounds) - 1
+        sums = np.zeros((n_batches, 3), dtype=np.float64)
+        pmfs = np.zeros(
+            (n_batches, self.config.max_multiplicity + 1), dtype=np.float64
         )
-        if touched is None:
-            return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
-        event_of, _, pof = touched
-
+        if len(pof) == 0:
+            return sums, pmfs
         # segmented eqs. 4-6 over each event's touched cells
         starts = np.flatnonzero(
             np.r_[True, event_of[1:] != event_of[:-1]]
@@ -845,25 +919,25 @@ class ArraySerSimulator:
             clipped / survive, starts
         )
         mbu = np.maximum(total - seu, 0.0)
-
         pmf = self._sparse_multiplicity(pof, starts)
-        pmf[0] = 0.0  # the k=0 bin is dominated by misses; not tracked
-        return (
-            float(np.sum(total)),
-            float(np.sum(seu)),
-            float(np.sum(mbu)),
-            n_hits,
-            n_strikes,
-            pmf,
-        )
+
+        event_bounds = np.searchsorted(starts, row_bounds)
+        for b in range(n_batches):
+            lo, hi = event_bounds[b], event_bounds[b + 1]
+            if lo < hi:
+                sums[b] = [np.sum(part[lo:hi]) for part in (total, seu, mbu)]
+                pmfs[b] = pmf[lo:hi].sum(axis=0)
+        pmfs[:, 0] = 0.0
+        return sums, pmfs
 
     def _sparse_multiplicity(self, pof, starts) -> np.ndarray:
-        """Summed Poisson-binomial PMF over variable-size event groups.
+        """Poisson-binomial PMF of each variable-size event group.
 
         The oracle's dense dynamic program (``multiplicity_pmf``) run
         rank-by-rank: step ``r`` folds the ``r``-th touched cell of
         every event in at once, so the loop length is the largest
-        per-event cell count, not the cell total.
+        per-event cell count, not the cell total.  Returns one PMF row
+        per group.
         """
         max_k = self.config.max_multiplicity
         n_groups = len(starts)
@@ -883,7 +957,7 @@ class ArraySerSimulator:
             # the top bin absorbs overflow (k >= max_k stays in place)
             shifted[:, -1] += block[:, -1]
             pmf[rows] = block * (1.0 - p) + shifted * p
-        return pmf.sum(axis=0)
+        return pmf
 
     def _pairs_for_strikes(self, particle, strike_energies, chord_nm, rng):
         """Electron-hole pair counts for each struck sensitive fin.

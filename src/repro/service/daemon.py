@@ -215,8 +215,7 @@ class ServiceDaemon:
         future = self.engine.submit(spec, tenant=tenant)
         # shield: cancelling this dispatch task (client hung up, server
         # stopping) must never propagate through wrap_future into the
-        # engine's future — that future is shared by every coalesced
-        # waiter and resolves from the worker thread
+        # engine's future, which resolves from the worker thread
         inner = asyncio.wrap_future(future)
         inner.add_done_callback(_consume_result)
         aio_future = asyncio.shield(inner)

@@ -160,7 +160,6 @@ def run_query(
 
 def _ecc_analysis(spec: QuerySpec, flow, sweep, pair_offsets) -> List[dict]:
     """ECC/interleave word-failure rates riding on a finished sweep."""
-    from ..physics import spectrum_for
     from ..reliability import DEC_TED, NO_ECC, SEC_DED, word_failure_rates
 
     scheme = {"none": NO_ECC, "SEC-DED": SEC_DED, "DEC-TED": DEC_TED}[spec.ecc]
@@ -169,9 +168,7 @@ def _ecc_analysis(spec: QuerySpec, flow, sweep, pair_offsets) -> List[dict]:
     for particle in sweep.particles():
         # pair statistics are collected at the spectrum's peak-flux
         # energy bin — the representative strike population
-        spectrum = spectrum_for(particle)
-        e_lo, e_hi = flow.config.energy_range_for(particle)
-        bins = spectrum.make_bins(spec.n_energy_bins, e_lo, e_hi)
+        bins = flow._fit_bins(particle)
         peak = int(bins.integral_flux_per_cm2_s.argmax())
         energy = float(bins.representative_mev[peak])
         for vdd in sweep.vdd_values(particle):
@@ -332,10 +329,14 @@ class _ModelLru:
 
 
 class _Campaign:
-    """One in-flight unit of work shared by every coalesced request."""
+    """One in-flight unit of work shared by every coalesced request.
+
+    ``future`` answers the request that started the campaign; each
+    request coalesced onto it gets its own future in ``coalesced``.
+    """
 
     __slots__ = (
-        "key", "spec", "tenant", "future", "waiters",
+        "key", "spec", "tenant", "future", "coalesced", "waiters",
         "submitted_at", "request_t0s",
     )
 
@@ -344,6 +345,7 @@ class _Campaign:
         self.spec = spec
         self.tenant = tenant
         self.future: Future = Future()
+        self.coalesced: List[Future] = []
         self.waiters = 1
         self.submitted_at = time.monotonic()
         self.request_t0s: List[float] = [self.submitted_at]
@@ -429,7 +431,8 @@ class CampaignEngine:
         one campaign regardless of tenant; completed keys are answered
         from the memo without touching the queue.  The future resolves
         with the result dict (its ``source`` field says which path
-        served it) or raises the campaign's error.
+        served it: ``campaign``, ``coalesced`` or ``memo``) or raises
+        the campaign's error.
         """
         metrics = get_registry()
         metrics.counter("service.requests").inc()
@@ -456,7 +459,9 @@ class CampaignEngine:
                     "coalesced request %s",
                     kv(key=key, waiters=campaign.waiters, tenant=tenant),
                 )
-                return campaign.future
+                future = Future()
+                campaign.coalesced.append(future)
+                return future
             # the pending bound applies to campaigns that must *wait*:
             # the scheduler drains pending into free running slots
             # asynchronously, so a submission racing an idle slot is
@@ -540,7 +545,6 @@ class CampaignEngine:
 
     def _execute(self, campaign: _Campaign):
         metrics = get_registry()
-        source = "campaign"
         error: Optional[BaseException] = None
         t0 = time.monotonic()
         try:
@@ -591,28 +595,34 @@ class CampaignEngine:
                 "campaign served %s",
                 kv(key=campaign.key, requests=waiters, wall_s=f"{wall_s:.2f}"),
             )
-            self._resolve(campaign, result=dict(result, source=source))
+            self._resolve(campaign, result=result)
 
     @staticmethod
     def _resolve(campaign: _Campaign, result=None, error=None):
-        """Resolve the shared future, tolerating a front-end cancel.
+        """Resolve every waiter's future, tolerating a front-end cancel.
 
-        The future is handed to arbitrary front-ends; one of them
-        cancelling it (the engine never marks it running, so
-        ``cancel()`` succeeds while queued) must not crash the worker
-        thread — the campaign's side effects (memo, artifact cache,
-        ledger) are already committed either way.
+        The starter's result says ``source="campaign"`` and each
+        coalesced waiter's copy ``source="coalesced"``; on failure all
+        of them raise the campaign's error.  The futures are handed to
+        arbitrary front-ends; one of them cancelling its future (the
+        engine never marks it running, so ``cancel()`` succeeds while
+        queued) must not crash the worker thread — the campaign's side
+        effects (memo, artifact cache, ledger) are already committed
+        either way.
         """
-        try:
-            if error is not None:
-                campaign.future.set_exception(error)
-            else:
-                campaign.future.set_result(result)
-        except InvalidStateError:
-            _log.warning(
-                "campaign future was cancelled by a front-end %s",
-                kv(key=campaign.key),
-            )
+        waiters = [(campaign.future, "campaign")]
+        waiters += [(future, "coalesced") for future in campaign.coalesced]
+        for future, source in waiters:
+            try:
+                if error is not None:
+                    future.set_exception(error)
+                else:
+                    future.set_result(dict(result, source=source))
+            except InvalidStateError:
+                _log.warning(
+                    "campaign future was cancelled by a front-end %s",
+                    kv(key=campaign.key, source=source),
+                )
 
     def _run(self, spec: QuerySpec) -> dict:
         flow = build_flow(spec, self.options)
@@ -705,8 +715,9 @@ class CampaignEngine:
             self._gauges_locked()
             self._wake.notify_all()
         for campaign in abandoned:
-            campaign.future.set_exception(
-                ServiceError("engine shut down before campaign started")
+            self._resolve(
+                campaign,
+                error=ServiceError("engine shut down before campaign started"),
             )
         if wait:
             deadline = (

@@ -171,14 +171,15 @@ class QuerySpec:
         from ..sram import CharacterizationConfig
 
         try:
-            adaptive = None
-            if self.adaptive:
-                adaptive = AdaptiveConfig(
-                    target_se=self.target_se,
-                    relative_target=self.target_se_relative,
-                    pilot_trials=self.pilot_trials,
-                    max_trials=self.max_trials,
-                )
+            # built even when unused, so its range checks hold for
+            # every query: a bad adaptive field is a bad request, not a
+            # field the key silently drops
+            adaptive = AdaptiveConfig(
+                target_se=self.target_se,
+                relative_target=self.target_se_relative,
+                pilot_trials=self.pilot_trials,
+                max_trials=self.max_trials,
+            )
             return FlowConfig(
                 particles=self.particles,
                 vdd_list=self.vdd_list,
@@ -194,7 +195,7 @@ class QuerySpec:
                 n_energy_bins=self.n_energy_bins,
                 mc_particles_per_bin=self.mc_particles,
                 seed=self.seed,
-                adaptive=adaptive,
+                adaptive=adaptive if self.adaptive else None,
             )
         except ReproError as exc:
             raise QueryError(str(exc)) from exc

@@ -4,17 +4,22 @@ The shipped array Monte Carlo runs one vectorized path per job.  The
 implementations these paths replaced live on here so tests can hold
 the shipped code to them:
 
+* :func:`run_block` -- the per-block kernel behind
+  :meth:`~repro.ser.ArraySerSimulator._run_task` (which runs a pool
+  task's draw blocks as one strike pass): one draw block sampled,
+  struck and combined on its own, through :func:`gather_strikes`,
+  :func:`touched_pofs` and :func:`process_batch`;
 * :func:`gather_strikes_dense` -- the dense ``(n_rays, n_fins)``
-  chord-matrix strike gather behind
-  :meth:`~repro.ser.ArraySerSimulator._gather_strikes` (which asks a
+  chord-matrix strike gather behind :func:`gather_strikes` and
+  :meth:`~repro.ser.ArraySerSimulator._gather` (which ask a
   :class:`~repro.geometry.BoxGrid` for the sparse chord list);
 * :func:`process_batch_dense` -- the dense ``(n_events, n_cells, 3)``
-  charge-tensor kernel behind
-  :meth:`~repro.ser.ArraySerSimulator._process_batch` (sparse);
+  charge-tensor kernel behind :func:`process_batch` and the shipped
+  ``_touched`` / ``_combine`` stages (sparse);
 * :func:`event_cell_pofs_dense` -- the pair-offset campaign's own
   recast-and-redraw strike path behind
   :func:`repro.ser.clusters._event_cell_pofs` (which scatters the
-  simulator's ``_touched_pofs``);
+  simulator's ``_touched`` rows);
 * :func:`accumulate_pairs_loop` -- the per-event nested pair loop
   behind :func:`repro.ser.clusters._pair_streams`;
 * :func:`group_codes_loop` -- the per-code rescans behind
@@ -28,7 +33,7 @@ the shipped code to them:
   also as :func:`combine_total` / :func:`combine_seu` /
   :func:`combine_mbu`) and :func:`multiplicity_pmf` -- the dense
   combination behind the segmented reductions of
-  :meth:`~repro.ser.ArraySerSimulator._process_batch` and
+  :meth:`~repro.ser.ArraySerSimulator._combine` and
   :meth:`~repro.ser.ArraySerSimulator._sparse_multiplicity`.
 """
 
@@ -40,8 +45,9 @@ from repro.constants import ELEMENTARY_CHARGE_C
 from repro.errors import ConfigError, LookupError_
 from repro.geometry import RayBatch, chord_lengths, stack_boxes
 from repro.layout.array import _SENSITIVE_Q0, _SENSITIVE_Q1
+from repro.physics import get_particle, sample_rays
 from repro.sram.cell import ROLES
-from repro.ser.mc import _ONE_MINUS_EPS
+from repro.ser.mc import _ONE_MINUS_EPS, ArrayPofResult, _sample_stratum_rays
 
 
 # -- POF combination across cells (paper eqs. 4-6) -----------------------------
@@ -122,11 +128,184 @@ def multiplicity_pmf(pofs, max_k: int = 8) -> np.ndarray:
 # -- array-MC kernels ----------------------------------------------------------
 
 
+def run_block(simulator, point, block_size, seed):
+    """The per-block kernel, verbatim: one draw block on its own stream.
+
+    Samples the block's spectrum energies and rays, then strikes and
+    combines them in a pass of its own (:func:`process_batch`).
+    """
+    rng = np.random.default_rng(seed)
+    x_range, y_range, z, launch_area = simulator._window
+    law = point.direction_law or simulator.config.law_for(point.particle_name)
+    stratum = point.stratum
+    if point.let_kev_per_nm is not None:
+        particle, energy = None, point.let_kev_per_nm
+    else:
+        particle = get_particle(point.particle_name)
+        energy = point.energy_mev
+        if point.spectrum is not None:
+            e_min, e_max = point.e_range
+            if stratum is not None and stratum.get("e_range") is not None:
+                e_min, e_max = stratum["e_range"]
+            energy = point.spectrum.sample_energies(
+                block_size, rng, e_min_mev=e_min, e_max_mev=e_max
+            )
+    if stratum is not None and stratum.get("rects") is not None:
+        rays = _sample_stratum_rays(block_size, rng, stratum["rects"], z, law)
+    else:
+        rays = sample_rays(block_size, rng, x_range, y_range, z, law)
+    totals, seus, mbus, hits, strikes, pmf = process_batch(
+        simulator, particle, energy, point.vdd_v, rays, rng
+    )
+    return ArrayPofResult(
+        particle_name=point.particle_name,
+        energy_mev=point.energy_mev,
+        vdd_v=point.vdd_v,
+        n_particles=block_size,
+        n_array_hits=hits,
+        n_fin_strikes=strikes,
+        pof_total=totals / block_size,
+        pof_seu=seus / block_size,
+        pof_mbu=mbus / block_size,
+        launch_area_cm2=launch_area,
+        multiplicity_pmf=pmf / block_size,
+        weight=(1.0 if stratum is None else float(stratum["weight"])),
+        stratum=(None if stratum is None else stratum["name"]),
+    )
+
+
+def gather_strikes(simulator, particle, energy_mev, rays, rng):
+    """The per-block sparse strike gather, verbatim.
+
+    Returns ``(n_hits, n_strikes, n_events, strikes)`` where
+    ``strikes`` is ``(event_idx, cell_of, strike_of, charges)`` or
+    ``None`` when the batch produced no fin strikes.
+    """
+    array_hits = chord_lengths(rays, simulator._bbox_packed)[:, 0] > 0.0
+    n_hits = int(np.sum(array_hits))
+    if n_hits == 0:
+        return 0, 0, 0, None
+
+    hit_rays = RayBatch(
+        rays.origins.compress(array_hits, axis=0),
+        rays.directions.compress(array_hits, axis=0),
+    )
+    per_ray_energy = np.broadcast_to(
+        np.asarray(energy_mev, dtype=np.float64), (len(rays),)
+    )[array_hits]
+    ray_idx, fin_idx, chord_vals = simulator._fin_grid.chords(hit_rays)
+    if len(fin_idx) == 0:
+        return n_hits, 0, 0, None
+
+    struck, event_idx = np.unique(ray_idx, return_inverse=True)
+    strike_energies = per_ray_energy[ray_idx]
+
+    pairs = simulator._pairs_for_strikes(
+        particle, strike_energies, chord_vals, rng
+    )
+    charges = pairs * ELEMENTARY_CHARGE_C
+    strikes = (
+        event_idx,
+        simulator._sens_cell[fin_idx],
+        simulator._sens_strike[fin_idx],
+        charges,
+    )
+    return n_hits, len(fin_idx), len(struck), strikes
+
+
+def touched_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):
+    """The per-block (event, cell) fold and POF query, verbatim.
+
+    Returns ``(n_hits, n_strikes, n_events, touched)`` where
+    ``touched`` is ``(event_of, cell_of, pof)`` or ``None``.
+    """
+    n_hits, n_strikes, n_events, strikes = gather_strikes(
+        simulator, particle, energy_mev, rays, rng
+    )
+    if strikes is None:
+        return n_hits, n_strikes, n_events, None
+    ray_idx, cell_of, strike_of, charges = strikes
+
+    n_cells = simulator.layout.n_cells
+    key = ray_idx.astype(np.int64) * n_cells + cell_of
+    unique_keys, inverse = np.unique(key, return_inverse=True)
+    cell_charges = np.zeros((len(unique_keys), 3), dtype=np.float64)
+    np.add.at(cell_charges, (inverse, strike_of), charges)
+
+    touched = np.any(cell_charges > 0.0, axis=1)
+    if not np.any(touched):
+        return n_hits, n_strikes, n_events, None
+    pof = simulator.pof_table.query(
+        vdd_v, cell_charges.compress(touched, axis=0)
+    )
+    keys = unique_keys[touched]
+    rows = (keys // n_cells, keys % n_cells, pof)
+    return n_hits, n_strikes, n_events, rows
+
+
+def process_batch(simulator, particle, energy_mev, vdd_v, rays, rng):
+    """The per-block segmented eqs. 4-6 and multiplicity PMF, verbatim.
+
+    Returns ``(total, seu, mbu, n_hits, n_strikes, pmf)``: the block's
+    summed probabilities and summed PMF (k=0 bin zeroed).
+    """
+    n_hits, n_strikes, _, touched = touched_pofs(
+        simulator, particle, energy_mev, vdd_v, rays, rng
+    )
+    empty_pmf = np.zeros(simulator.config.max_multiplicity + 1)
+    if touched is None:
+        return 0.0, 0.0, 0.0, n_hits, n_strikes, empty_pmf
+    event_of, _, pof = touched
+
+    starts = np.flatnonzero(np.r_[True, event_of[1:] != event_of[:-1]])
+    total = 1.0 - np.multiply.reduceat(1.0 - pof, starts)
+    clipped = np.minimum(pof, _ONE_MINUS_EPS)
+    survive = 1.0 - clipped
+    seu = np.multiply.reduceat(survive, starts) * np.add.reduceat(
+        clipped / survive, starts
+    )
+    mbu = np.maximum(total - seu, 0.0)
+
+    pmf = sparse_multiplicity(
+        pof, starts, simulator.config.max_multiplicity
+    )
+    pmf[0] = 0.0
+    return (
+        float(np.sum(total)),
+        float(np.sum(seu)),
+        float(np.sum(mbu)),
+        n_hits,
+        n_strikes,
+        pmf,
+    )
+
+
+def sparse_multiplicity(pof, starts, max_k):
+    """The per-block rank-by-rank PMF, verbatim: summed over groups."""
+    n_groups = len(starts)
+    sizes = np.diff(np.append(starts, len(pof)))
+    group_of = np.repeat(np.arange(n_groups), sizes)
+    rank = np.arange(len(pof)) - starts[group_of]
+
+    pmf = np.zeros((n_groups, max_k + 1), dtype=np.float64)
+    pmf[:, 0] = 1.0
+    for r in range(int(sizes.max())):
+        selected = rank == r
+        rows = group_of[selected]
+        p = pof[selected][:, np.newaxis]
+        block = pmf[rows]
+        shifted = np.zeros_like(block)
+        shifted[:, 1:] = block[:, :-1]
+        shifted[:, -1] += block[:, -1]
+        pmf[rows] = block * (1.0 - p) + shifted * p
+    return pmf.sum(axis=0)
+
+
 def gather_strikes_dense(simulator, particle, energy_mev, rays, rng):
     """Reference strike gather through the dense chord matrix.
 
-    Same return tuple as the shipped ``_gather_strikes``; slab-tests
-    every array-crossing ray against every sensitive fin.
+    Same return tuple as :func:`gather_strikes`; slab-tests every
+    array-crossing ray against every sensitive fin.
     """
     # Cheap prefilter: only tracks crossing the array bounding box
     # can strike a fin; run the expensive per-fin test on those.
@@ -168,16 +347,17 @@ def gather_strikes_dense(simulator, particle, energy_mev, rays, rng):
 def process_batch_dense(simulator, particle, energy_mev, vdd_v, rays, rng):
     """Reference kernel materializing the dense charge tensor.
 
-    Same strikes as the shipped kernel (both start from
-    ``simulator._gather_strikes``), same return tuple; allocates
-    ``(n_events, n_cells, 3)`` per batch, which the sparse
-    ``_process_batch`` exists to avoid.
+    Same strikes as the sparse kernels (it starts from
+    :func:`gather_strikes`), same return tuple as :func:`process_batch`;
+    allocates ``(n_events, n_cells, 3)`` per batch, which the sparse
+    kernels exist to avoid.
     """
-    n_hits, n_strikes, n_events, strikes = simulator._gather_strikes(
-        particle, energy_mev, rays, rng
+    n_hits, n_strikes, n_events, strikes = gather_strikes(
+        simulator, particle, energy_mev, rays, rng
     )
     if strikes is None:
-        return 0.0, 0.0, 0.0, n_hits, n_strikes, simulator._empty_pmf.copy()
+        empty_pmf = np.zeros(simulator.config.max_multiplicity + 1)
+        return 0.0, 0.0, 0.0, n_hits, n_strikes, empty_pmf
     ray_idx, cell_of, strike_of, charges = strikes
 
     charge_tensor = np.zeros(

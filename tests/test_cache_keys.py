@@ -99,6 +99,37 @@ class TestQueryKey:
         with pytest.raises(QueryError):
             QuerySpec.from_dict(payload).canonical_key()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"target_se": float("nan")},
+            {"target_se": 0.0},
+            {"pilot_trials": -5},
+            {"max_trials": 0},
+        ],
+    )
+    def test_bad_adaptive_field_rejected_without_adaptive(self, change):
+        """An out-of-range adaptive field is a bad request even when
+        adaptive sampling is off, not a field the key drops."""
+        payload = dict(_tiny_spec().to_dict(), **change)
+        assert payload["adaptive"] is False
+        with pytest.raises(QueryError):
+            QuerySpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"target_se": 1e-3},
+            {"target_se_relative": True},
+            {"pilot_trials": 4096},
+            {"max_trials": 10000},
+        ],
+    )
+    def test_valid_adaptive_field_keeps_key_without_adaptive(self, change):
+        base = _tiny_spec()
+        spec = QuerySpec.from_dict(dict(base.to_dict(), **change))
+        assert spec.canonical_key() == base.canonical_key()
+
 
 class TestExecutionOptionsStayOutOfKeys:
     @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ from repro.ser import clusters
 from repro.ser.clusters import _event_cell_pofs, _pair_streams
 from repro.ser.mc import (
     DRAW_BLOCK_SIZE,
+    _Strikes,
     array_shard_decode,
     array_shard_encode,
 )
@@ -204,9 +205,9 @@ class TestBatchPlan:
     ):
         """A LET point's branch never reaches another point's blocks.
 
-        Both points have 9000 particles (blocks 4096 + 4096 + 808) and a
-        task holds two blocks, so the middle task mixes an alpha block
-        with a LET block.
+        Both points have 9000 particles (blocks 4096 + 4096 + 808) and
+        tasks fill to 8192 particles, so the middle task runs the alpha
+        remainder block and two LET blocks in one pass.
         """
         simulator = make_simulator(layout, pof_table)
         points = [
@@ -374,6 +375,28 @@ class TestFlowPlans:
                 sweep.get("alpha", vdd), _fit_oracle(flow, "alpha", vdd)
             )
 
+    def test_fit_bins_built_once_per_flow(
+        self, flow_config, cache_dir, monkeypatch
+    ):
+        """Every case of a flow reads the one set of bins it built."""
+        from repro.core import flow as flow_module
+
+        built = []
+        real = flow_module.spectrum_for
+
+        def counting(particle_name):
+            built.append(particle_name)
+            return real(particle_name)
+
+        monkeypatch.setattr(flow_module, "spectrum_for", counting)
+        flow = SerFlow(flow_config, cache_dir=str(cache_dir), resume=False)
+        fits = [flow.fit("alpha", vdd) for vdd in (0.7, 0.9)]
+        assert built == ["alpha"]
+        assert flow._fit_bins("alpha") is flow._fit_bins("alpha")
+        fresh = SerFlow(flow_config, cache_dir=str(cache_dir), resume=False)
+        assert_fits_identical(fresh.fit("alpha", 0.9), fits[1])
+        assert built == ["alpha", "alpha"]
+
     def test_invalid_points_rejected(self, flow_config, cache_dir):
         flow = SerFlow(flow_config, cache_dir=str(cache_dir))
         with pytest.raises(ConfigError):
@@ -504,8 +527,9 @@ class TestLostBlocks:
         clean_engine_state,
     ):
         """A FIT needs every bin whole: the flow's plan runs strict."""
-        # 2 bins x 5 blocks -> 5 two-block tasks; killing the last one
-        # leaves both bins a surviving block, so only strictness raises
+        # 2 bins x 5 blocks (4 x 4096 + 3616) -> 5 tasks filled to 8192
+        # particles; killing the last one, bin 2's remainder block,
+        # leaves both bins surviving blocks, so only strictness raises
         config = replace(flow_config, mc_particles_per_bin=20000)
         flow = SerFlow(
             config,
@@ -600,12 +624,79 @@ class TestJournalLayout:
         assert_fits_identical(resumed, clean)
         assert stale.path.exists()
 
+    def test_pre_upgrade_plan_journal_is_ignored(
+        self, flow_config, cache_dir, tmp_path, metrics
+    ):
+        """A sweep journal of two-block tasks never feeds today's plan.
+
+        The tiny sweep has four 4000-particle blocks: tasks used to
+        hold two of them and now fill to 8192 particles (three, then
+        one), so the old shards would not fit the new tasks.
+        """
+        clean = SerFlow(flow_config).sweep()  # no cache: runs the plan
+
+        copied = shutil.copytree(cache_dir, tmp_path / "c")
+        for path in copied.glob("sweep-*.json"):
+            path.unlink()
+        flow = SerFlow(flow_config, cache_dir=str(copied))
+        n = flow_config.mc_particles_per_bin
+        cases = [
+            (
+                "alpha",
+                float(vdd),
+                [float(e) for e in flow._fit_bins("alpha").representative_mev],
+            )
+            for vdd in flow_config.vdd_list
+        ]
+        points = [
+            CampaignPoint.uniform(
+                particle,
+                energy,
+                vdd,
+                n,
+                flow._campaign_seed(
+                    "fit", particle, f"{vdd:g}", f"{energy:.9g}"
+                ),
+            )
+            for particle, vdd, energies in cases
+            for energy in energies
+        ]
+        blocks = [
+            block
+            for point_blocks in BatchPlan(flow.simulator(), points).run_blocks()
+            for block in point_blocks
+        ]
+        # the sweep's journal key as written before the layout was named
+        stale = flow._journal_for(
+            "sweep",
+            array_shard_encode,
+            array_shard_decode,
+            flow.config,
+            flow.design.tech,
+            {
+                "stage": "fit",
+                "cases": [
+                    [particle, f"{vdd:g}", [f"{e:.9g}" for e in energies]]
+                    for particle, vdd, energies in cases
+                ],
+                "n_particles": n,
+            },
+        )
+        for index in range(0, len(blocks), 2):
+            stale.record(index // 2, blocks[index : index + 2])
+
+        resumed = flow.sweep()
+        assert get_registry().counter("journal.resumed").value == 0
+        for vdd in flow_config.vdd_list:
+            assert_fits_identical(resumed.get("alpha", vdd), clean.get("alpha", vdd))
+        assert stale.path.exists()
+
 
 # -- inlined numpy kernels vs. their references --------------------------------
 
 
 class _FixedPof:
-    """POF-table stand-in answering every query with preset values."""
+    """POF-table stand-in answering one query with preset values."""
 
     def __init__(self, pof):
         self.pof = pof
@@ -619,7 +710,8 @@ class TestInlineKernels:
     def test_sparse_multiplicity_matches_sequential_dp(
         self, layout, pof_table
     ):
-        """The rank-vectorized DP equals a per-segment python DP, bitwise."""
+        """The rank-vectorized DP equals a per-segment python DP, bitwise,
+        event by event."""
         max_k = 4
         simulator = make_simulator(layout, pof_table, max_multiplicity=max_k)
         rng = np.random.default_rng(22)
@@ -639,10 +731,11 @@ class TestInlineKernels:
                     shifted[-1] += pmf[-1]  # overflow bin absorbs k >= max_k
                     pmf = pmf * (1.0 - p) + shifted * p
                 pmfs[g] = pmf
-            assert np.array_equal(got, pmfs.sum(axis=0))
+            assert np.array_equal(got, pmfs)
 
     def test_segment_combine_matches_inline_eqs(self, layout, pof_table):
-        """``_process_batch`` folds eqs. 4-6 exactly as the historical code."""
+        """``_touched`` + ``_combine`` fold eqs. 4-6 exactly as the
+        historical per-block code, batch by batch."""
         simulator = make_simulator(layout, pof_table)
         one_minus_eps = 1.0 - 1e-12
         rng = np.random.default_rng(21)
@@ -660,31 +753,46 @@ class TestInlineKernels:
             pof = rng.random(len(cells))
             pof[rng.random(len(cells)) < 0.05] = 1.0  # exercise the clip
             starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            # three batches of one pass own consecutive runs of events
+            event_bounds = np.array([0, 13, 27, len(sizes)])
+            row_bounds = starts[event_bounds[:-1]].tolist() + [len(cells)]
 
             order = rng.permutation(len(cells))  # strikes arrive unsorted
-            strikes = (
-                events[order],
-                cells[order],
-                np.zeros(len(cells), dtype=np.int64),
-                rng.uniform(1e-16, 1e-14, size=len(cells)),
+            batch_of = np.searchsorted(event_bounds, events, side="right") - 1
+            order = order[np.argsort(batch_of[order], kind="stable")]
+            strike_bounds = np.searchsorted(batch_of[order], [0, 1, 2, 3])
+            strikes = _Strikes(
+                hits=np.diff(event_bounds),
+                strike_bounds=strike_bounds,
+                event_bounds=event_bounds,
+                event_of=events[order],
+                cell_of=cells[order],
+                strike_of=np.zeros(len(cells), dtype=np.int64),
+                charges=rng.uniform(1e-16, 1e-14, size=len(cells)),
             )
-            gathered = (len(sizes), len(cells), len(sizes), strikes)
-            simulator._gather_strikes = lambda *_, g=gathered: g
             simulator.pof_table = _FixedPof(pof)
-            total, seu, mbu, *_ = simulator._process_batch(
-                ALPHA, 5.0, 0.7, None, rng
+            event_of, cell_of, got_pof, got_rows = simulator._touched(
+                strikes, [0.7, 0.7, 0.7]
             )
-            # the exact expressions the sparse kernel has always used
-            ref_total = 1.0 - np.multiply.reduceat(1.0 - pof, starts)
-            clipped = np.minimum(pof, one_minus_eps)
-            survive = 1.0 - clipped
-            ref_seu = np.multiply.reduceat(survive, starts) * np.add.reduceat(
-                clipped / survive, starts
-            )
-            ref_mbu = np.maximum(ref_total - ref_seu, 0.0)
-            assert total == float(np.sum(ref_total))
-            assert seu == float(np.sum(ref_seu))
-            assert mbu == float(np.sum(ref_mbu))
+            assert np.array_equal(event_of, events)
+            assert np.array_equal(cell_of, cells)
+            assert got_rows.tolist() == row_bounds
+            sums, _ = simulator._combine(event_of, got_pof, got_rows)
+            for b in range(3):
+                lo, hi = row_bounds[b], row_bounds[b + 1]
+                seg = starts[event_bounds[b] : event_bounds[b + 1]] - lo
+                p = pof[lo:hi]
+                # the exact expressions the sparse kernel has always used
+                ref_total = 1.0 - np.multiply.reduceat(1.0 - p, seg)
+                clipped = np.minimum(p, one_minus_eps)
+                survive = 1.0 - clipped
+                ref_seu = np.multiply.reduceat(
+                    survive, seg
+                ) * np.add.reduceat(clipped / survive, seg)
+                ref_mbu = np.maximum(ref_total - ref_seu, 0.0)
+                assert sums[b, 0] == float(np.sum(ref_total))
+                assert sums[b, 1] == float(np.sum(ref_seu))
+                assert sums[b, 2] == float(np.sum(ref_mbu))
 
     def test_currents_stacked_matches_bilinear_blend(self):
         """The flat four-gather lookup equals a 3-D indexed blend."""

@@ -18,7 +18,12 @@ from repro.sram import (
     characterize_cell,
 )
 from repro.sram.strike import ALL_COMBOS
-from repro.ser import ArrayMcConfig, ArrayPofResult, ArraySerSimulator
+from repro.ser import (
+    ArrayMcConfig,
+    ArrayPofResult,
+    ArraySerSimulator,
+    CampaignPoint,
+)
 from repro.transport import ElectronYieldLUT
 
 from .array_oracle import gather_strikes_dense, process_batch_dense
@@ -180,6 +185,50 @@ def alpha_lut():
     }
 
 
+def shipped_gather(simulator, particle, energy, rays, rng):
+    """The shipped front stage on one batch, as the oracle's tuple.
+
+    ``(n_hits, n_strikes, n_events, strikes)`` with ``strikes`` the
+    ``(event, cell, strike, charge)`` arrays, or ``None`` without one.
+    """
+    strikes = simulator._gather([(particle, energy, rays, rng)])
+    n_strikes = int(strikes.strike_bounds[-1])
+    arrays = (
+        strikes.event_of,
+        strikes.cell_of,
+        strikes.strike_of,
+        strikes.charges,
+    )
+    return (
+        int(strikes.hits[0]),
+        n_strikes,
+        int(strikes.event_bounds[-1]),
+        arrays if n_strikes else None,
+    )
+
+
+def shipped_batch(simulator, particle, energy, vdd, rays, rng):
+    """The shipped stages on one batch, as the oracle's tuple:
+    ``(total, seu, mbu, n_hits, n_strikes, pmf)``."""
+    strikes = simulator._gather([(particle, energy, rays, rng)])
+    event_of, _, pof, row_bounds = simulator._touched(strikes, [vdd])
+    sums, pmfs = simulator._combine(event_of, pof, row_bounds)
+    return (
+        *(float(value) for value in sums[0]),
+        int(strikes.hits[0]),
+        int(strikes.strike_bounds[-1]),
+        pmfs[0],
+    )
+
+
+def one_task(n, seed=17):
+    """A pool task holding every draw block of one 5 MeV alpha point."""
+    point = CampaignPoint.uniform(
+        "alpha", 5.0, 0.7, n, np.random.SeedSequence(seed)
+    )
+    return [(point, size, block_seed) for size, block_seed in point.blocks]
+
+
 def _strike_streams(simulator, energy, law, seed, n=5000):
     """Shipped and dense-oracle gathers of one ray batch, plus rng states."""
     x_range, y_range, z, _ = simulator.layout.launch_window(
@@ -187,7 +236,7 @@ def _strike_streams(simulator, energy, law, seed, n=5000):
     )
     outputs = []
     for gather in (
-        simulator._gather_strikes,
+        lambda *args: shipped_gather(simulator, *args),
         lambda *args: gather_strikes_dense(simulator, *args),
     ):
         rng = np.random.default_rng(seed)
@@ -252,20 +301,16 @@ class TestSparseKernel:
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         expected = (2, 0, 0, None)  # hits, strikes, events, strikes
-        assert simulator._gather_strikes(ALPHA, 5.0, rays, rng) == expected
+        assert shipped_gather(simulator, ALPHA, 5.0, rays, rng) == expected
         assert gather_strikes_dense(simulator, ALPHA, 5.0, rays, rng) == (
             expected
         )
         assert rng.bit_generator.state == state
 
     def test_never_builds_chord_matrix(self, layout, pof_table, monkeypatch):
-        """No ``(n, n_sensitive_fins)`` array is allocated per batch."""
+        """No ``(n, n_sensitive_fins)`` array is allocated per task."""
         simulator = make_simulator(layout, pof_table)
-        x_range, y_range, z, _ = layout.launch_window(
-            simulator.config.margin_nm
-        )
-        rng = np.random.default_rng(17)
-        rays = sample_rays(5000, rng, x_range, y_range, z, "isotropic")
+        task = one_task(5000)
 
         shapes = []
         for name in ("zeros", "full"):
@@ -276,9 +321,9 @@ class TestSparseKernel:
                 return _real(shape, *args, **kwargs)
 
             monkeypatch.setattr(np, name, recording)
-        result = simulator._process_batch(ALPHA, 5.0, 0.7, rays, rng)
+        results = simulator._run_task(task)
         monkeypatch.undo()
-        assert result[4] > 0
+        assert sum(result.n_fin_strikes for result in results) > 0
         n_fins = layout.sensitive_fin_count()
         assert shapes
         assert not any(
@@ -292,7 +337,7 @@ class TestSparseKernel:
         )
         outputs = []
         for kernel in (
-            simulator._process_batch,
+            lambda *args: shipped_batch(simulator, *args),
             lambda *args: process_batch_dense(simulator, *args),
         ):
             rng = np.random.default_rng(seed)
@@ -313,11 +358,7 @@ class TestSparseKernel:
         self, layout, pof_table, monkeypatch
     ):
         simulator = make_simulator(layout, pof_table)
-        x_range, y_range, z, _ = layout.launch_window(
-            simulator.config.margin_nm
-        )
-        rng = np.random.default_rng(17)
-        rays = sample_rays(5000, rng, x_range, y_range, z, "isotropic")
+        task = one_task(5000)
 
         shapes = []
         real_zeros = np.zeros
@@ -327,8 +368,8 @@ class TestSparseKernel:
             return real_zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", recording_zeros)
-        result = simulator._process_batch(ALPHA, 5.0, 0.7, rays, rng)
-        assert result[3] > 0
+        results = simulator._run_task(task)
+        assert sum(result.n_array_hits for result in results) > 0
         n_cells = layout.n_cells
         assert not any(
             len(shape) == 3 and shape[1] == n_cells for shape in shapes

@@ -109,8 +109,9 @@ def _wait_until(predicate, timeout_s=5.0):
 #: Requests that must get ``QueryError`` (``bad-request`` from the
 #: daemon) before any campaign is admitted: out-of-range values, JSON
 #: values of the wrong type, non-finite numbers (JSON's ``NaN`` and
-#: ``Infinity`` literals on the wire), and a config error raised while
-#: the spec compiles.
+#: ``Infinity`` literals on the wire), a config error raised while
+#: the spec compiles, and out-of-range adaptive fields with adaptive
+#: sampling off.
 MALFORMED_SPECS = (
     {"array_rows": 0},
     {"samples": 1.5},
@@ -124,6 +125,9 @@ MALFORMED_SPECS = (
     {"vdd_list": [float("nan")]},
     {"vdd_list": [float("inf")]},
     {"adaptive": True, "target_se": float("nan")},
+    {"target_se": float("nan")},
+    {"pilot_trials": -5},
+    {"max_trials": 0},
 )
 
 
@@ -236,11 +240,49 @@ class TestCampaignEngine:
             runner.release.set()
             results = [f.result(timeout=10.0) for f in futures]
         assert len(runner.calls) == 1
-        assert {r["source"] for r in results} == {"campaign"}
+        assert [r["source"] for r in results] == [
+            "campaign",
+            "coalesced",
+            "coalesced",
+        ]
         snapshot = registry.snapshot()["counters"]
         assert snapshot["service.requests"] == 3
         assert snapshot["service.coalesced"] == 2
         assert snapshot["service.campaigns"] == 1
+
+    def test_coalesced_request_labelled_and_shares_the_outcome(self):
+        """A key submitted twice in flight: the second is ``coalesced``,
+        with the campaign's result, or with its error."""
+        runner = _GatedRunner(gate_seeds={2014})
+        with engine_ctx(runner=runner) as engine:
+            first = engine.submit(_tiny_spec())
+            assert runner.started.wait(5.0)
+            second = engine.submit(_tiny_spec())
+            assert second is not first
+            runner.release.set()
+            started = first.result(timeout=10.0)
+            coalesced = second.result(timeout=10.0)
+        assert started["source"] == "campaign"
+        assert coalesced["source"] == "coalesced"
+        assert dict(coalesced, source="campaign") == started
+
+        release = threading.Event()
+        calls = []
+
+        def failing(spec):
+            calls.append(spec)
+            assert release.wait(timeout=10.0)
+            raise RuntimeError("campaign blew up")
+
+        with engine_ctx(runner=failing) as engine:
+            first = engine.submit(_tiny_spec())
+            assert _wait_until(lambda: len(calls) == 1)
+            second = engine.submit(_tiny_spec())
+            release.set()
+            for future in (first, second):
+                with pytest.raises(RuntimeError, match="blew up"):
+                    future.result(timeout=10.0)
+        assert len(calls) == 1
 
     def test_completed_results_memoized(self):
         registry = enable_metrics(fresh=True)
@@ -335,12 +377,14 @@ class TestCampaignEngine:
         blocker = engine.submit(_tiny_spec(seed=0))
         assert runner.started.wait(5.0)
         assert _wait_until(lambda: engine.stats()["running"] == 1)
-        pending = engine.submit(_tiny_spec(seed=1))
+        # the second submission coalesces onto the queued campaign
+        pending = [engine.submit(_tiny_spec(seed=1)) for _ in range(2)]
         runner.release.set()
         engine.shutdown(wait=True, timeout_s=10.0)
         blocker.result(timeout=10.0)  # in-flight campaign completed
-        with pytest.raises(ServiceError):
-            pending.result(timeout=10.0)
+        for future in pending:
+            with pytest.raises(ServiceError):
+                future.result(timeout=10.0)
         with pytest.raises(ServiceError):
             engine.submit(_tiny_spec(seed=2))
 
