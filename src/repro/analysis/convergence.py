@@ -133,9 +133,7 @@ def estimate_pof_error(
         CampaignPoint.uniform(particle.name, energy_mev, vdd_v, per_batch, rng)
         for _ in range(n_batches)
     ]
-    results = BatchPlan(
-        simulator, points, n_jobs=simulator.config.n_jobs
-    ).execute()
+    results = BatchPlan(simulator, points).execute()
     estimates = np.array([result.pof_total for result in results])
     mean = float(np.mean(estimates))
     standard_error = float(

@@ -127,8 +127,8 @@ class FlowConfig:
     adaptive: Optional[AdaptiveConfig] = None
 
     def __post_init__(self):
-        if not self.particles:
-            raise ConfigError("need at least one particle")
+        if not 0 < len(self.particles) == len(set(self.particles)):
+            raise ConfigError("need one or more particles, none repeated")
         for name in self.particles:
             get_particle(name)  # validates
         if self.n_energy_bins < 1:
@@ -395,10 +395,7 @@ class SerFlow:
         )
 
     def _mc_config(self) -> ArrayMcConfig:
-        return ArrayMcConfig(
-            deposition_mode=self.config.deposition_mode,
-            n_jobs=self.n_jobs,
-        )
+        return ArrayMcConfig(deposition_mode=self.config.deposition_mode)
 
     def model_key(self) -> str:
         """Content address of the array model this flow builds.
@@ -529,8 +526,8 @@ class SerFlow:
         interrupted scan resumes bit-identically; the plan runs under
         ``retry.strict()``, since :func:`~repro.ser.fit.integrate_fit`
         needs every bin's full result.  The journal key names the task
-        layout (whole blocks filled to ``chunk_size`` particles), so a
-        journal written under another layout is never loaded.
+        layout (whole blocks filled to ``TASK_PARTICLES``), so a journal
+        written under another layout is never loaded.
         """
         points = [
             CampaignPoint.uniform(

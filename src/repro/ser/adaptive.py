@@ -306,7 +306,7 @@ class AdaptiveCampaignController:
         simulator,
         config: Optional[AdaptiveConfig] = None,
         *,
-        n_jobs: Optional[int] = None,
+        n_jobs: int = 1,
         retry=None,
         payload=None,
         journal_factory=None,
@@ -315,9 +315,7 @@ class AdaptiveCampaignController:
     ):
         self.simulator = simulator
         self.config = config if config is not None else AdaptiveConfig()
-        self.n_jobs = (
-            simulator.config.n_jobs if n_jobs is None else int(n_jobs)
-        )
+        self.n_jobs = int(n_jobs)
         self.retry = retry
         self.payload = payload
         self.journal_factory = journal_factory

@@ -22,8 +22,8 @@ from .mc import ArraySerSimulator
 
 #: Rays per strike pass of a pair-offset campaign.  Each batch draws
 #: from the campaign's one generator, so the batch size is part of the
-#: result; it is fixed here rather than taken from ``chunk_size``,
-#: which only schedules pool tasks.
+#: result, unlike :data:`~repro.ser.mc.TASK_PARTICLES`, which only
+#: schedules pool tasks.
 PAIR_BATCH_SIZE = 8192
 
 

@@ -9,16 +9,16 @@ plan over its (particle, Vdd, energy) points, and an adaptive round
 :meth:`BatchPlan.run_blocks` runs every block of every point as a
 single :func:`~repro.parallel.parallel_map` (label ``array_mc``):
 whole blocks, of any points, fill each pool task until it holds at
-least ``chunk_size`` particles, a task's blocks run through one strike
-pass (:meth:`~repro.ser.mc.ArraySerSimulator._run_task`), and the one
-broadcast payload (the simulator) serves all.
+least ``TASK_PARTICLES`` particles, a task's blocks run through one
+strike pass (:meth:`~repro.ser.mc.ArraySerSimulator._run_task`), and
+the one broadcast payload (the simulator) serves all.
 
 Determinism: a point's blocks are fixed when it is built, and a block's
 result depends only on its point, size and seed, never on the task
 that ran it (``tests/test_one_pass.py`` holds every task grouping to
 the per-block oracle).  Points merge their blocks in block order, so
-every result is bit-identical for any worker count and any
-``chunk_size`` (asserted by ``tests/test_fusion.py``).
+every result is bit-identical for any worker count and any task
+layout (asserted by ``tests/test_fusion.py``).
 
 Fault tolerance: completed pool tasks journal through the array-shard
 codec, so an interrupted plan resumes bit-identically; a journaled
@@ -43,7 +43,7 @@ from ..errors import ConfigError, SerializationError, WorkerCrashError
 from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
 from ..parallel import parallel_map, spawn_seeds
-from .mc import DRAW_BLOCK_SIZE, ArrayPofResult
+from .mc import DRAW_BLOCK_SIZE, TASK_PARTICLES, ArrayPofResult
 
 _log = get_logger(__name__)
 
@@ -130,19 +130,18 @@ def _block_task(payload, task):
     return payload["simulator"]._run_task(task)
 
 
-def _fill_tasks(units, chunk_size: int):
-    """Whole blocks to each task until it holds ``chunk_size`` particles.
+def _fill_tasks(units):
+    """Whole blocks to each task until it holds ``TASK_PARTICLES``.
 
-    Full :data:`~repro.ser.mc.DRAW_BLOCK_SIZE` blocks land
-    ``ceil(chunk_size / DRAW_BLOCK_SIZE)`` to a task, as they always
-    have, so one-point plans keep their task layout; smaller blocks
-    pack more to a task.
+    Full :data:`~repro.ser.mc.DRAW_BLOCK_SIZE` blocks land two to a
+    task, as they always have, so one-point plans keep their task
+    layout; smaller blocks pack more to a task.
     """
     tasks, task, held = [], [], 0
     for unit in units:
         task.append(unit)
         held += unit[1]
-        if held >= chunk_size:
+        if held >= TASK_PARTICLES:
             tasks.append(task)
             task, held = [], 0
     if task:
@@ -198,7 +197,7 @@ class BatchPlan:
         for point in self.points:
             bare = dataclasses.replace(point, blocks=())
             units.extend((bare, size, seed) for size, seed in point.blocks)
-        tasks = _fill_tasks(units, self.simulator.config.chunk_size)
+        tasks = _fill_tasks(units)
         total_particles = sum(point.n_particles for point in self.points)
 
         metrics = get_registry()

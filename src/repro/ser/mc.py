@@ -22,11 +22,11 @@ fixed-size *draw blocks* of :data:`DRAW_BLOCK_SIZE` particles.  Block
 ``i`` always consumes the ``i``-th child stream spawned off the
 caller's generator, and the campaign runs as a one-point
 :class:`~repro.ser.fusion.BatchPlan`, which fills each pool task with
-whole blocks until it holds at least ``chunk_size`` particles, runs a
-task's blocks through one vectorized strike pass
+whole blocks until it holds at least :data:`TASK_PARTICLES` particles,
+runs a task's blocks through one vectorized strike pass
 (:meth:`ArraySerSimulator._run_task`) and merges the per-block partial
 results in block order -- so for a fixed seed the campaign result is
-bit-identical for any ``n_jobs`` and any ``chunk_size``.
+bit-identical for any ``n_jobs`` and any grouping of blocks into tasks.
 """
 
 from __future__ import annotations
@@ -69,8 +69,13 @@ _ONE_MINUS_EPS = 1.0 - 1.0e-12
 #: RNG granularity of a campaign.  Particles are partitioned into draw
 #: blocks of this fixed size and each block owns one spawned child
 #: stream, so a campaign's random numbers depend only on the seed and
-#: ``n_particles`` -- never on ``chunk_size`` or the worker count.
+#: ``n_particles`` -- never on the task layout or the worker count.
 DRAW_BLOCK_SIZE = 4096
+
+#: Particles per pool task: whole draw blocks fill a task until it
+#: holds at least this many.  It never changes results, but a pass
+#: holds all its task's rays at once, so it bounds peak memory.
+TASK_PARTICLES = 8192
 
 
 @dataclass(frozen=True)
@@ -79,16 +84,10 @@ class ArrayMcConfig:
 
     deposition_mode: str = "lut"
     margin_nm: float = 100.0
-    #: Particles per pool task: whole draw blocks fill a task until it
-    #: holds at least this many.  A scheduling knob only -- it never
-    #: changes results.
-    chunk_size: int = 8192
     direction_laws: Optional[Dict[str, str]] = None
     #: Largest tracked failure multiplicity (the last PMF bin absorbs
     #: events with >= this many failed cells).
     max_multiplicity: int = 8
-    #: Worker processes for campaigns (1 = inline, 0 = one per CPU).
-    n_jobs: int = 1
 
     def __post_init__(self):
         if self.deposition_mode not in DEPOSITION_MODES:
@@ -97,10 +96,6 @@ class ArrayMcConfig:
             )
         if self.margin_nm < 0:
             raise ConfigError("margin cannot be negative")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk size must be positive")
-        if self.n_jobs < 0:
-            raise ConfigError("n_jobs cannot be negative (0 means auto)")
 
     def law_for(self, particle_name: str) -> str:
         laws = self.direction_laws or DEFAULT_DIRECTION_LAWS
@@ -609,14 +604,15 @@ class ArraySerSimulator:
         vdd_v: float,
         n_particles: int,
         rng: np.random.Generator,
+        n_jobs: int = 1,
         retry=None,
         journal=None,
     ) -> ArrayPofResult:
         """Monte Carlo POF of one (particle, energy, vdd) point.
 
-        ``retry`` / ``journal`` are the fault-tolerance knobs of
-        :func:`repro.parallel.parallel_map`: a
-        :class:`~repro.parallel.RetryPolicy` for transient worker loss
+        ``n_jobs`` (1 = inline, 0 = one per CPU), ``retry`` and
+        ``journal`` are the knobs of :func:`repro.parallel.parallel_map`:
+        a :class:`~repro.parallel.RetryPolicy` for transient worker loss
         and an optional :class:`~repro.parallel.ShardJournal`
         checkpoint (construct it with :func:`array_shard_encode` /
         :func:`array_shard_decode`) so an interrupted campaign resumes
@@ -624,7 +620,14 @@ class ArraySerSimulator:
         draw blocks returns the survivors' merge flagged ``degraded``.
         """
         return self._run_point(
-            particle, energy_mev, vdd_v, n_particles, rng, retry, journal
+            particle,
+            energy_mev,
+            vdd_v,
+            n_particles,
+            rng,
+            n_jobs,
+            retry,
+            journal,
         )
 
     def run_spectrum(
@@ -636,6 +639,7 @@ class ArraySerSimulator:
         rng: np.random.Generator,
         e_min_mev: Optional[float] = None,
         e_max_mev: Optional[float] = None,
+        n_jobs: int = 1,
         retry=None,
         journal=None,
     ) -> ArrayPofResult:
@@ -656,6 +660,7 @@ class ArraySerSimulator:
             vdd_v,
             n_particles,
             rng,
+            n_jobs,
             retry,
             journal,
             spectrum=spectrum,
@@ -671,6 +676,7 @@ class ArraySerSimulator:
         vdd_v,
         n_particles,
         rng,
+        n_jobs,
         retry,
         journal,
         **fields,
@@ -687,7 +693,7 @@ class ArraySerSimulator:
         (merged,) = BatchPlan(
             self,
             [point],
-            n_jobs=self.config.n_jobs,
+            n_jobs=n_jobs,
             retry=retry,
             journal=journal,
         ).execute()

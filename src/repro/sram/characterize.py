@@ -90,8 +90,8 @@ class CharacterizationConfig:
             math.isfinite(v) and v > 0 for v in self.vdd_list
         ):
             raise ConfigError("vdd_list must hold positive finite voltages")
-        if list(self.vdd_list) != sorted(self.vdd_list):
-            raise ConfigError("vdd_list must be sorted ascending")
+        if any(b <= a for a, b in zip(self.vdd_list, self.vdd_list[1:])):
+            raise ConfigError("vdd_list must be strictly increasing")
         if self.n_charge_points < 4:
             raise ConfigError("need >= 4 charge points")
         if not (0 < self.charge_min_fc < self.charge_max_fc):

@@ -69,8 +69,6 @@ class TestConfig:
     def test_invalid_mode(self):
         invalid = (
             {"deposition_mode": "teleport"},
-            {"chunk_size": 0},
-            {"chunk_size": -5},
             {"margin_nm": -1.0},
         )
         for fields in invalid:
@@ -115,19 +113,6 @@ class TestRun:
         if result.n_array_hits:
             expected = result.pof_total * result.n_particles / result.n_array_hits
             assert result.pof_total_given_hit == pytest.approx(expected)
-
-    def test_chunking_equivalence(self, pof_table, yield_luts):
-        """Chunked and single-batch runs agree statistically."""
-        layout = SramArrayLayout(n_rows=3, n_cols=3)
-        small_chunks = ArraySerSimulator(
-            layout, pof_table, yield_luts, ArrayMcConfig(chunk_size=500)
-        )
-        one_chunk = ArraySerSimulator(
-            layout, pof_table, yield_luts, ArrayMcConfig(chunk_size=100000)
-        )
-        r1 = small_chunks.run(ALPHA, 1.0, 0.7, 30000, np.random.default_rng(11))
-        r2 = one_chunk.run(ALPHA, 1.0, 0.7, 30000, np.random.default_rng(11))
-        assert r1.pof_total == pytest.approx(r2.pof_total, rel=0.25)
 
     def test_invalid_args(self, simulator):
         rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ share their keys.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -131,16 +132,16 @@ class TestQueryKey:
         assert spec.canonical_key() == base.canonical_key()
 
 
+EXECUTION_OPTIONS = [
+    dict(n_jobs=2),
+    dict(n_jobs=0, retry=RetryPolicy(retries=0)),
+    dict(retry=RetryPolicy(retries=5, allow_partial=False)),
+    dict(resume=False),
+]
+
+
 class TestExecutionOptionsStayOutOfKeys:
-    @pytest.mark.parametrize(
-        "options",
-        [
-            dict(n_jobs=2),
-            dict(n_jobs=0, retry=RetryPolicy(retries=0)),
-            dict(retry=RetryPolicy(retries=5, allow_partial=False)),
-            dict(resume=False),
-        ],
-    )
+    @pytest.mark.parametrize("options", EXECUTION_OPTIONS)
     def test_sweep_path_independent_of_execution(self, tmp_path, options):
         def sweep_path(**knobs):
             flow = build_flow(
@@ -155,3 +156,18 @@ class TestExecutionOptionsStayOutOfKeys:
             )
 
         assert sweep_path(**options) == sweep_path()
+
+    @pytest.mark.parametrize("options", EXECUTION_OPTIONS)
+    def test_model_independent_of_execution(self, tmp_path, options):
+        """The service's model LRU key, and the simulator it names, are
+        the same whatever the worker count or fault policy."""
+
+        def model(**knobs):
+            flow = build_flow(
+                _tiny_spec(),
+                ExecutionOptions(cache_dir=str(tmp_path), **knobs),
+            )
+            return flow.model_key(), pickle.dumps(flow.simulator())
+
+        model()  # builds every artifact, so both models below load them
+        assert model(**options) == model()

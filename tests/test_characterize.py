@@ -55,6 +55,8 @@ class TestConfig:
             CharacterizationConfig(vdd_list=())
         with pytest.raises(ConfigError):
             CharacterizationConfig(vdd_list=(0.9, 0.7))
+        with pytest.raises(ConfigError):
+            CharacterizationConfig(vdd_list=(0.7, 0.7))
         for vdd in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 CharacterizationConfig(vdd_list=(0.7, vdd))

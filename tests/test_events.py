@@ -6,9 +6,10 @@ parent bus; each shard's ``started`` precedes its ``finished``; pooled
 rounds are bracketed by ``round`` start/end events and produce
 heartbeats; and a worker killed mid-round (``REPRO_PARALLEL_KILL``)
 yields ``retrying``/``lost`` progress events in order instead of a
-torn stream.  The flow-level test is the acceptance path: a tiny
+torn stream.  The flow-level tests are the acceptance path: a tiny
 ``SerFlow`` sweep is live-tailed from another thread *while it runs*
-(the same reader behind ``repro-ser obs tail -f``).
+(the same reader behind ``repro-ser obs tail -f``), and a flow whose
+plans fork keeps bit-identical FITs with events and trace on.
 """
 
 import json
@@ -17,6 +18,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import FlowConfig, SerFlow
@@ -38,7 +40,7 @@ from repro.obs.inspect import follow_events, tail_events
 from repro.obs.jsonl import read_jsonl
 from repro.obs.registry import disable_metrics, enable_metrics, get_registry
 from repro.obs.trace import configure_tracing, reset_tracing
-from repro.parallel import RetryPolicy, parallel_map
+from repro.parallel import RetryPolicy, get_pack, parallel_map
 from repro.parallel.engine import FAULT_ENV
 from repro.parallel.pool import get_lease
 from repro.sram import CharacterizationConfig
@@ -621,6 +623,54 @@ class TestLiveSweepTelemetry:
         assert cli_main(["obs", "tail", str(events_path), "--last", "5"]) == 0
         out = capsys.readouterr().out
         assert "events (" in out
+
+    def test_pooled_fits_identical_with_events_and_trace(self, tmp_path):
+        """Telemetry never changes the science: FITs of a flow whose
+        plans fork are bit-identical with the event bus and the span
+        trace live, and warm workers serve repeat tasks from their
+        payload cache.  Four bins of 16384 particles clear the array-MC
+        auto-inline threshold at two workers."""
+        flow = SerFlow(
+            FlowConfig(
+                particles=("alpha",),
+                vdd_list=(0.7, 0.9),
+                n_energy_bins=4,
+                mc_particles_per_bin=16384,
+                array_rows=4,
+                array_cols=4,
+                deposition_mode="direct",
+                characterization=CharacterizationConfig(
+                    n_charge_points=9, n_samples=16
+                ),
+            ),
+            n_jobs=2,
+        )
+
+        def fits():
+            return [flow.fit("alpha", vdd) for vdd in flow.config.vdd_list]
+
+        flow.simulator()  # characterization stays out of the counters
+        try:
+            registry = enable_metrics(fresh=True)
+            bare = fits()
+            counters = registry.snapshot()["counters"]
+            configure_events(tmp_path / "events.jsonl")
+            configure_tracing(tmp_path / "trace.jsonl")
+            traced = fits()
+        finally:
+            get_lease().shutdown_all()
+            get_pack().release_all()
+        assert counters.get("parallel.maps", 0) >= 1
+        assert counters.get("parallel.shm.payload_hits", 0) > 0
+        events = _read_events(tmp_path / "events.jsonl")
+        assert _progress(events, "array_mc", "finished")
+        for a, b in zip(bare, traced):
+            assert (a.fit_total, a.fit_seu, a.fit_mbu) == (
+                b.fit_total,
+                b.fit_seu,
+                b.fit_mbu,
+            )
+            assert np.array_equal(a.pof_per_bin, b.pof_per_bin)
 
     def test_tail_events_counts_match_file(self, tmp_path):
         configure_events(tmp_path / "ev.jsonl")

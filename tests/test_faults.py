@@ -35,11 +35,21 @@ from repro.sram.characterize import (
 )
 from repro.sram.strike import ALL_COMBOS
 from repro.ser import ArrayMcConfig, ArraySerSimulator
-from repro.ser.mc import array_shard_decode, array_shard_encode
+from repro.ser.mc import (
+    DRAW_BLOCK_SIZE,
+    array_shard_decode,
+    array_shard_encode,
+)
 from repro.transport import ElectronYieldLUT
 from repro.transport.lut import lut_shard_decode, lut_shard_encode
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+#: A campaign of three pool tasks: two of two full draw blocks, then
+#: the 808-particle remainder.  The kill tests kill task 2, which a
+#: worker takes only after finishing task 0 or 1, so the pool breaks
+#: with at least one task done.
+KILL_CAMPAIGN = 4 * DRAW_BLOCK_SIZE + 808
 
 
 # -- shared fixtures (mirroring test_parallel's cheap synthetic setup) ---------
@@ -73,17 +83,26 @@ def layout():
     return SramArrayLayout(n_rows=4, n_cols=4)
 
 
-def make_simulator(layout, pof_table, **overrides):
-    config = ArrayMcConfig(deposition_mode="direct", **overrides)
+def make_simulator(layout, pof_table):
+    config = ArrayMcConfig(deposition_mode="direct")
     return ArraySerSimulator(layout, pof_table, config=config)
 
 
 def run_campaign(
-    layout, pof_table, *, seed=42, n=6000, retry=None, journal=None, **overrides
+    layout,
+    pof_table,
+    *,
+    seed=42,
+    n=KILL_CAMPAIGN,
+    n_jobs=1,
+    retry=None,
+    journal=None,
 ):
-    simulator = make_simulator(layout, pof_table, **overrides)
+    simulator = make_simulator(layout, pof_table)
     rng = np.random.default_rng(seed)
-    return simulator.run(ALPHA, 5.0, 0.7, n, rng, retry=retry, journal=journal)
+    return simulator.run(
+        ALPHA, 5.0, 0.7, n, rng, n_jobs=n_jobs, retry=retry, journal=journal
+    )
 
 
 def assert_results_identical(a, b):
@@ -365,7 +384,7 @@ class TestCampaignKillResume:
         self, layout, pof_table, tmp_path, monkeypatch, metrics
     ):
         """n_jobs>1: kill mid-campaign, resume, compare to clean run."""
-        clean = run_campaign(layout, pof_table, n=9000, chunk_size=4096)
+        clean = run_campaign(layout, pof_table)
 
         journal = ShardJournal(
             tmp_path / "campaign.jsonl",
@@ -379,8 +398,6 @@ class TestCampaignKillResume:
             run_campaign(
                 layout,
                 pof_table,
-                n=9000,
-                chunk_size=4096,
                 n_jobs=2,
                 retry=RetryPolicy(retries=0, allow_partial=False),
                 journal=journal,
@@ -388,14 +405,7 @@ class TestCampaignKillResume:
         assert marker.exists()
         assert len(journal.load()) >= 1  # partial credit on disk
 
-        resumed = run_campaign(
-            layout,
-            pof_table,
-            n=9000,
-            chunk_size=4096,
-            n_jobs=2,
-            journal=journal,
-        )
+        resumed = run_campaign(layout, pof_table, n_jobs=2, journal=journal)
         assert get_registry().counter("journal.resumed").value >= 1
         assert_results_identical(resumed, clean)
         assert not resumed.degraded
@@ -406,7 +416,7 @@ class TestCampaignKillResume:
         self, layout, pof_table, tmp_path, monkeypatch
     ):
         """The same journal resumes under n_jobs=1, still bit-identical."""
-        clean = run_campaign(layout, pof_table, n=9000, chunk_size=4096)
+        clean = run_campaign(layout, pof_table)
         journal = ShardJournal(
             tmp_path / "campaign.jsonl",
             "campaign-key",
@@ -419,23 +429,19 @@ class TestCampaignKillResume:
             run_campaign(
                 layout,
                 pof_table,
-                n=9000,
-                chunk_size=4096,
                 n_jobs=2,
                 retry=RetryPolicy(retries=0, allow_partial=False),
                 journal=journal,
             )
         assert len(journal.load()) >= 1
-        resumed = run_campaign(
-            layout, pof_table, n=9000, chunk_size=4096, n_jobs=1, journal=journal
-        )
+        resumed = run_campaign(layout, pof_table, n_jobs=1, journal=journal)
         assert_results_identical(resumed, clean)
 
     def test_corrupt_journal_entries_do_not_poison_resume(
         self, layout, pof_table, tmp_path, monkeypatch, metrics
     ):
         """Garbage in the checkpoint degrades to a smaller head start."""
-        clean = run_campaign(layout, pof_table, n=9000, chunk_size=4096)
+        clean = run_campaign(layout, pof_table)
         journal = ShardJournal(
             tmp_path / "campaign.jsonl",
             "campaign-key",
@@ -448,8 +454,6 @@ class TestCampaignKillResume:
             run_campaign(
                 layout,
                 pof_table,
-                n=9000,
-                chunk_size=4096,
                 n_jobs=2,
                 retry=RetryPolicy(retries=0, allow_partial=False),
                 journal=journal,
@@ -459,9 +463,7 @@ class TestCampaignKillResume:
         with open(tmp_path / "campaign.jsonl", "a") as handle:
             handle.write("garbage line\n")
             handle.write('{"torn": ')
-        resumed = run_campaign(
-            layout, pof_table, n=9000, chunk_size=4096, journal=journal
-        )
+        resumed = run_campaign(layout, pof_table, journal=journal)
         assert get_registry().counter("journal.invalid").value >= 2
         assert_results_identical(resumed, clean)
 
@@ -628,13 +630,11 @@ class TestDegradedCampaigns:
         degraded = run_campaign(
             layout,
             pof_table,
-            n=9000,
-            chunk_size=4096,
             n_jobs=2,
             retry=RetryPolicy(retries=0, allow_partial=True),
         )
         assert degraded.degraded
-        assert degraded.n_particles < 9000  # lost block -> fewer particles
+        assert degraded.n_particles < KILL_CAMPAIGN  # lost blocks
         # the degraded flag survives the journal encoding round-trip
         clone = array_shard_decode(array_shard_encode([degraded]))[0]
         assert clone.degraded
@@ -646,14 +646,12 @@ class TestDegradedCampaigns:
 
         from repro.analysis.convergence import pof_standard_error
 
-        clean = run_campaign(layout, pof_table, n=9000, chunk_size=4096)
+        clean = run_campaign(layout, pof_table)
         marker = tmp_path / "killed"
         monkeypatch.setenv(FAULT_ENV, f"array_mc:2:{marker}")
         degraded = run_campaign(
             layout,
             pof_table,
-            n=9000,
-            chunk_size=4096,
             n_jobs=2,
             retry=RetryPolicy(retries=0, allow_partial=True),
         )

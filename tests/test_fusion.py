@@ -7,7 +7,7 @@ Covers the contracts of :mod:`repro.ser.fusion` and its flow wiring:
   per-point runs seeded with ``flow._campaign_seed(stage, ...)``; a
   LET-beam point equals its own one-point plan when fused with an
   alpha point, and ``HeavyIonCampaign.run_let`` for any worker count
-  and chunk size;
+  and task grouping;
 * pinned literals -- a tiny flow's FITs and sweep cache key, captured
   before the per-campaign driver was removed, never drift;
 * fault tolerance -- lost blocks follow the caller's retry policy (a
@@ -40,6 +40,7 @@ from repro.physics import ALPHA, get_particle, sample_rays
 from repro.ser import (
     AdaptiveConfig,
     ArrayMcConfig,
+    ArrayPofResult,
     ArraySerSimulator,
     BatchPlan,
     CampaignPoint,
@@ -114,10 +115,16 @@ def let_point(let, n, seed):
     )
 
 
-def run_campaign(layout, pof_table, *, seed=42, n=6000, **overrides):
-    simulator = make_simulator(layout, pof_table, **overrides)
+def run_campaign(layout, pof_table, *, seed=42, n=6000, n_jobs=1):
+    simulator = make_simulator(layout, pof_table)
     rng = np.random.default_rng(seed)
-    return simulator.run(ALPHA, 5.0, 0.7, n, rng)
+    return simulator.run(ALPHA, 5.0, 0.7, n, rng, n_jobs=n_jobs)
+
+
+def run_as_one_task(simulator, point):
+    """Every draw block of ``point`` in a single strike pass, merged."""
+    units = [(point, size, seed) for size, seed in point.blocks]
+    return ArrayPofResult.merge(simulator._run_task(units))
 
 
 def assert_results_identical(a, b):
@@ -159,14 +166,16 @@ class TestCampaignIdentity:
     def test_identical_across_chunking_and_jobs(
         self, layout, pof_table, metrics, clean_engine_state
     ):
-        """60k particles are enough work that two workers really fork."""
+        """A campaign equals its blocks run as one task; 60k particles
+        are enough work that two workers really fork."""
         n = 60000
-        baseline = run_campaign(layout, pof_table, n=n, chunk_size=4096)
-        rechunked = run_campaign(layout, pof_table, n=n, chunk_size=16384)
-        fanned = run_campaign(
-            layout, pof_table, n=n, chunk_size=4096, n_jobs=2
+        baseline = run_campaign(layout, pof_table, n=n)
+        point = CampaignPoint.uniform(
+            "alpha", 5.0, 0.7, n, np.random.default_rng(42)
         )
-        assert_results_identical(baseline, rechunked)
+        one_task = run_as_one_task(make_simulator(layout, pof_table), point)
+        fanned = run_campaign(layout, pof_table, n=n, n_jobs=2)
+        assert_results_identical(baseline, one_task)
         assert_results_identical(baseline, fanned)
         assert get_registry().snapshot()["counters"]["parallel.maps"] == 1
 
@@ -227,19 +236,23 @@ class TestBatchPlan:
         self, layout, pof_table, metrics, clean_engine_state
     ):
         """``run_let`` equals its point's plan at any worker count and
-        chunk size; 60k particles are enough work that two workers
-        really fork."""
+        its blocks run as one task; 60k particles are enough work that
+        two workers really fork."""
         campaign = HeavyIonCampaign(layout, pof_table)
+        simulator = campaign.simulator
         n = 60000
         expected = campaign.run_let(0.5, 0.7, n, np.random.default_rng(5))
-        results = []
-        for chunk_size, n_jobs in ((4096, 1), (16384, 1), (4096, 2)):
-            config = replace(campaign.simulator.config, chunk_size=chunk_size)
-            simulator = ArraySerSimulator(layout, pof_table, config=config)
+        results = [
+            run_as_one_task(
+                simulator, let_point(0.5, n, np.random.default_rng(5))
+            )
+        ]
+        for n_jobs in (1, 2):
             point = let_point(0.5, n, np.random.default_rng(5))
             (result,) = BatchPlan(simulator, [point], n_jobs=n_jobs).execute()
-            assert result.pof_total == expected.pof_per_particle
             results.append(result)
+        for result in results:
+            assert result.pof_total == expected.pof_per_particle
         for result in results[1:]:
             assert_results_identical(result, results[0])
         assert get_registry().snapshot()["counters"]["parallel.maps"] == 1
@@ -471,15 +484,16 @@ class TestLostBlocks:
     def test_lenient_plan_flags_only_points_that_lost_blocks(
         self, layout, pof_table, tmp_path, monkeypatch, clean_engine_state
     ):
-        # one block per task: points own tasks 0-1, 2-3 and 4-7, and the
-        # kill hits task 6.  With two workers at most one earlier task
-        # is still in flight when the pool breaks, so every point keeps
-        # a block and at least one of the first two stays whole.
-        simulator = make_simulator(layout, pof_table, chunk_size=4096)
+        # two full blocks per task: points own tasks 0-1, 2-3 and 4-7,
+        # and the kill hits task 6.  With two workers at most one
+        # earlier task is still in flight when the pool breaks, so every
+        # point keeps a block and at least one of the first two stays
+        # whole.
+        simulator = make_simulator(layout, pof_table)
         specs = [
-            (5.0, 0.7, 2 * DRAW_BLOCK_SIZE, 11),
-            (2.0, 0.9, 2 * DRAW_BLOCK_SIZE, 12),
-            (8.0, 0.7, 4 * DRAW_BLOCK_SIZE, 13),
+            (5.0, 0.7, 4 * DRAW_BLOCK_SIZE, 11),
+            (2.0, 0.9, 4 * DRAW_BLOCK_SIZE, 12),
+            (8.0, 0.7, 8 * DRAW_BLOCK_SIZE, 13),
         ]
         solo = [
             simulator.run(

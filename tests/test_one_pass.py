@@ -9,9 +9,9 @@ blocks mix mono-energetic, spectrum, stratum-rect and LET points,
 supply voltages on, between and beyond the POF table's, and blocks
 that miss the array or cross it without a fin strike.
 
-Also covered: the task layout of ``BatchPlan.run_blocks`` (whole blocks
-filled to ``chunk_size`` particles) and the pair-offset batches, whose
-size no longer follows ``chunk_size``.
+Also covered: the task layout of ``BatchPlan.run_blocks``, whole blocks
+filled to ``TASK_PARTICLES`` (the layout its journal key still names
+``blocks-filled-to-chunk-size``).
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.physics import (
     SeaLevelProtonSpectrum,
 )
 from repro.ser import ArrayMcConfig, ArraySerSimulator, CampaignPoint
-from repro.ser.clusters import collect_pair_offsets
 from repro.ser.fusion import _fill_tasks
 from repro.ser.mc import DRAW_BLOCK_SIZE
 from repro.sram import PofTable
@@ -230,12 +229,9 @@ def test_every_grouping_matches_per_block_oracle(
 
 class TestTaskLayout:
     @staticmethod
-    def _layout(sizes, chunk_size=8192):
+    def _layout(sizes):
         units = [(None, size, None) for size in sizes]
-        return [
-            [size for _, size, _ in task]
-            for task in _fill_tasks(units, chunk_size)
-        ]
+        return [[size for _, size, _ in task] for task in _fill_tasks(units)]
 
     def test_small_blocks_fill_to_chunk_size(self):
         """serbench's 4000-, 2000- and 1000-particle blocks: 3, 5, 9."""
@@ -251,31 +247,3 @@ class TestTaskLayout:
             [full, full],
             [full, 808],
         ]
-        assert self._layout([full] * 3, chunk_size=100) == [[full]] * 3
-        assert self._layout([full] * 4, chunk_size=10000) == [
-            [full] * 3,
-            [full],
-        ]
-
-
-def test_pair_offsets_ignore_chunk_size(pof_table):
-    """Pair statistics are the same for any ``chunk_size``."""
-    layout = SramArrayLayout(n_rows=16, n_cols=16)
-    stats = []
-    for chunk_size in (4096, 8192, 100000):
-        simulator = ArraySerSimulator(
-            layout,
-            pof_table,
-            config=ArrayMcConfig(
-                deposition_mode="direct", chunk_size=chunk_size
-            ),
-        )
-        stats.append(
-            collect_pair_offsets(
-                simulator, ALPHA, 2.0, 0.7, 12000, np.random.default_rng(7)
-            )
-        )
-    assert stats[0].total_pair_rate > 0
-    for other in stats[1:]:
-        assert list(other.expected_pairs) == list(stats[0].expected_pairs)
-        assert other.expected_pairs == stats[0].expected_pairs

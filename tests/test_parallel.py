@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 from repro.geometry import RayBatch
 from repro.layout import SramArrayLayout
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import parallel_map, resolve_jobs, spawn_seeds
+from repro.parallel import get_lease, parallel_map, resolve_jobs, spawn_seeds
 from repro.physics import ALPHA, AlphaEmissionSpectrum, sample_rays
 from repro.sram import (
     CharacterizationConfig,
@@ -61,15 +61,15 @@ def layout():
     return SramArrayLayout(n_rows=4, n_cols=4)
 
 
-def make_simulator(layout, pof_table, **overrides):
-    config = ArrayMcConfig(deposition_mode="direct", **overrides)
+def make_simulator(layout, pof_table):
+    config = ArrayMcConfig(deposition_mode="direct")
     return ArraySerSimulator(layout, pof_table, config=config)
 
 
-def run_campaign(layout, pof_table, *, seed=42, n=6000, **overrides):
-    simulator = make_simulator(layout, pof_table, **overrides)
+def run_campaign(layout, pof_table, *, seed=42, n=6000, n_jobs=1):
+    simulator = make_simulator(layout, pof_table)
     rng = np.random.default_rng(seed)
-    return simulator.run(ALPHA, 5.0, 0.7, n, rng)
+    return simulator.run(ALPHA, 5.0, 0.7, n, rng, n_jobs=n_jobs)
 
 
 def assert_results_identical(a, b):
@@ -139,38 +139,39 @@ def _offset_task(payload, task):
 
 
 class TestCampaignInvariance:
-    def test_chunk_size_invariance(self, layout, pof_table):
-        small = run_campaign(layout, pof_table, chunk_size=100)
-        large = run_campaign(layout, pof_table, chunk_size=8192)
-        assert small.pof_total > 0
-        assert_results_identical(small, large)
-
     def test_n_jobs_invariance(self, layout, pof_table):
-        serial = run_campaign(layout, pof_table, n_jobs=1)
-        two = run_campaign(layout, pof_table, n_jobs=2)
-        four = run_campaign(layout, pof_table, n_jobs=4)
+        """120k particles (~2 us each) clear the auto-inline threshold
+        at four workers, so both pooled legs really fork."""
+        from repro.obs.registry import disable_metrics, enable_metrics
+
+        registry = enable_metrics(fresh=True)
+        try:
+            serial, two, four = (
+                run_campaign(layout, pof_table, n=120_000, n_jobs=n_jobs)
+                for n_jobs in (1, 2, 4)
+            )
+            assert registry.counter("parallel.maps").value == 2
+        finally:
+            disable_metrics()
+            get_lease().shutdown_all()
         assert serial.pof_total > 0
         assert_results_identical(serial, two)
         assert_results_identical(serial, four)
 
-    def test_jobs_and_chunks_together(self, layout, pof_table):
-        baseline = run_campaign(layout, pof_table, n_jobs=1, chunk_size=8192)
-        mixed = run_campaign(layout, pof_table, n_jobs=4, chunk_size=100)
-        assert_results_identical(baseline, mixed)
-
     def test_spectrum_invariance(self, layout, pof_table):
-        spectrum = AlphaEmissionSpectrum()
+        simulator = make_simulator(layout, pof_table)
 
-        def run(n_jobs, chunk_size):
-            simulator = make_simulator(
-                layout, pof_table, n_jobs=n_jobs, chunk_size=chunk_size
-            )
+        def run(n_jobs):
             return simulator.run_spectrum(
-                ALPHA, spectrum, 0.7, 6000, np.random.default_rng(21)
+                ALPHA,
+                AlphaEmissionSpectrum(),
+                0.7,
+                6000,
+                np.random.default_rng(21),
+                n_jobs=n_jobs,
             )
 
-        baseline = run(1, 8192)
-        assert_results_identical(baseline, run(2, 100))
+        assert_results_identical(run(1), run(2))
 
 
 # -- sparse kernel vs the dense oracle (tests/array_oracle.py) -----------------

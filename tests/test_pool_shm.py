@@ -109,10 +109,10 @@ def layout():
     return SramArrayLayout(n_rows=4, n_cols=4)
 
 
-def make_simulator(layout, pof_table, **overrides):
+def make_simulator(layout, pof_table):
     from repro.ser import ArrayMcConfig, ArraySerSimulator
 
-    config = ArrayMcConfig(deposition_mode="direct", **overrides)
+    config = ArrayMcConfig(deposition_mode="direct")
     return ArraySerSimulator(layout, pof_table, config=config)
 
 
@@ -150,11 +150,13 @@ def _two_campaign_sweep(layout, pof_table, *, n_jobs=2):
     (~2 us/particle) to clear the auto-inline threshold, so with
     ``n_jobs > 1`` the maps really pool.
     """
-    simulator = make_simulator(layout, pof_table, n_jobs=n_jobs)
+    simulator = make_simulator(layout, pof_table)
     out = []
     for i, energy in enumerate((5.0, 8.0)):
         rng = np.random.default_rng(1000 + i)
-        out.append(simulator.run(ALPHA, energy, 0.7, 60_000, rng))
+        out.append(
+            simulator.run(ALPHA, energy, 0.7, 60_000, rng, n_jobs=n_jobs)
+        )
     return out
 
 

@@ -128,6 +128,8 @@ MALFORMED_SPECS = (
     {"target_se": float("nan")},
     {"pilot_trials": -5},
     {"max_trials": 0},
+    {"vdd_list": [0.7, 0.7]},
+    {"particles": ["alpha", "alpha"]},
 )
 
 
