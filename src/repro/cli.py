@@ -65,6 +65,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .errors import ConfigError, ReproError
 from .obs import (
     build_manifest,
     configure_events,
@@ -916,7 +917,10 @@ def main(argv=None) -> int:
     try:
         with span(f"cli.{args.command}", argv=" ".join(argv or sys.argv[1:])):
             exit_code = args.func(args)
-        return exit_code
+    except ReproError as exc:
+        # one line, no traceback; a bad option value exits 2, as in argparse
+        exit_code = 2 if isinstance(exc, ConfigError) else 1
+        print(f"error: {exc}", file=sys.stderr)
     finally:
         duration_s = time.perf_counter() - t0
         if metrics_out:
@@ -938,6 +942,7 @@ def main(argv=None) -> int:
         if events_path:
             disable_events()
             _say(f"events written to {events_path}")
+    return exit_code
 
 
 if __name__ == "__main__":

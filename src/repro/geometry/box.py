@@ -122,49 +122,45 @@ def _slab_interval(origins, directions, lo, hi):
         Arrays of the broadcast leading shape; a miss is encoded as
         ``t_far <= t_near``.
     """
-    # Accumulate the slab interval one axis at a time with scratch
-    # arrays of the result shape -- avoids (..., 3) temporaries, which
-    # dominate the array-MC runtime.  Guard zero direction components:
-    # a ray parallel to a slab either always or never satisfies it.  A
-    # subnormal component overflows its inverse to inf just like an
-    # exact zero, so both count as parallel (the interval arithmetic
-    # would otherwise hit 0 * inf = nan on a ray touching the plane).
-    shape = np.broadcast_shapes(
-        origins.shape[:-1],
-        directions.shape[:-1],
-        lo.shape[:-1],
-        hi.shape[:-1],
-    )
-    t_near = np.full(shape, -np.inf, dtype=np.float64)
-    t_far = np.full(shape, np.inf, dtype=np.float64)
+    # One axis at a time, in arrays of the result shape: (..., 3)
+    # temporaries would dominate the array-MC runtime.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_all = 1.0 / directions  # inf where parallel
-    # Large finite sentinel: +/- inf would turn into nan under the
-    # interval arithmetic (inf - inf) when a parallel-outside slab
-    # meets another infinite bound.
-    big = 1.0e30
+        inv = 1.0 / directions  # inf where parallel
+    t_near, t_far = -np.inf, np.inf
     for axis in range(3):
-        o = origins[..., axis]
-        inv = inv_all[..., axis]
-        lo_axis = lo[..., axis]
-        hi_axis = hi[..., axis]
-        # 0 * inf -> nan is possible when a parallel ray origin touches
-        # a slab plane; the parallel branch below overwrites those.
-        with np.errstate(over="ignore", invalid="ignore"):
-            t1 = (lo_axis - o) * inv
-            t2 = (hi_axis - o) * inv
-        axis_lo = np.minimum(t1, t2)
-        axis_hi = np.maximum(t1, t2)
-        parallel = ~np.isfinite(inv)
-        if np.any(parallel):
-            # A ray parallel to this slab pair either satisfies it for
-            # all t (origin inside the slab) or for no t (outside).
-            inside = (o >= lo_axis) & (o <= hi_axis)
-            axis_lo = np.where(parallel, np.where(inside, -big, big), axis_lo)
-            axis_hi = np.where(parallel, np.where(inside, big, -big), axis_hi)
-        np.maximum(t_near, axis_lo, out=t_near)
-        np.minimum(t_far, axis_hi, out=t_far)
+        axis_lo, axis_hi = _axis_interval(
+            origins[..., axis], inv[..., axis], lo[..., axis], hi[..., axis]
+        )
+        t_near = np.maximum(t_near, axis_lo)
+        t_far = np.minimum(t_far, axis_hi)
     return t_near, t_far
+
+
+def _axis_interval(o, inv, lo, hi):
+    """One axis of the slab method: its ``(axis_lo, axis_hi)`` interval.
+
+    ``o`` (origin coordinate), ``inv`` (``1.0 / direction``) and the
+    slab bounds ``lo``/``hi`` broadcast.  A ray parallel to the slab
+    either always or never satisfies it; a subnormal component
+    overflows its inverse to inf just like an exact zero, so both count
+    as parallel (the interval arithmetic would otherwise hit
+    0 * inf = nan on a ray touching the plane).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = (lo - o) * inv
+        t2 = (hi - o) * inv
+    axis_lo = np.minimum(t1, t2)
+    axis_hi = np.maximum(t1, t2)
+    parallel = ~np.isfinite(inv)
+    if np.any(parallel):
+        # Large finite sentinel: +/- inf would turn into nan under the
+        # interval arithmetic (inf - inf) when a parallel-outside slab
+        # meets another infinite bound.
+        big = 1.0e30
+        inside = (o >= lo) & (o <= hi)
+        axis_lo = np.where(parallel, np.where(inside, -big, big), axis_lo)
+        axis_hi = np.where(parallel, np.where(inside, big, -big), axis_hi)
+    return axis_lo, axis_hi
 
 
 def chord_lengths(rays: RayBatch, boxes, forward_only: bool = True):

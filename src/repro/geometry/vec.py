@@ -36,8 +36,10 @@ def as_vec3_batch(value) -> np.ndarray:
 
 
 def norm(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis."""
-    return np.linalg.norm(vectors, axis=-1)
+    """Norm along the last axis of 3-vectors; bit for bit np.linalg.norm."""
+    arr = np.asarray(vectors, dtype=np.float64)
+    x, y, z = arr[..., 0], arr[..., 1], arr[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def normalize(vectors: np.ndarray) -> np.ndarray:

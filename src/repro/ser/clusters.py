@@ -111,16 +111,15 @@ def collect_pair_offsets(
 
     if not code_parts:
         return PairOffsetStatistics({}, n_particles)
-    # one unbuffered scatter-add over the concatenated streams: adds
-    # land per key in encounter order, so every offset's accumulated
+    # one weighted bincount over the concatenated streams: it sums each
+    # key from 0.0 in encounter order, so every offset's accumulated
     # float is bit-identical to the historical dict loop's
     codes = np.concatenate(code_parts)
     values = np.concatenate(value_parts)
     unique_codes, first_pos, inverse = np.unique(
         codes, return_index=True, return_inverse=True
     )
-    acc = np.zeros(len(unique_codes), dtype=np.float64)
-    np.add.at(acc, inverse, values)
+    acc = np.bincount(inverse, weights=values, minlength=len(unique_codes))
     normalized = {
         (int(unique_codes[i] // n_cols), int(unique_codes[i] % n_cols)): float(
             acc[i]

@@ -878,12 +878,15 @@ class ArraySerSimulator:
         n_cells = self.layout.n_cells
         key = strikes.event_of.astype(np.int64) * n_cells + strikes.cell_of
         unique_keys, inverse = np.unique(key, return_inverse=True)
-        cell_charges = np.zeros((len(unique_keys), 3), dtype=np.float64)
-        np.add.at(cell_charges, (inverse, strikes.strike_of), strikes.charges)
-
-        touched = np.any(cell_charges > 0.0, axis=1)
+        # sums each (row, node) bin in strike order, as the oracle's add.at
+        fold = np.bincount(
+            inverse * 3 + strikes.strike_of,
+            weights=strikes.charges,
+            minlength=3 * len(unique_keys),
+        )
+        touched = (fold[0::3] > 0.0) | (fold[1::3] > 0.0) | (fold[2::3] > 0.0)
         keys = unique_keys[touched]
-        charges = cell_charges.compress(touched, axis=0)
+        charges = fold.reshape(-1, 3).compress(touched, axis=0)
         event_of = keys // n_cells
         row_bounds = np.searchsorted(event_of, strikes.event_bounds)
         pof = np.empty(len(keys), dtype=np.float64)

@@ -1,8 +1,16 @@
 """CLI smoke tests."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.parallel.engine import FAULT_ENV
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 class TestParser:
@@ -108,3 +116,83 @@ class TestReport:
         assert "# Reproduction report" in text
         assert "Fig. 9" in text
         assert "Fig. 8" in text
+
+
+def _run_cli(args, env_extra=None, cwd=None):
+    """``python -m repro ARGS`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+
+
+class TestExpectedErrors:
+    """A library error ends in one ``error:`` line, not a traceback."""
+
+    def test_bad_option_value_exits_2(self, tmp_path):
+        manifest = tmp_path / "run.json"
+        result = _run_cli(
+            [
+                "sweep",
+                "--vdd-list",
+                "0.9,0.7",
+                "--quiet",
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--metrics-out",
+                str(manifest),
+            ]
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: vdd_list must be strictly increasing"
+        ]
+        assert json.loads(manifest.read_text())["exit_code"] == 2
+
+    def test_fatal_worker_loss_exits_1(self, tmp_path):
+        """A worker killed with no retries left: ``WorkerCrashError``."""
+        marker = tmp_path / "killed"
+        manifest = tmp_path / "run.json"
+        result = _run_cli(
+            [
+                "sweep",
+                "--samples",
+                "16",
+                "--yield-trials",
+                "1000",
+                "--mc-particles",
+                "2000",
+                "--vdd-list",
+                "0.7,0.9",
+                "--seed",
+                "3",
+                "--jobs",
+                "2",
+                "--retries",
+                "0",
+                "--quiet",
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--metrics-out",
+                str(manifest),
+            ],
+            env_extra={FAULT_ENV: f"array_mc:3:{marker}"},
+        )
+        assert marker.exists()
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        errors = [
+            line
+            for line in result.stderr.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert "lost to worker crashes" in errors[0]
+        assert json.loads(manifest.read_text())["exit_code"] == 1

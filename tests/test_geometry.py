@@ -15,6 +15,7 @@ from repro.geometry import (
     SoiFinWorld,
     SoiStack,
     chord_lengths,
+    norm,
     normalize,
     stack_boxes,
 )
@@ -23,7 +24,34 @@ from repro.physics import sample_rays
 from repro.physics.sampling import sample_directions
 
 
+#: Components where the squares underflow to subnormals or zero
+#: (|x| < 1.5e-154) or overflow to inf (|x| > 1.3e154).
+EXTREME_COMPONENTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1e154, -1.3e154]
+    ),
+    st.floats(1e-156, 1e-152),
+    st.floats(1e152, 1e156),
+    st.floats(-1e156, -1e152),
+)
+
+
 class TestVec:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[EXTREME_COMPONENTS] * 3), min_size=1, max_size=16
+        )
+    )
+    def test_norm_is_bit_identical_to_linalg_norm(self, rows):
+        batch = np.array(rows, dtype=np.float64)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = np.linalg.norm(batch, axis=-1)
+            assert norm(batch).tobytes() == want.tobytes()
+            for row, value in zip(batch, want):
+                assert norm(row).tobytes() == value.tobytes()
+
     def test_normalize_unit(self):
         v = normalize(np.array([3.0, 4.0, 0.0]))
         assert np.allclose(v, [0.6, 0.8, 0.0])
@@ -210,6 +238,46 @@ def _random_boxes(specs):
     )
 
 
+#: Shared slabs of the lattice box sets.  x: [0, 10] and [10, 20]
+#: touch, [30, 40] and [35, 55] overlap at two widths.  y: overlapping
+#: slabs of different widths like the 9x9 layout's [0, 60] and
+#: [40, 100], and faces that touch.  z: two disjoint ranges.
+LATTICE_SLABS = (
+    ((0.0, 10.0), (10.0, 20.0), (30.0, 40.0), (35.0, 55.0), (-20.0, -10.0)),
+    ((0.0, 60.0), (40.0, 100.0), (100.0, 160.0), (-30.0, 0.0), (0.0, 30.0)),
+    ((0.0, 30.0), (30.0, 45.0), (60.0, 90.0)),
+)
+
+
+@st.composite
+def lattice_boxes(draw):
+    """Boxes on a few shared x-, y- and z-slabs, shifted and scaled.
+
+    Duplicates, touching faces and single-box sets come up, and one
+    x-slab may hold boxes at two z ranges.
+    """
+    cells = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, len(s) - 1) for s in LATTICE_SLABS]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    if draw(st.booleans()):
+        cells.append(cells[0])  # a duplicate box
+    if draw(st.booleans()):
+        x, y, z = cells[-1]
+        cells.append((x, y, 0 if z == 2 else 2))  # another z range
+    shift = np.array(draw(st.tuples(*[st.floats(-500.0, 500.0)] * 3)))
+    scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
+    bounds = np.array(
+        [[LATTICE_SLABS[axis][i] for axis, i in enumerate(c)] for c in cells]
+    )  # (n, axis, lo/hi)
+    return np.hstack(
+        [shift + scale * bounds[:, :, 0], shift + scale * bounds[:, :, 1]]
+    )
+
+
 box_sets = st.one_of(
     st.sampled_from(sorted(GRID_LAYOUTS)).map(_sensitive_boxes),
     st.lists(
@@ -220,6 +288,7 @@ box_sets = st.one_of(
         min_size=1,
         max_size=12,
     ).map(_random_boxes),
+    lattice_boxes(),
 )
 
 
@@ -344,6 +413,24 @@ class TestBoxGrid:
     def test_empty_box_set_rejected(self):
         with pytest.raises(GeometryError):
             BoxGrid(np.zeros((0, 6)))
+
+
+class TestBoxGridTightness:
+    @pytest.mark.parametrize("name", ["9x9", "16x16"])
+    def test_narrow_phase_tests_about_one_box_per_chord(self, name):
+        """The slab index is tight: few candidates miss on a campaign block."""
+        boxes = _sensitive_boxes(name)
+        grid = BoxGrid(boxes)
+        x_range, y_range, z, _ = GRID_LAYOUTS[name].launch_window(100.0)
+        tests = chords = 0
+        for law in ("isotropic", "cosine", "beam:1.0"):
+            rays = sample_rays(
+                4096, np.random.default_rng(11), x_range, y_range, z, law
+            )
+            tests += len(grid._candidates(rays)[0])
+            chords += len(grid.chords(rays)[0])
+        assert chords > 0
+        assert tests <= 1.1 * chords
 
 
 class TestFinGeometry:
