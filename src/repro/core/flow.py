@@ -18,6 +18,7 @@ build up LUTs" is honored across process restarts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -84,6 +85,29 @@ DEFAULT_ENERGY_RANGES = {
     "proton": (0.4, 100.0),
     "alpha": (0.5, 10.0),
 }
+
+#: Spectrum binnings a process keeps: every particle at every bin count
+#: and range its flows ask for, with room to spare.
+_ENERGY_BINS_CACHED = 64
+
+
+@functools.lru_cache(maxsize=_ENERGY_BINS_CACHED)
+def _energy_bins(
+    particle_name: str, n_bins: int, e_lo: float, e_hi: float
+) -> EnergyBins:
+    """The eq. 8 bins of one particle's spectrum, built once per process.
+
+    Every flow that bins the same particle over the same range reads
+    the same object, so its arrays are read-only.
+    """
+    bins = spectrum_for(particle_name).make_bins(n_bins, e_lo, e_hi)
+    for array in (
+        bins.edges_mev,
+        bins.representative_mev,
+        bins.integral_flux_per_cm2_s,
+    ):
+        array.flags.writeable = False
+    return bins
 
 
 @dataclass(frozen=True)
@@ -215,7 +239,6 @@ class SerFlow:
         self._layout: Optional[SramArrayLayout] = None
         self._simulator: Optional[ArraySerSimulator] = None
         self._campaign_pack: Optional[PackedPayload] = None
-        self._bins: Dict[str, EnergyBins] = {}
 
     def _journal_for(self, name: str, encode, decode, *config_objects):
         """A shard journal under the cache dir, or ``None``.
@@ -227,9 +250,10 @@ class SerFlow:
         """
         if self.cache is None or not self.resume:
             return None
+        key = config_hash(*config_objects)
         return ShardJournal(
-            self.cache.journal_path(name, *config_objects),
-            self.cache.journal_key(*config_objects),
+            self.cache.journal_path(name, key),
+            key,
             encode=encode,
             decode=decode,
         )
@@ -612,19 +636,17 @@ class SerFlow:
                 ),
             )
 
-    def _fit_bins(self, particle_name: str):
+    def _fit_bins(self, particle_name: str) -> EnergyBins:
         """The FIT energy bins of one particle (eq. 8 discretization).
 
-        Built once per flow and particle: the bins depend only on the
-        config, and each build integrates the spectrum afresh.
+        They depend only on the particle, the bin count and the energy
+        range, so every flow of the process shares one build
+        (:func:`_energy_bins`).
         """
-        bins = self._bins.get(particle_name)
-        if bins is None:
-            spectrum = spectrum_for(particle_name)
-            e_lo, e_hi = self.config.energy_range_for(particle_name)
-            bins = spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
-            self._bins[particle_name] = bins
-        return bins
+        e_lo, e_hi = self.config.energy_range_for(particle_name)
+        return _energy_bins(
+            particle_name, self.config.n_energy_bins, e_lo, e_hi
+        )
 
     def _integrate(self, particle_name, vdd_v, bins, results) -> FitResult:
         """Record per-bin convergence, then fold the bins into a FIT.

@@ -12,7 +12,9 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
+import weakref
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -149,6 +151,14 @@ def _jsonable(obj):
 DEFAULT_LOCK_POLL_S = 0.05
 DEFAULT_LOCK_STALE_S = 600.0
 
+#: The artifact each cache path last loaded or saved in this process,
+#: while something else still holds it.  Paths are content-addressed,
+#: so a live entry is never stale, and the map keeps nothing alive.
+_LIVE: "weakref.WeakValueDictionary[Path, object]" = (
+    weakref.WeakValueDictionary()
+)
+_LIVE_LOCK = threading.Lock()
+
 
 class BuildLock:
     """Cross-process single-flight lock for one cache key.
@@ -212,7 +222,12 @@ class BuildLock:
 
 
 class ArtifactCache:
-    """A tiny content-addressed artifact cache directory."""
+    """A tiny content-addressed artifact cache directory.
+
+    Within one process an artifact is decoded once while anything
+    holds it: a probe of its path returns the object the process last
+    loaded or saved there, as long as that object is alive.
+    """
 
     def __init__(
         self,
@@ -220,7 +235,9 @@ class ArtifactCache:
         lock_poll_s: float = DEFAULT_LOCK_POLL_S,
         lock_stale_s: float = DEFAULT_LOCK_STALE_S,
     ):
-        self.directory = Path(directory)
+        # absolute, so a later chdir neither moves the cache nor lets
+        # two directories share a live artifact (see _try_load)
+        self.directory = Path(directory).absolute()
         self.directory.mkdir(parents=True, exist_ok=True)
         self.lock_poll_s = float(lock_poll_s)
         self.lock_stale_s = float(lock_stale_s)
@@ -232,28 +249,32 @@ class ArtifactCache:
 
     def lock_path_for(self, name: str, *config_objects) -> Path:
         """Single-flight build-lock path for a named artifact."""
-        key = config_hash(*config_objects)
-        return self.directory / f"{name}-{key}.lock"
+        return _lock_path(self.path_for(name, *config_objects))
 
-    def journal_path(self, name: str, *config_objects) -> Path:
+    def journal_path(self, name: str, key: str) -> Path:
         """Shard-journal checkpoint path for a named campaign.
 
-        Lives next to the artifact it checkpoints, keyed by the same
-        sha256 configuration hash -- so a journal can only ever resume
-        the campaign whose configuration wrote it (the
+        ``key`` is the campaign's ``config_hash``, the same sha256
+        configuration hash its artifact is keyed by -- so a journal can
+        only ever resume the campaign whose configuration wrote it (the
         :class:`~repro.parallel.ShardJournal` additionally embeds the
         key in every record).
         """
-        key = config_hash(*config_objects)
         return self.directory / f"journal-{name}-{key}.jsonl"
 
-    def journal_key(self, *config_objects) -> str:
-        """The sha256 campaign key matching :meth:`journal_path`."""
-        return config_hash(*config_objects)
-
     def _try_load(self, name: str, path: Path):
-        """One cache probe: ``(hit, artifact)``; corrupt entries discarded."""
+        """One cache probe: ``(hit, artifact)``; corrupt entries discarded.
+
+        An artifact this process already holds is returned as it is,
+        without touching the disk.
+        """
         metrics = get_registry()
+        with _LIVE_LOCK:
+            artifact = _LIVE.get(path)
+        if artifact is not None:
+            metrics.counter("lut_cache.hits").inc()
+            _log.debug("cache hit (live) %s", kv(name=name, path=path))
+            return True, artifact
         if not path.exists():
             return False, None
         try:
@@ -266,6 +287,7 @@ class ArtifactCache:
             )
             path.unlink(missing_ok=True)
             return False, None
+        _remember(path, artifact)
         metrics.counter("lut_cache.hits").inc()
         _log.debug("cache hit %s", kv(name=name, path=path))
         return True, artifact
@@ -296,7 +318,7 @@ class ArtifactCache:
         if hit:
             return artifact
         lock = BuildLock(
-            self.lock_path_for(name, *config_objects),
+            _lock_path(path),
             poll_s=self.lock_poll_s,
             stale_s=self.lock_stale_s,
         )
@@ -337,8 +359,20 @@ class ArtifactCache:
                 )
                 return artifact
             save_artifact(artifact, path)
+            _remember(path, artifact)
             metrics.counter("lut_cache.writes").inc()
             _log.debug("cache write %s", kv(name=name, path=path))
             return artifact
         finally:
             lock.release()
+
+
+def _lock_path(artifact_path: Path) -> Path:
+    """The single-flight build lock next to an artifact path."""
+    return artifact_path.with_suffix(".lock")
+
+
+def _remember(path: Path, artifact):
+    """Let later probes of ``path`` return ``artifact`` while it lives."""
+    with _LIVE_LOCK:
+        _LIVE[path] = artifact

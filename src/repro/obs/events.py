@@ -105,6 +105,11 @@ class EventRing:
             self._events.append(event)
             self.total += 1
 
+    def newest(self) -> Optional[dict]:
+        """The most recent retained event (``None`` when empty)."""
+        with self._lock:
+            return self._events[-1] if self._events else None
+
     def snapshot(self, kind: Optional[str] = None) -> List[dict]:
         """The retained events in order, optionally filtered by kind."""
         with self._lock:

@@ -45,12 +45,18 @@ def _identity(value):
     return value
 
 
+def _canonical(value) -> str:
+    """The JSON text a digest covers: sorted keys, compact."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(canon: str) -> str:
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
 def _entry_digest(key: str, shard: int, payload) -> str:
     """Content digest of one journal entry (detects torn/corrupt lines)."""
-    canon = json.dumps(
-        [key, shard, payload], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return _digest(_canonical([key, shard, payload]))
 
 
 class ShardJournal:
@@ -83,6 +89,7 @@ class ShardJournal:
     ):
         self.path = Path(path)
         self.key = str(key)
+        self._key_json = _canonical(self.key)
         self._encode = encode if encode is not None else _identity
         self._decode = decode if decode is not None else _identity
 
@@ -137,17 +144,18 @@ class ShardJournal:
 
         The line is written in a single ``write`` on an ``O_APPEND``
         handle, flushed, and fsynced before returning, so a checkpoint
-        survives anything short of storage loss.
+        survives anything short of storage loss.  The payload is
+        encoded once: the line embeds the same canonical text the
+        digest covers, so the digest is :func:`_entry_digest`'s.
         """
-        payload = self._encode(result)
-        entry = {
-            "v": _JOURNAL_VERSION,
-            "key": self.key,
-            "shard": int(shard),
-            "result": payload,
-            "sha": _entry_digest(self.key, int(shard), payload),
-        }
-        line = json.dumps(entry, separators=(",", ":")) + "\n"
+        shard = int(shard)
+        key = self._key_json
+        text = _canonical(self._encode(result))
+        sha = _digest(f"[{key},{shard},{text}]")
+        line = (
+            f'{{"v":{_JOURNAL_VERSION},"key":{key},"shard":{shard},'
+            f'"result":{text},"sha":"{sha}"}}\n'
+        )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line)

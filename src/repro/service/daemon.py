@@ -248,11 +248,16 @@ class ServiceDaemon:
 
     @staticmethod
     def _ring_seq() -> int:
-        """Highest event seq currently in the ring (0 when dark)."""
+        """Highest event seq currently in the ring (0 when dark).
+
+        The bus appends events in ``seq`` order under its lock, so the
+        newest retained event holds the highest.
+        """
         bus = get_event_bus()
         if bus is None or bus.ring is None:
             return 0
-        return max((e.get("seq", 0) for e in bus.ring.snapshot()), default=0)
+        newest = bus.ring.newest()
+        return newest.get("seq", 0) if newest is not None else 0
 
     async def _fan_out_events(
         self, request_id, writer, send_lock, aio_future, last_seq: int

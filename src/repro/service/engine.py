@@ -109,7 +109,7 @@ def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
 
 
 def run_query(
-    spec: QuerySpec, flow=None, options=None, pair_offsets=None
+    spec: QuerySpec, flow=None, options=None, pair_offsets=None, key=None
 ) -> dict:
     """Execute one query end-to-end; returns a JSON-safe result dict.
 
@@ -121,7 +121,9 @@ def run_query(
     campaigns of one model share (see :class:`CampaignEngine`): it
     keeps each pair-offset campaign's statistics under
     ``(particle, vdd, energy, ecc_pair_particles)``, which together
-    with the model fixes the campaign's random stream.
+    with the model fixes the campaign's random stream.  ``key`` is the
+    spec's :meth:`~QuerySpec.canonical_key` when the caller already
+    holds it; it is derived here otherwise.
     """
     if flow is None:
         flow = build_flow(spec, options)
@@ -148,7 +150,7 @@ def run_query(
                 )
         result = {
             "kind": "ser_result",
-            "key": spec.canonical_key(flow.design),
+            "key": key if key is not None else spec.canonical_key(),
             "cases": cases,
             "sweep": sweep.to_dict(),
             "degraded": bool(sweep.degraded),
@@ -371,16 +373,17 @@ class CampaignEngine:
     memo_size:
         Completed results memoized in-process (LRU).  Degraded results
         are never memoized — the next request recomputes at full
-        statistics, matching the artifact cache's discipline.
+        statistics, matching the artifact cache's discipline.  The
+        canonical keys of as many distinct specs are kept too, so a
+        repeated query is hashed once.
         Independently of it, the default runner reuses each built
         array model (simulator, packed payload and pair-offset
         statistics) across the campaigns whose flows share its
         :meth:`~repro.core.SerFlow.model_key` (see :class:`_ModelLru`).
     runner:
         The campaign executor, ``spec -> result dict``; defaults to
-        :func:`run_query` under ``options``.  Tests inject fakes here.
-    design:
-        Cell design the canonical keys (and default runner) bind to.
+        :func:`run_query` under ``options``, on the default cell
+        design.  Tests inject fakes here.
     """
 
     def __init__(
@@ -390,10 +393,7 @@ class CampaignEngine:
         max_pending: int = 16,
         memo_size: int = 128,
         runner=None,
-        design=None,
     ):
-        from ..sram import SramCellDesign
-
         if max_concurrent < 1:
             raise ServiceError("max_concurrent must be >= 1")
         if max_pending < 0:
@@ -402,9 +402,9 @@ class CampaignEngine:
         self.max_concurrent = int(max_concurrent)
         self.max_pending = int(max_pending)
         self.memo_size = int(memo_size)
-        self.design = design if design is not None else SramCellDesign()
         self._runner = runner if runner is not None else self._run
         self._memo: "OrderedDict[str, dict]" = OrderedDict()
+        self._keys: "OrderedDict[QuerySpec, str]" = OrderedDict()
         self._models = _ModelLru()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -437,7 +437,7 @@ class CampaignEngine:
         metrics = get_registry()
         metrics.counter("service.requests").inc()
         t0 = time.monotonic()
-        key = spec.canonical_key(self.design)
+        key = self._key_for(spec)
         with self._lock:
             if self._stopped:
                 raise ServiceError("engine is shut down")
@@ -485,6 +485,26 @@ class CampaignEngine:
             self._gauges_locked()
             self._wake.notify_all()
             return campaign.future
+
+    def _key_for(self, spec: QuerySpec) -> str:
+        """``spec``'s canonical key, derived once per distinct spec.
+
+        Equal specs have equal keys, so the key map is exact.  It holds
+        ``memo_size`` specs (LRU) under the engine lock: ``submit``
+        runs on the front-end's thread, :meth:`_run` on campaign
+        threads.
+        """
+        with self._lock:
+            key = self._keys.get(spec)
+            if key is not None:
+                self._keys.move_to_end(spec)
+                return key
+        key = spec.canonical_key()
+        with self._lock:
+            self._keys[spec] = key
+            while len(self._keys) > self.memo_size:
+                self._keys.popitem(last=False)
+        return key
 
     def _memo_get(self, key: str) -> Optional[dict]:
         result = self._memo.get(key)
@@ -634,7 +654,12 @@ class CampaignEngine:
         else:
             pair_offsets = {}
         try:
-            return run_query(spec, flow=flow, pair_offsets=pair_offsets)
+            return run_query(
+                spec,
+                flow=flow,
+                pair_offsets=pair_offsets,
+                key=self._key_for(spec),
+            )
         finally:
             if model is not None:
                 self._models.checkin(model)

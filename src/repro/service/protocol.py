@@ -118,14 +118,17 @@ class QuerySpec:
                     f"spec field {spec_field.name!r} must be "
                     f"{spec_field.type}, got {value!r}"
                 )
-        # normalize list-ish inputs so from_dict(json) and native
-        # construction canonicalize identically
+        # normalize list-ish inputs and integer spellings of floats, so
+        # from_dict(json) and native construction canonicalize
+        # identically and equal specs get one key
         object.__setattr__(
             self, "particles", tuple(str(p) for p in self.particles)
         )
         object.__setattr__(
             self, "vdd_list", tuple(float(v) for v in self.vdd_list)
         )
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.ecc is not None and self.ecc not in ECC_SCHEMES:
             raise QueryError(
                 f"unknown ecc scheme {self.ecc!r} (one of {ECC_SCHEMES})"
@@ -200,22 +203,21 @@ class QuerySpec:
         except ReproError as exc:
             raise QueryError(str(exc)) from exc
 
-    def canonical_key(self, design=None) -> str:
+    def canonical_key(self) -> str:
         """The request's identity: the artifact-cache hash of its campaign.
 
-        Built from the compiled flow configuration, the technology
-        card, and the service-only analysis fields — the same
-        ``config_hash`` family (and the same leading components) the
-        flow's sweep artifact is cached under, so request coalescing,
-        result memoization, and the disk cache all agree on what
-        "identical query" means.
+        Built from the compiled flow configuration, the default cell's
+        technology card (the one cell the service serves), and the
+        service-only analysis fields — the same ``config_hash`` family
+        (and the same leading components) the flow's sweep artifact is
+        cached under, so request coalescing, result memoization, and
+        the disk cache all agree on what "identical query" means.
         """
-        from ..sram import SramCellDesign
+        from ..devices import default_tech
 
-        design = design if design is not None else SramCellDesign()
         return config_hash(
             self.to_flow_config(),
-            design.tech,
+            default_tech(),
             {
                 "particles": list(self.particles),
                 "vdds": list(self.vdd_list),
@@ -231,6 +233,9 @@ class QuerySpec:
 #: Resolved once, not per spec: resolving the annotations costs more
 #: than the rest of a spec's construction.
 _FIELD_TYPES = get_type_hints(QuerySpec)
+_FLOAT_FIELDS = tuple(
+    name for name, hint in _FIELD_TYPES.items() if hint is float
+)
 
 
 def encode_line(message: dict) -> bytes:

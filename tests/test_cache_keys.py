@@ -84,6 +84,22 @@ class TestFlowKey:
         assert keys(other) == keys(base)
 
 
+    def test_journal_path_and_key_from_one_hash(self, tmp_path, monkeypatch):
+        from repro.core import flow as flow_module
+
+        flow = SerFlow(FlowConfig(particles=("alpha",)), cache_dir=str(tmp_path))
+        objects = (flow.config, flow.design.tech, {"stage": "fit"})
+        key = config_hash(*objects)
+        hashed = []
+        monkeypatch.setattr(
+            flow_module, "config_hash", lambda *o: hashed.append(o) or key
+        )
+        journal = flow._journal_for("sweep", None, None, *objects)
+        assert hashed == [objects]
+        assert journal.key == key
+        assert journal.path == tmp_path / f"journal-sweep-{key}.jsonl"
+
+
 class TestQueryKey:
     @pytest.mark.parametrize(
         "field, value",

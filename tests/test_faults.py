@@ -22,6 +22,7 @@ from repro.layout import SramArrayLayout
 from repro.obs.registry import disable_metrics, enable_metrics, get_registry
 from repro.parallel import RetryPolicy, ShardJournal, parallel_map
 from repro.parallel.engine import FAULT_ENV
+from repro.parallel.journal import _entry_digest
 from repro.physics import ALPHA
 from repro.sram import (
     CharacterizationConfig,
@@ -244,6 +245,40 @@ class TestShardJournal:
         replayed = journal.load()
         assert replayed == {0: "good", 1: "also good"}
         assert get_registry().counter("journal.invalid").value == 4
+
+    def test_line_written_before_one_pass_encoding_loads(self, tmp_path):
+        """A line whose ``result`` keys are in insertion order, as lines
+        were written before the payload was encoded once, still loads."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            '{"v":1,"key":"plan-key","shard":5,'
+            '"result":{"z":[0.1,2],"a":{"y":null,"b":1.5}},'
+            '"sha":"e8766db60dbb3b1e"}\n'
+        )
+        replayed = ShardJournal(path, "plan-key").load()
+        assert replayed == {5: {"z": [0.1, 2], "a": {"y": None, "b": 1.5}}}
+        assert list(replayed[5]) == ["z", "a"]
+
+    def test_line_embeds_the_text_its_digest_covers(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        payload = {"z": [0.1, 2], "a": {"y": None, "b": 1.5}}
+        ShardJournal(path, "plan-key").record(5, payload)
+        (line,) = path.read_text().splitlines()
+        entry = json.loads(line)
+        assert entry["sha"] == _entry_digest("plan-key", 5, payload)
+        assert entry["sha"] == "e8766db60dbb3b1e"
+        # the earlier layout, with the result's keys sorted
+        assert line == json.dumps(
+            {
+                "v": 1,
+                "key": "plan-key",
+                "shard": 5,
+                "result": {"a": {"b": 1.5, "y": None}, "z": [0.1, 2]},
+                "sha": entry["sha"],
+            },
+            separators=(",", ":"),
+        )
+        assert ShardJournal(path, "plan-key").load() == {5: payload}
 
     def test_clear(self, tmp_path):
         journal = ShardJournal(tmp_path / "j.jsonl", "k")

@@ -388,10 +388,11 @@ class TestFlowPlans:
                 sweep.get("alpha", vdd), _fit_oracle(flow, "alpha", vdd)
             )
 
-    def test_fit_bins_built_once_per_flow(
+    def test_fit_bins_built_once_per_process(
         self, flow_config, cache_dir, monkeypatch
     ):
-        """Every case of a flow reads the one set of bins it built."""
+        """Every flow of the process reads the one set of bins of its
+        binning, and nobody can write to it."""
         from repro.core import flow as flow_module
 
         built = []
@@ -401,14 +402,29 @@ class TestFlowPlans:
             built.append(particle_name)
             return real(particle_name)
 
+        flow_module._energy_bins.cache_clear()
         monkeypatch.setattr(flow_module, "spectrum_for", counting)
         flow = SerFlow(flow_config, cache_dir=str(cache_dir), resume=False)
         fits = [flow.fit("alpha", vdd) for vdd in (0.7, 0.9)]
-        assert built == ["alpha"]
-        assert flow._fit_bins("alpha") is flow._fit_bins("alpha")
         fresh = SerFlow(flow_config, cache_dir=str(cache_dir), resume=False)
         assert_fits_identical(fresh.fit("alpha", 0.9), fits[1])
+        assert built == ["alpha"]
+        bins = flow._fit_bins("alpha")
+        assert fresh._fit_bins("alpha") is bins
+
+        finer = SerFlow(
+            replace(flow_config, n_energy_bins=flow_config.n_energy_bins + 1)
+        )
+        assert len(finer._fit_bins("alpha")) == len(bins) + 1
         assert built == ["alpha", "alpha"]
+
+        for array in (
+            bins.edges_mev,
+            bins.representative_mev,
+            bins.integral_flux_per_cm2_s,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_invalid_points_rejected(self, flow_config, cache_dir):
         flow = SerFlow(flow_config, cache_dir=str(cache_dir))

@@ -197,6 +197,66 @@ class TestArtifactCache:
         assert isinstance(result, ElectronYieldLUT)
 
 
+def _copy_of(lut):
+    """A new LUT object equal to ``lut`` that nothing else holds."""
+    return ElectronYieldLUT.from_dict(lut.to_dict())
+
+
+def _never():
+    raise AssertionError("the builder must not run")
+
+
+class TestCacheTraffic:
+    """What one lookup costs: one hash, and no decode of a live artifact."""
+
+    def test_one_config_hash_per_lookup(self, lut, tmp_path, monkeypatch):
+        from repro.io import lutio
+
+        hashed = []
+        real = lutio.config_hash
+        monkeypatch.setattr(
+            lutio, "config_hash", lambda *o: hashed.append(o) or real(*o)
+        )
+        cache = ArtifactCache(tmp_path / "cache")
+        cache.get_or_build("yield", lambda: _copy_of(lut), {"v": 1})
+        assert len(hashed) == 1  # a miss: artifact and lock path
+        cache.get_or_build("yield", _never, {"v": 1})
+        assert len(hashed) == 2  # a hit from disk
+        held = cache.get_or_build("yield", _never, {"v": 1})
+        assert cache.get_or_build("yield", _never, {"v": 1}) is held
+        assert len(hashed) == 4  # a hit of a live artifact
+
+    def test_live_artifact_decoded_once(self, lut, tmp_path, monkeypatch):
+        import gc
+
+        from repro.io import lutio
+
+        loads = []
+        real = lutio.load_artifact
+        monkeypatch.setattr(
+            lutio, "load_artifact", lambda path: loads.append(path) or real(path)
+        )
+        cache = ArtifactCache(tmp_path / "cache")
+        built = cache.get_or_build("yield", lambda: _copy_of(lut), {"v": 1})
+        again = ArtifactCache(tmp_path / "cache")
+        assert again.get_or_build("yield", _never, {"v": 1}) is built
+        assert loads == []
+
+        del built
+        gc.collect()
+        loaded = cache.get_or_build("yield", _never, {"v": 1})
+        assert len(loads) == 1  # gone: decoded from disk again
+        assert np.array_equal(loaded.quantiles, lut.quantiles)
+        cache.path_for("yield", {"v": 1}).unlink()
+        assert cache.get_or_build("yield", _never, {"v": 1}) is loaded
+        assert len(loads) == 1  # held: the disk is not read
+
+        other = ArtifactCache(tmp_path / "other")
+        rebuilt = other.get_or_build("yield", lambda: _copy_of(lut), {"v": 1})
+        assert rebuilt is not loaded  # another directory holds its own
+        assert other.path_for("yield", {"v": 1}).exists()
+
+
 class TestBuildSingleFlight:
     """Concurrent misses on one key must run the builder exactly once."""
 

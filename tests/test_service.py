@@ -133,6 +133,19 @@ MALFORMED_SPECS = (
 )
 
 
+@pytest.fixture()
+def key_derivations(monkeypatch):
+    """The specs of every ``QuerySpec.canonical_key`` call, in order."""
+    derived = []
+    real = QuerySpec.canonical_key
+    monkeypatch.setattr(
+        QuerySpec,
+        "canonical_key",
+        lambda spec: derived.append(spec) or real(spec),
+    )
+    return derived
+
+
 class _GatedRunner:
     """Counts calls; campaigns whose seed is gated block until released."""
 
@@ -180,6 +193,16 @@ class TestQuerySpec:
             _tiny_spec(interleave=2).canonical_key()
             == _tiny_spec(interleave=8).canonical_key()
         )
+
+    def test_integer_and_float_spellings_share_one_key(self):
+        """Equal specs are one question: a float field spelled as an
+        integer keys like its float spelling, whose key is unchanged."""
+        as_int = QuerySpec.from_dict({"adaptive": True, "target_se": 1})
+        as_float = QuerySpec.from_dict({"adaptive": True, "target_se": 1.0})
+        assert as_int == as_float
+        assert type(as_int.target_se) is float
+        assert as_int.canonical_key() == "c3423fdf1f32394e"
+        assert as_float.canonical_key() == "c3423fdf1f32394e"
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(QueryError, match="unknown spec field"):
@@ -285,6 +308,47 @@ class TestCampaignEngine:
                 with pytest.raises(RuntimeError, match="blew up"):
                     future.result(timeout=10.0)
         assert len(calls) == 1
+
+    def test_equal_specs_derive_the_key_once(self, key_derivations):
+        """Five equal submissions, in both spellings of a float field,
+        and the campaign they start hash the spec once."""
+        payload = _tiny_spec().to_dict()
+        specs = [
+            QuerySpec.from_dict(dict(payload, target_se=value))
+            for value in (1, 1.0, 1, 1.0, 1)
+        ]
+        runner = _GatedRunner(gate_seeds={2014})
+        with engine_ctx(runner=runner) as engine:
+            futures = [engine.submit(spec) for spec in specs[:4]]
+            assert runner.started.wait(5.0)
+            runner.release.set()
+            results = [f.result(timeout=10.0) for f in futures]
+            results.append(engine.submit(specs[4]).result(timeout=10.0))
+        assert len(runner.calls) == 1
+        assert [r["source"] for r in results] == (
+            ["campaign"] + ["coalesced"] * 3 + ["memo"]
+        )
+        assert len(key_derivations) == 1
+
+    def test_default_runner_hands_its_key_to_run_query(
+        self, key_derivations, monkeypatch
+    ):
+        from repro.service import engine as engine_module
+
+        spec = _tiny_spec()
+        expected = spec.canonical_key()
+        key_derivations.clear()
+        keys = []
+
+        def fake_run_query(spec, flow=None, pair_offsets=None, key=None):
+            keys.append(key)
+            return _fake_result()
+
+        monkeypatch.setattr(engine_module, "run_query", fake_run_query)
+        with engine_ctx() as engine:
+            engine.submit(spec).result(timeout=10.0)
+        assert keys == [expected]
+        assert len(key_derivations) == 1
 
     def test_completed_results_memoized(self):
         registry = enable_metrics(fresh=True)
@@ -612,6 +676,27 @@ class TestServiceDaemon:
         assert any(e.get("label") == "svc" for e in seen)
 
 
+class TestWatchBaseline:
+    @staticmethod
+    def _full_scan():
+        """The highest seq in the ring, by reading every event."""
+        from repro.obs import get_event_bus
+
+        events = get_event_bus().ring.snapshot()
+        return max((e.get("seq", 0) for e in events), default=0)
+
+    def test_ring_seq_is_the_highest_seq_in_the_ring(self):
+        from repro.obs import configure_events, emit_event, get_event_bus
+
+        assert ServiceDaemon._ring_seq() == 0  # telemetry off
+        configure_events(path=None, ring=4)
+        assert ServiceDaemon._ring_seq() == self._full_scan() == 0
+        for total in (3, 4, 11):  # partly filled, full, evicting
+            while get_event_bus().ring.total < total:
+                emit_event("progress", label="svc", index=0, state="started")
+            assert ServiceDaemon._ring_seq() == self._full_scan() == total
+
+
 class TestCliFrontEnd:
     def test_cli_query_against_daemon(self, tmp_path, capsys):
         engine = CampaignEngine(runner=_GatedRunner())
@@ -684,6 +769,15 @@ class TestRealCampaign:
         assert first["source"] == "campaign"
         assert repeat["source"] == "memo"
         assert repeat["cases"] == first["cases"]
+
+    def test_models_share_one_live_pof_table(self, tmp_path):
+        """Two models of one cell read one POF table object."""
+        options = ExecutionOptions(cache_dir=str(tmp_path / "cache"))
+        first = build_flow(_tiny_spec(seed=1), options)
+        table = first.pof_table()
+        second = build_flow(_tiny_spec(seed=2), options)
+        assert second.model_key() != first.model_key()
+        assert second.pof_table() is table
 
     def test_build_flow_shares_cache_keys_with_cli_flow(self, tmp_path):
         flow = build_flow(
