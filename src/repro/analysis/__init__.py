@@ -7,7 +7,6 @@ from .convergence import (
     allocate_blocks,
     build_energy_tilt,
     estimate_pof_error,
-    pof_standard_error,
     split_blocks_across_strata,
 )
 from .export import export_figures
@@ -40,7 +39,6 @@ __all__ = [
     "export_figures",
     "ConvergenceEstimate",
     "estimate_pof_error",
-    "pof_standard_error",
     "BinBudgetState",
     "StratumState",
     "allocate_blocks",

@@ -67,45 +67,6 @@ class ConvergenceEstimate:
         return int(math.ceil(self.n_particles * scale))
 
 
-def pof_standard_error(result) -> float:
-    """Single-campaign standard error of an :class:`ArrayPofResult` POF.
-
-    The per-launched-particle POF is the mean of ``n`` i.i.d. per-event
-    failure probabilities in [0, 1]; the binomial bound
-    ``sqrt(p (1 - p) / n)`` is therefore a conservative (slightly
-    pessimistic, since events contribute fractional probabilities)
-    standard error that needs no re-running, unlike
-    :func:`estimate_pof_error`.  The flow records this per FIT energy
-    bin into the metrics registry, and the run manifest reports it as
-    the campaign's convergence diagnostic.
-
-    Edge cases return ``nan`` rather than a misleading number:
-
-    * ``degraded`` results lost draw blocks to worker crashes -- the
-      binomial bound over the surviving ``n`` would *understate* the
-      uncertainty of what the caller asked for.
-    * zero-hit results carry no information about ``p`` beyond "small";
-      ``p == 0`` would claim SE = 0, i.e. perfect convergence, exactly
-      where the estimate is weakest.
-
-    Results of a stratified merge carry their exact estimator variance
-    (``sum_s w_s^2 p_s (1 - p_s) / n_s``) in ``pof_variance``; its
-    square root is used directly.
-    """
-    n = int(result.n_particles)
-    if n < 1:
-        raise ConfigError("result has no particles")
-    if getattr(result, "degraded", False):
-        return math.nan
-    if int(getattr(result, "n_array_hits", 0)) == 0:
-        return math.nan
-    variance = getattr(result, "pof_variance", None)
-    if variance is not None:
-        return math.sqrt(max(float(variance), 0.0))
-    p = min(max(float(result.pof_total), 0.0), 1.0)
-    return math.sqrt(p * (1.0 - p) / n)
-
-
 def estimate_pof_error(
     simulator: ArraySerSimulator,
     particle: ParticleType,

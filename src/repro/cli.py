@@ -74,6 +74,7 @@ from .obs import (
     disable_events,
     enable_metrics,
     get_output_logger,
+    reset_convergence,
     reset_tracing,
     span,
 )
@@ -902,7 +903,9 @@ def main(argv=None) -> int:
         level=getattr(args, "log_level", "warning"),
         quiet=getattr(args, "quiet", False),
     )
+    # each invocation's manifest counts only its own bins
     enable_metrics(fresh=True)
+    reset_convergence()
     trace_path = getattr(args, "trace", None)
     events_path = getattr(args, "events", None)
     metrics_out = getattr(args, "metrics_out", None)

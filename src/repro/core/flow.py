@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -29,7 +28,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..io import ArtifactCache, config_hash
 from ..layout import DATA_PATTERNS, CellLayout, SramArrayLayout
-from ..obs import get_logger, get_registry, kv, span
+from ..obs import span
 from ..parallel import (
     PackedPayload,
     RetryPolicy,
@@ -68,7 +67,6 @@ from ..transport.lut import (
     lut_shard_encode,
 )
 
-_log = get_logger(__name__)
 
 #: Energy range [MeV] folded into the FIT integral per particle.  The
 #: published proton spectrum (Fig. 2(a)) spans 1-1e7 MeV; direct-
@@ -649,12 +647,11 @@ class SerFlow:
         )
 
     def _integrate(self, particle_name, vdd_v, bins, results) -> FitResult:
-        """Record per-bin convergence, then fold the bins into a FIT.
+        """Fold the bins into a FIT.
 
         A FIT whose campaigns drew their pair counts from a degraded
         yield LUT is degraded too, so no cache or memo keeps it.
         """
-        self._record_convergence(particle_name, vdd_v, results)
         simulator = self.simulator()
         lut = simulator.yield_luts.get(particle_name)
         degraded = simulator.config.deposition_mode == "lut" and (
@@ -741,55 +738,6 @@ class SerFlow:
         )
         report = controller.run(bins, seed_for)
         return report.results
-
-    def _record_convergence(self, particle_name, vdd_v, results):
-        """Per-bin POF standard errors into metrics, events, tracker.
-
-        Every (particle, vdd, energy) campaign goes through
-        :func:`~repro.obs.convergence.record_bin`, feeding the
-        ``convergence.*`` gauges/histogram, one live ``convergence``
-        event per bin, and the process-wide tracker whose p50/p99
-        digest lands in the manifest's ``convergence_bins`` section.
-        The legacy ``fit.pof_se.*`` worst-per-(particle, vdd) gauges
-        and the ``fit.pof_standard_error`` histogram stay as-is (the
-        manifest's ``convergence`` section reads them).
-        """
-        from ..obs.convergence import convergence_active, record_bin
-
-        if not convergence_active():
-            return
-        from ..analysis.convergence import pof_standard_error
-
-        metrics = get_registry()
-        results = [r for r in results if r is not None]
-        errors = []
-        for result in results:
-            error = pof_standard_error(result)
-            errors.append(error)
-            record_bin(
-                "fit",
-                trials=int(result.n_particles),
-                pof=float(result.pof_total),
-                standard_error=error,
-                particle=particle_name,
-                vdd_v=vdd_v,
-                energy_mev=float(result.energy_mev),
-            )
-        # zero-hit / degraded bins report SE = nan ("unknown"); they
-        # must not poison the worst-bin gauge or the histogram
-        finite = [error for error in errors if math.isfinite(error)]
-        worst = max(finite) if finite else 0.0
-        if metrics.enabled:
-            histogram = metrics.histogram("fit.pof_standard_error")
-            for error in finite:
-                histogram.observe(error)
-            metrics.gauge(
-                f"fit.pof_se.{particle_name}.vdd={vdd_v:g}"
-            ).set(worst)
-        _log.debug(
-            "fit convergence %s",
-            kv(particle=particle_name, vdd=vdd_v, max_pof_se=worst),
-        )
 
     def sweep(
         self,

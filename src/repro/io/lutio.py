@@ -38,7 +38,7 @@ _KIND_LOADERS = {
     "ser_sweep": _load_ser_sweep,
 }
 
-def _atomic_write(path: Path, writer, mode: str):
+def _atomic_write(path: Path, text: str):
     """Write via a unique same-directory temp file + ``os.replace``.
 
     The temp name is unique (``mkstemp``), so concurrent writers never
@@ -50,8 +50,8 @@ def _atomic_write(path: Path, writer, mode: str):
         dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, mode) as handle:
-            writer(handle)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -64,13 +64,11 @@ def _atomic_write(path: Path, writer, mode: str):
 
 
 def save_artifact(artifact, path: Union[str, Path]):
-    """Atomically write an artifact with a ``to_dict`` method to disk.
+    """Atomically write an artifact with a ``to_dict`` method as JSON.
 
-    Format follows the suffix: ``.json`` (default, human-readable) or
-    ``.npz`` (compressed; the dict payload is embedded as a JSON blob
-    -- compact for the large POF grids).  The write goes through a
-    unique temp file + ``os.replace`` so an interrupted run can never
-    leave a corrupt artifact at the target path.
+    The write goes through a unique temp file + ``os.replace`` so an
+    interrupted run can never leave a corrupt artifact at the target
+    path.
     """
     path = Path(path)
     if not hasattr(artifact, "to_dict"):
@@ -81,32 +79,15 @@ def save_artifact(artifact, path: Union[str, Path]):
     # the pure-Python encoder instead, with the same bytes
     text = json.dumps(artifact.to_dict())
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".npz":
-
-        import numpy as np
-
-        blob = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        _atomic_write(
-            path, lambda handle: np.savez_compressed(handle, payload=blob), "wb"
-        )
-        return
-    _atomic_write(path, lambda handle: handle.write(text), "w")
+    _atomic_write(path, text)
 
 def load_artifact(path: Union[str, Path]):
     """Load a previously saved artifact, dispatching on its ``kind``."""
     path = Path(path)
     try:
-        if path.suffix == ".npz":
-            import numpy as np
-
-            with np.load(path) as archive:
-                payload = json.loads(
-                    archive["payload"].tobytes().decode("utf-8")
-                )
-        else:
-            with open(path) as handle:
-                payload = json.load(handle)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise SerializationError(f"cannot load artifact {path}: {exc}") from exc
     kind = payload.get("kind")
     loader = _KIND_LOADERS.get(kind)

@@ -4,8 +4,7 @@ The flow's measurement surface, used by every level of the
 device→cell→array pipeline:
 
 * :func:`get_registry` / :func:`enable_metrics` — process-wide
-  counters, gauges, timers and fixed-bin histograms
-  (:mod:`repro.obs.registry`).
+  counters, gauges and timers (:mod:`repro.obs.registry`).
 * :func:`span` / :func:`configure_tracing` — nesting wall-time spans
   streamed to a JSONL trace file (:mod:`repro.obs.trace`).
 * :func:`configure_logging` / :func:`get_logger` — structured
@@ -47,7 +46,6 @@ from .manifest import RunManifest, build_manifest, capture_environment
 from .registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     Timer,
@@ -73,7 +71,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Timer",
-    "Histogram",
     "get_registry",
     "enable_metrics",
     "disable_metrics",

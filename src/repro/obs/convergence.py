@@ -4,27 +4,24 @@ Every Monte Carlo stage of the flow estimates a proportion — the
 array-level POF of an energy bin, the fin-crossing fraction of a
 yield-LUT energy point, the variation-MC POF of a characterization
 grid — and the question that drives both campaign sizing and the
-planned adaptive sampler is the same for all of them: *how converged
-is each bin right now?*  This module is the one funnel those stages
-report through:
+adaptive sampler is the same for all of them: *how converged is each
+bin right now?*  This module is the one funnel those stages report
+through, each bin where its estimate is merged, in the parent process.
 
 :func:`record_bin` folds one bin observation into
 
-* the metrics registry — a ``convergence.<stage>.<bin>`` **gauge**
-  (last/worst standard error per bin, lifted into the manifest), a
-  shared ``convergence.pof_se`` **histogram** whose bucket-interpolated
-  p50/p99 summarize the whole run, and a ``convergence.trials.<stage>``
-  counter;
-* the event stream — one ``convergence`` event per bin, so a live
-  consumer (``repro-ser obs tail``, the future adaptive controller)
-  sees convergence *as bins complete*, not at exit; and
 * the process-wide :class:`ConvergenceTracker`, the programmatic
-  surface: per-bin state plus p50/p99 over everything recorded.
+  surface: per-bin state plus p50/p99 over everything recorded, whose
+  :meth:`~ConvergenceTracker.summary` is the manifest's
+  ``convergence_bins`` section; and
+* the event stream — one ``convergence`` event per bin, so a live
+  consumer (``repro-ser obs tail``) sees convergence *as bins
+  complete*, not at exit.
 
-:func:`binomial_standard_error` is the shared conservative estimator
+:func:`binomial_standard_error` is the one binomial estimator
 (``sqrt(p (1 - p) / n)``); it lives here, at the bottom of the
-dependency tree, so :mod:`repro.ser`/:mod:`repro.transport` can record
-bins without importing the analysis layer.
+dependency tree, so :mod:`repro.ser`/:mod:`repro.transport` can use it
+without importing the analysis layer.
 """
 
 from __future__ import annotations
@@ -45,11 +42,6 @@ __all__ = [
     "record_bin",
     "reset_convergence",
 ]
-
-#: Histogram edges tuned for POF standard errors (dimensionless,
-#: typically 1e-5 .. 1e-1 at laptop trial counts).
-SE_EDGES = (1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
-
 
 def binomial_standard_error(p: float, n: int) -> float:
     """Conservative standard error of a proportion estimate.
@@ -84,7 +76,6 @@ class BinState:
 
     def to_dict(self) -> dict:
         return {
-            "key": self.key,
             "trials": self.trials,
             "pof": self.pof,
             "standard_error": self.standard_error,
@@ -95,9 +86,8 @@ class BinState:
 class ConvergenceTracker:
     """Process-wide per-bin convergence state with quantile support.
 
-    The programmatic consumer surface: the manifest and the (future)
-    adaptive campaign controller read per-bin standard errors here
-    instead of parsing gauge names back apart.
+    The one store of recorded bins: the manifest's
+    ``convergence_bins`` section is its :meth:`summary`.
     """
 
     def __init__(self):
@@ -156,6 +146,7 @@ class ConvergenceTracker:
             "p99_se": self.quantile(0.99),
             "worst_bin": worst_key,
             "worst_se": worst_se,
+            "per_bin": {key: state.to_dict() for key, state in bins.items()},
         }
 
     def reset(self):
@@ -207,7 +198,7 @@ def record_bin(
     vdd_v: Optional[float] = None,
     energy_mev: Optional[float] = None,
 ) -> Optional[BinState]:
-    """Fold one bin observation into gauges, histogram, event, tracker.
+    """Fold one bin observation into the tracker and the event stream.
 
     No-op (and allocation-free) unless metrics or events are enabled,
     so instrumented MC stages cost nothing in the library-default
@@ -220,17 +211,6 @@ def record_bin(
         standard_error = binomial_standard_error(pof, trials)
     key = bin_key(stage, particle, vdd_v, energy_mev)
     state = _TRACKER.update(key, trials, pof, standard_error)
-
-    metrics = get_registry()
-    if metrics.enabled:
-        metrics.gauge(f"convergence.{key}").set(standard_error)
-        metrics.counter(f"convergence.trials.{stage}").inc(int(trials))
-        # nan means "SE unknown" (zero-hit / degraded bins) -- a real
-        # observation would corrupt the histogram's quantiles
-        if math.isfinite(standard_error):
-            metrics.histogram("convergence.pof_se", SE_EDGES).observe(
-                standard_error
-            )
     emit_event(
         "convergence",
         stage=stage,

@@ -465,7 +465,6 @@ def diff_manifests(
         "stage_timings_s",
         "mc",
         "lut_cache",
-        "convergence",
         "convergence_bins",
         "fault_tolerance",
         "parallel",

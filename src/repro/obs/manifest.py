@@ -8,13 +8,15 @@ counts, rays/sec throughput), how trustworthy the numbers are
 writes one; :func:`RunManifest.from_dict` round-trips it.
 
 Convenience sections (``stage_timings_s``, ``mc``, ``lut_cache``,
-``convergence``, ``convergence_bins``, ``fault_tolerance``,
-``parallel``, ``adaptive``, ``service``) are *derived* from the full metrics snapshot kept in
-``metrics`` — the snapshot is the ground truth, the sections are what
-a human greps for first.  The ``environment`` section additionally
-captures the live execution-plane state (``REPRO_*`` environment
-variables, job and CPU counts, start method), so a run is
-reproducible — execution plane included — from the manifest alone.
+``fault_tolerance``, ``parallel``, ``adaptive``, ``service``) are
+*derived* from the full metrics snapshot kept in ``metrics`` — the
+snapshot is the ground truth, the sections are what a human greps for
+first.  ``convergence_bins`` is the per-bin convergence tracker's
+digest (:mod:`repro.obs.convergence`), each bin's numbers included.
+The ``environment`` section captures the live execution-plane state
+(``REPRO_*`` environment variables, job and CPU counts, start method),
+so a run is reproducible — execution plane included — from the
+manifest alone.
 """
 
 from __future__ import annotations
@@ -76,9 +78,8 @@ __all__ = [
 MANIFEST_KIND = "run_manifest"
 SCHEMA_VERSION = 1
 
-#: Metric-name prefixes lifted into the manifest's summary sections.
+#: Metric-name prefix lifted into the manifest's stage timings.
 _STAGE_PREFIX = "stage."
-_CONVERGENCE_PREFIX = "fit.pof_se."
 
 
 @dataclass
@@ -97,7 +98,6 @@ class RunManifest:
     stage_timings_s: dict = field(default_factory=dict)
     mc: dict = field(default_factory=dict)
     lut_cache: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
     convergence_bins: dict = field(default_factory=dict)
     fault_tolerance: dict = field(default_factory=dict)
     parallel: dict = field(default_factory=dict)
@@ -122,7 +122,6 @@ class RunManifest:
             "stage_timings_s": self.stage_timings_s,
             "mc": self.mc,
             "lut_cache": self.lut_cache,
-            "convergence": self.convergence,
             "convergence_bins": self.convergence_bins,
             "fault_tolerance": self.fault_tolerance,
             "parallel": self.parallel,
@@ -170,7 +169,6 @@ class RunManifest:
             stage_timings_s=dict(payload.get("stage_timings_s", {})),
             mc=dict(payload.get("mc", {})),
             lut_cache=dict(payload.get("lut_cache", {})),
-            convergence=dict(payload.get("convergence", {})),
             convergence_bins=dict(payload.get("convergence_bins", {})),
             fault_tolerance=dict(payload.get("fault_tolerance", {})),
             parallel=dict(payload.get("parallel", {})),
@@ -261,11 +259,6 @@ def build_manifest(
         "writes": counters.get("lut_cache.writes", 0),
         "invalid": counters.get("lut_cache.invalid", 0),
     }
-    convergence = {
-        name[len(_CONVERGENCE_PREFIX):]: value
-        for name, value in gauges.items()
-        if name.startswith(_CONVERGENCE_PREFIX)
-    }
     fault_tolerance = {
         "retried_shards": counters.get("parallel.retries", 0),
         "lost_shards": counters.get("parallel.degraded", 0),
@@ -325,7 +318,6 @@ def build_manifest(
         stage_timings_s=stage_timings,
         mc=mc,
         lut_cache=lut_cache,
-        convergence=convergence,
         convergence_bins=convergence_bins,
         fault_tolerance=fault_tolerance,
         parallel=parallel,

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry (counters, gauges, timers, histograms).
+"""Process-wide metrics registry (counters, gauges, timers).
 
 The registry is the measurement surface of the whole flow: every hot
 path increments named instruments through :func:`get_registry`, and a
@@ -17,17 +17,15 @@ single-threaded flow; approximate, never crashing, under threads).
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Timer",
-    "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "get_registry",
@@ -191,93 +189,6 @@ class _TimerContext:
         return False
 
 
-#: Default histogram bin edges: log-ish spread useful for POF standard
-#: errors and per-chunk durations alike.
-DEFAULT_EDGES = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0,
-)
-
-
-class Histogram:
-    """A fixed-bin histogram.
-
-    ``edges`` are the upper bounds of the first ``len(edges)`` bins; a
-    final overflow bin absorbs everything above the last edge, so
-    ``counts`` has ``len(edges) + 1`` entries.
-    """
-
-    __slots__ = ("name", "edges", "counts", "count", "total")
-
-    def __init__(self, name: str, edges: Optional[Sequence[float]] = None):
-        self.name = name
-        edges = tuple(float(e) for e in (edges or DEFAULT_EDGES))
-        if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
-            raise ValueError("histogram edges must be strictly increasing")
-        self.edges = edges
-        self.counts: List[int] = [0] * (len(edges) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float):
-        value = float(value)
-        self.counts[bisect.bisect_left(self.edges, value)] += 1
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile of the observed distribution.
-
-        The value is linearly interpolated inside the bin the target
-        rank falls in; the underflow bin interpolates from 0 (our
-        histograms observe non-negative quantities) and the overflow
-        bin -- which has no upper bound -- reports the last edge, a
-        deliberate underestimate that keeps the result finite.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for i, bin_count in enumerate(self.counts):
-            if cumulative + bin_count >= target and bin_count > 0:
-                lo = 0.0 if i == 0 else self.edges[i - 1]
-                if i >= len(self.edges):
-                    return self.edges[-1]
-                hi = self.edges[i]
-                frac = (target - cumulative) / bin_count
-                return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
-            cumulative += bin_count
-        return self.edges[-1]
-
-    def merge(self, snapshot: dict):
-        """Fold another histogram's :meth:`snapshot` into this one."""
-        edges = tuple(float(e) for e in snapshot.get("edges", ()))
-        if edges != self.edges:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: edge mismatch"
-            )
-        for i, count in enumerate(snapshot.get("counts", ())):
-            self.counts[i] += int(count)
-        self.count += int(snapshot.get("count", 0))
-        self.total += float(snapshot.get("total", 0.0))
-
-    def snapshot(self):
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
-        }
-
-
 class MetricsRegistry:
     """Named instruments, created on first use, snapshot-able to a dict."""
 
@@ -288,7 +199,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._timers: Dict[str, Timer] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def _get(self, store, name, factory):
         instrument = store.get(name)
@@ -308,13 +218,6 @@ class MetricsRegistry:
     def timer(self, name: str) -> Timer:
         return self._get(self._timers, name, Timer)
 
-    def histogram(
-        self, name: str, edges: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        return self._get(
-            self._histograms, name, lambda n: Histogram(n, edges)
-        )
-
     def time(self, name: str):
         """Shorthand: ``with registry.time("stage.fit"): ...``."""
         return self.timer(name).time()
@@ -332,17 +235,13 @@ class MetricsRegistry:
                 "timers": {
                     k: v.snapshot() for k, v in sorted(self._timers.items())
                 },
-                "histograms": {
-                    k: v.snapshot()
-                    for k, v in sorted(self._histograms.items())
-                },
             }
 
     def merge_snapshot(self, snapshot: dict):
         """Fold a :meth:`snapshot` dict (e.g. from a pool worker) in.
 
-        Counters and histogram bins add, timers merge their duration
-        statistics, gauges are last-write-wins.  This is how
+        Counters add, timers merge their duration statistics, gauges
+        are last-write-wins.  This is how
         :func:`repro.parallel.parallel_map` surfaces worker-side
         instrumentation in the parent process manifest.
         """
@@ -352,10 +251,6 @@ class MetricsRegistry:
             self.gauge(name).set(value)
         for name, timer_snapshot in snapshot.get("timers", {}).items():
             self.timer(name).merge(timer_snapshot)
-        for name, hist_snapshot in snapshot.get("histograms", {}).items():
-            self.histogram(name, hist_snapshot.get("edges")).merge(
-                hist_snapshot
-            )
 
     def reset(self):
         """Drop every instrument (a fresh run starts clean)."""
@@ -363,7 +258,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._timers.clear()
-            self._histograms.clear()
 
 
 class _NullInstrument:
@@ -423,14 +317,11 @@ class NullRegistry:
     def timer(self, name: str):
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, edges=None):
-        return _NULL_INSTRUMENT
-
     def time(self, name: str):
         return _NULL_CONTEXT
 
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "timers": {}, "histograms": {}}
+        return {"counters": {}, "gauges": {}, "timers": {}}
 
     def merge_snapshot(self, snapshot: dict):
         pass

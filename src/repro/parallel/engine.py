@@ -270,7 +270,7 @@ def _worker_init(event_queue):
     mappings of every shared segment the parent owns: unmap them, so
     a worker maps only the payloads it caches.  The one exception is
     the telemetry ``event_queue`` (owned by the
-    :class:`~repro.parallel.pool.PoolLease`, one per pool key): queues
+    :class:`~repro.parallel.pool.PoolLease`, one per warm pool): queues
     only cross the process boundary at construction time, so it is
     installed here for the worker's whole life; whether anything is
     put on it is decided per task by the ``with_events`` flag.
@@ -359,10 +359,9 @@ def _in_worker() -> bool:
 #: slower with 2 workers than inline).
 AUTO_INLINE_THRESHOLD_S = 0.05
 
-#: Lower inline threshold used when a pool for the map's (start
-#: method, jobs) key is already leased: the spin-up cost is paid, so
-#: only dispatch/IPC overhead (single-digit milliseconds) remains to
-#: beat.
+#: Lower inline threshold used when a pool of the map's worker count
+#: is already leased: the spin-up cost is paid, so only dispatch/IPC
+#: overhead (single-digit milliseconds) remains to beat.
 WARM_AUTO_INLINE_THRESHOLD_S = 0.005
 
 
@@ -378,8 +377,8 @@ def _should_auto_inline(
     (no hint means no basis for the estimate -- maps without a hint
     keep their requested worker count) and never while the
     fault-injection hook is armed (the kill tests target pooled
-    workers by shard index).  With a pool already leased for this
-    map's key (``warm_ready``), the threshold drops to
+    workers by shard index).  With a pool already leased at this
+    map's worker count (``warm_ready``), the threshold drops to
     :data:`WARM_AUTO_INLINE_THRESHOLD_S` -- spin-up is already paid,
     so mid-sized maps that used to inline now reuse the pool.
     """
@@ -398,7 +397,6 @@ def parallel_map(
     payload: Any = None,
     n_jobs: int = 1,
     label: str = "map",
-    start_method: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
     journal=None,
     cost_hint_s: Optional[float] = None,
@@ -410,8 +408,8 @@ def parallel_map(
     pool worker, the map runs inline -- no pool, no pickling --
     executing the identical code path, so results never depend on the
     worker count.  Otherwise every round, retry rounds included, runs
-    on the warm pool leased for ``(start_method, resolve_jobs(n_jobs))``
-    (see :mod:`repro.parallel.pool`): maps with fewer tasks than
+    on the warm pool leased for ``resolve_jobs(n_jobs)`` workers (see
+    :mod:`repro.parallel.pool`): maps with fewer tasks than
     workers leave the spare workers idle rather than fork a narrower
     pool, so one process keeps one pool per worker count.
 
@@ -440,8 +438,8 @@ def parallel_map(
         ``n_jobs > 1`` -- pool spin-up would cost more than it saves
         (logged, counted in ``parallel.auto_inline``).  Results are
         unaffected either way (the determinism contract).  ``None``
-        (default) disables the heuristic.  When a pool for this map's
-        key is already leased, the lower
+        (default) disables the heuristic.  When a pool of this map's
+        worker count is already leased, the lower
         :data:`WARM_AUTO_INLINE_THRESHOLD_S` applies instead.
 
     Returns the results in task order.  Shards lost past the retry
@@ -483,11 +481,8 @@ def parallel_map(
     t0 = time.perf_counter()
     busy_s = 0.0
 
-    context = multiprocessing.get_context(start_method)
     in_worker = _in_worker()
-    warm_ready = (
-        jobs > 1 and not in_worker and get_lease().has(context, pool_jobs)
-    )
+    warm_ready = jobs > 1 and not in_worker and get_lease().has(pool_jobs)
 
     auto_inlined = False
     if jobs > 1 and _should_auto_inline(
@@ -560,7 +555,6 @@ def parallel_map(
                 payload,
                 pool_jobs,
                 label,
-                context,
                 policy,
                 journal,
                 results,
@@ -668,7 +662,6 @@ def _run_pooled(
     payload,
     jobs,
     label,
-    context,
     policy,
     journal,
     results,
@@ -701,7 +694,6 @@ def _run_pooled(
                 packed,
                 jobs,
                 label,
-                context,
                 policy,
                 journal,
                 results,
@@ -795,7 +787,6 @@ def _run_round(
     packed,
     jobs,
     label,
-    context,
     policy,
     journal,
     results,
@@ -823,7 +814,7 @@ def _run_round(
     immediately, so even a round that ends badly keeps its credit.
     """
     lease = get_lease()
-    executor, _reused = lease.acquire(context, jobs, initializer=_worker_init)
+    executor, _reused = lease.acquire(jobs, initializer=_worker_init)
     bus = get_event_bus()
     transient: List[int] = []
     fatal = None
@@ -834,7 +825,7 @@ def _run_round(
     t0 = last_done = time.monotonic()
     next_beat = math.inf
     if bus is not None:
-        queue = lease.event_queue(context, jobs)
+        queue = lease.event_queue(jobs)
         _heartbeat(bus, label, 0, len(indices), t0)
         next_beat = t0 + bus.heartbeat_s
     try:
@@ -938,4 +929,4 @@ def _run_round(
         if not healthy:
             # no round may be mid-read when the pool's queue closes
             with _EVENT_READ_LOCK:
-                lease.invalidate(context, jobs)
+                lease.invalidate(jobs)

@@ -3,11 +3,12 @@
 A run issues many :func:`~repro.parallel.parallel_map` calls -- one
 per LUT build, characterization and campaign scan -- and forking
 workers costs tens of milliseconds each, which would dominate small
-maps.  This module keeps one executor warm per ``(start method,
-worker count)`` key and leases it to successive maps and rounds:
+maps.  This module keeps one executor warm per worker count, on the
+default multiprocessing context, and leases it to successive maps and
+rounds:
 
-* :meth:`PoolLease.acquire` returns the cached executor for a key (or
-  creates one), counting ``parallel.pool.created`` /
+* :meth:`PoolLease.acquire` returns the cached executor for a worker
+  count (or creates one), counting ``parallel.pool.created`` /
   ``parallel.pool.reused``.
 * :meth:`PoolLease.invalidate` shuts a pool down hard when a round
   ended badly (worker death, watchdog expiry) -- the retry round or
@@ -38,6 +39,7 @@ and no thread.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import resource_tracker
@@ -66,54 +68,50 @@ def _shutdown_executor(executor: ProcessPoolExecutor):
                 process.terminate()
 
 
-def _pool_key(context, jobs: int) -> Tuple[str, int]:
-    return (context.get_start_method(), int(jobs))
-
-
 class PoolLease:
-    """Keeps one warm ``ProcessPoolExecutor`` per (context, jobs) key."""
+    """Keeps one warm ``ProcessPoolExecutor`` per worker count."""
 
     def __init__(self):
         self._owner_pid = os.getpid()
-        self._pools: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
-        self._queues: Dict[Tuple[str, int], object] = {}
+        self._pools: Dict[int, ProcessPoolExecutor] = {}
+        self._queues: Dict[int, object] = {}
         self._atexit_registered = False
 
     def __len__(self) -> int:
         return len(self._pools)
 
-    def has(self, context, jobs: int) -> bool:
-        """Whether a healthy warm pool for this key is already up."""
-        executor = self._pools.get(_pool_key(context, jobs))
+    def has(self, jobs: int) -> bool:
+        """Whether a healthy warm pool of ``jobs`` workers is already up."""
+        executor = self._pools.get(jobs)
         return executor is not None and not self._broken(executor)
 
-    def event_queue(self, context, jobs: int):
-        """The telemetry queue wired into this key's workers."""
-        return self._queues[_pool_key(context, jobs)]
+    def event_queue(self, jobs: int):
+        """The telemetry queue wired into the ``jobs``-worker pool."""
+        return self._queues[jobs]
 
     @staticmethod
     def _broken(executor: ProcessPoolExecutor) -> bool:
         return bool(getattr(executor, "_broken", False))
 
     def acquire(
-        self, context, jobs: int, initializer
+        self, jobs: int, initializer
     ) -> Tuple[ProcessPoolExecutor, bool]:
-        """The warm executor for a key; returns ``(executor, reused)``.
+        """The warm ``jobs``-worker executor; returns ``(executor, reused)``.
 
         ``initializer`` runs once in every new worker and receives the
         pool's telemetry queue as its only argument.  A cached-but-
         broken executor is replaced transparently (still counted as a
         creation, plus ``parallel.pool.invalidated``).
         """
-        key = _pool_key(context, jobs)
         metrics = get_registry()
-        executor = self._pools.get(key)
+        executor = self._pools.get(jobs)
         if executor is not None and not self._broken(executor):
             if metrics.enabled:
                 metrics.counter("parallel.pool.reused").inc()
             return executor, True
         if executor is not None:
-            self.invalidate(context, jobs)
+            self.invalidate(jobs)
+        context = multiprocessing.get_context()
         # Forked workers must share this process's resource tracker: a
         # worker that attaches a shared segment registers it, and one
         # forked before any tracker exists starts its own, which unlinks
@@ -133,8 +131,8 @@ class PoolLease:
             initializer=initializer,
             initargs=(queue,),
         )
-        self._pools[key] = executor
-        self._queues[key] = queue
+        self._pools[jobs] = executor
+        self._queues[jobs] = queue
         if not self._atexit_registered:
             atexit.register(self.shutdown_all)
             self._atexit_registered = True
@@ -142,26 +140,23 @@ class PoolLease:
             metrics.counter("parallel.pool.created").inc()
             metrics.gauge("parallel.pool.active").set(len(self._pools))
         _log.debug(
-            "warm pool created %s", kv(method=key[0], workers=key[1])
+            "warm pool created %s",
+            kv(method=context.get_start_method(), workers=jobs),
         )
         return executor, False
 
-    def invalidate(self, context, jobs: int) -> None:
-        """Discard a key's pool after a bad round (hard shutdown)."""
-        key = _pool_key(context, jobs)
-        executor = self._pools.pop(key, None)
+    def invalidate(self, jobs: int) -> None:
+        """Discard the ``jobs``-worker pool after a bad round (hard shutdown)."""
+        executor = self._pools.pop(jobs, None)
         if executor is None:
             return
         _shutdown_executor(executor)
-        self._queues.pop(key).close()
+        self._queues.pop(jobs).close()
         metrics = get_registry()
         if metrics.enabled:
             metrics.counter("parallel.pool.invalidated").inc()
             metrics.gauge("parallel.pool.active").set(len(self._pools))
-        _log.debug(
-            "warm pool invalidated %s",
-            kv(method=context.get_start_method(), workers=jobs),
-        )
+        _log.debug("warm pool invalidated %s", kv(workers=jobs))
 
     def shutdown_all(self) -> None:
         """Tear every warm pool down (atexit hook; PID-guarded)."""

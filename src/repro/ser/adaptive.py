@@ -9,8 +9,9 @@ across all bins, then repeatedly allocates the next batch of
 :data:`~repro.ser.mc.DRAW_BLOCK_SIZE` draw blocks to the bins with the
 largest predicted standard-error reduction (discrete Neyman allocation
 on the binomial variance, :func:`repro.analysis.convergence.allocate_blocks`),
-stopping per bin once :func:`~repro.analysis.convergence.pof_standard_error`
-reaches the caller's ``target_se`` or a hard trial ceiling.
+stopping per bin once its
+:attr:`~repro.ser.mc.ArrayPofResult.standard_error` reaches the
+caller's ``target_se`` or a hard trial ceiling.
 
 Two variance-reduction layers ride on top of the allocation, both
 implemented as *stratified sampling* so the strike kernels stay
@@ -513,10 +514,7 @@ class AdaptiveCampaignController:
         """Run the adaptive campaign; ``seed_for(bin)`` gives each bin's
         root :class:`numpy.random.SeedSequence` (a pure function of the
         bin, so resume re-derives the same streams)."""
-        from ..analysis.convergence import (
-            allocate_blocks,
-            pof_standard_error,
-        )
+        from ..analysis.convergence import allocate_blocks
 
         bins = list(bins)
         if not bins:
@@ -558,7 +556,7 @@ class AdaptiveCampaignController:
                     continue
                 blocks[bin_.key].extend(new)
                 merged[bin_.key] = ArrayPofResult.merge(blocks[bin_.key])
-                errors[bin_.key] = pof_standard_error(merged[bin_.key])
+                errors[bin_.key] = merged[bin_.key].standard_error
                 record_bin(
                     self.stage,
                     trials=sum(block.n_particles for block in new),

@@ -305,6 +305,7 @@ class BatchPlan:
                     "array-mc",
                     trials=int(merged.n_particles),
                     pof=float(merged.pof_total),
+                    standard_error=merged.standard_error,
                     particle=merged.particle_name,
                     vdd_v=float(merged.vdd_v),
                     energy_mev=float(merged.energy_mev),

@@ -41,7 +41,7 @@ from ..constants import ELEMENTARY_CHARGE_C, SILICON_PAIR_ENERGY_EV
 from ..errors import ConfigError
 from ..geometry import BoxGrid, RayBatch, chord_lengths
 from ..layout import SramArrayLayout
-from ..obs import get_logger, kv
+from ..obs import binomial_standard_error, get_logger, kv
 from ..physics import (
     ParticleType,
     get_particle,
@@ -146,10 +146,37 @@ class ArrayPofResult:
     #: unbiased whole-window hit fraction (``n_array_hits /
     #: n_particles`` would over-count strata that were oversampled) and
     #: the stratified estimator variance ``sum_s w_s^2 p_s (1-p_s) /
-    #: n_s`` consumed by
-    #: :func:`repro.analysis.convergence.pof_standard_error`.
+    #: n_s`` behind :attr:`standard_error`.
     hit_fraction_weighted: Optional[float] = None
     pof_variance: Optional[float] = None
+
+    @property
+    def standard_error(self) -> float:
+        """Standard error of ``pof_total`` from this campaign alone.
+
+        A stratified merge carries its exact estimator variance in
+        ``pof_variance``, and its square root is used directly.
+        Otherwise ``pof_total`` is the mean of ``n_particles`` i.i.d.
+        per-event failure probabilities in [0, 1], so the binomial
+        bound ``sqrt(p (1 - p) / n)`` is a conservative standard error
+        (events contribute fractional probabilities).
+
+        Edge cases return ``nan`` rather than a misleading number:
+
+        * a ``degraded`` result lost draw blocks to worker crashes, and
+          a bound over the surviving ``n`` would understate the
+          uncertainty of what the caller asked for;
+        * a result with no array hit knows ``p`` only as "small", and
+          ``p == 0`` would claim SE 0, perfect convergence, exactly
+          where the estimate is weakest.
+        """
+        if self.n_particles < 1:
+            raise ConfigError("result has no particles")
+        if self.degraded or self.n_array_hits == 0:
+            return math.nan
+        if self.pof_variance is not None:
+            return math.sqrt(max(float(self.pof_variance), 0.0))
+        return binomial_standard_error(self.pof_total, self.n_particles)
 
     @property
     def hit_fraction(self) -> float:
@@ -208,10 +235,10 @@ class ArrayPofResult:
         When any shard carries stratified-sampling metadata (``stratum``
         set or ``weight != 1``) the merge switches to the weighted
         estimator: shards are pooled per stratum (in shard order, same
-        left-to-right summation as the plain path), the named strata are
-        recombined as ``sum_s w_s * mean_s`` (their weights must sum to
-        1), and any plain uniform shards are folded in by particle
-        count.  The result carries ``pof_variance`` /
+        left-to-right summation as the plain path) and the named strata
+        are recombined as ``sum_s w_s * mean_s`` (their weights must sum
+        to 1).  Every shard must then name its stratum: plain uniform
+        shards do not mix in.  The result carries ``pof_variance`` /
         ``hit_fraction_weighted`` and cannot be merged again (re-pooling
         an already-recombined estimate would double-count the weights).
         """
@@ -284,12 +311,10 @@ class ArrayPofResult:
     def _merge_weighted(cls, shards, n_total) -> "ArrayPofResult":
         """Stratified merge: pool per stratum, recombine by weight.
 
-        Estimator: ``pof = sum_s w_s * mean_s`` over the named strata
-        (exact unbiased reweighting of the conditional per-stratum
-        means), convexly combined by particle count with the pooled
-        mean of any plain uniform shards.  Each group is pooled by
-        :func:`_pool`, like the plain merge, so re-sharding within a
-        stratum never changes a bit.
+        Estimator: ``pof = sum_s w_s * mean_s`` over the named strata,
+        the exact unbiased reweighting of the conditional per-stratum
+        means.  Each stratum is pooled by :func:`_pool`, like the plain
+        merge, so re-sharding within a stratum never changes a bit.
         """
         first = shards[0]
         for shard in shards:
@@ -302,21 +327,22 @@ class ArrayPofResult:
                     "its strata were recombined and the per-stratum "
                     "weights no longer apply"
                 )
-            if shard.stratum is None and shard.weight != 1.0:
+            if shard.stratum is None:
+                if shard.weight != 1.0:
+                    raise ConfigError(
+                        "uniform (stratum=None) shards must have weight "
+                        f"1.0, got {shard.weight!r}"
+                    )
                 raise ConfigError(
-                    "uniform (stratum=None) shards must have weight 1.0, "
-                    f"got {shard.weight!r}"
+                    "cannot merge uniform (stratum=None) shards with "
+                    "stratified ones: every shard of a stratified "
+                    "campaign point names its stratum"
                 )
 
-        groups: Dict[Optional[str], List["ArrayPofResult"]] = {}
+        groups: Dict[str, List["ArrayPofResult"]] = {}
         for shard in shards:  # dict preserves first-appearance order
             groups.setdefault(shard.stratum, []).append(shard)
 
-        uniform = groups.pop(None, None)
-        if not groups:
-            raise ConfigError(
-                "weighted merge needs at least one named stratum"
-            )
         stratum_weights = {}
         for name, members in groups.items():
             w = members[0].weight
@@ -339,47 +365,23 @@ class ArrayPofResult:
                 "merge all strata of a campaign point together"
             )
 
-        pmf_shape = (
+        pof_vec = np.zeros(3, dtype=np.float64)
+        pmf = (
             None
             if first.multiplicity_pmf is None
             else np.zeros(len(first.multiplicity_pmf), dtype=np.float64)
         )
-        n_str = 0
-        pof_str = np.zeros(3, dtype=np.float64)
-        pmf_str = pmf_shape
-        hit_str = 0.0
-        var_str = 0.0
+        hit_frac = 0.0
+        variance = 0.0
         for name, members in groups.items():
             n_g, pofs_g, pmf_g, hits_g = _pool(members)
             w = stratum_weights[name]
-            n_str += n_g
-            pof_str += w * pofs_g
-            if pmf_str is not None:
-                pmf_str = pmf_str + w * pmf_g
-            hit_str += w * (hits_g / n_g)
+            pof_vec += w * pofs_g
+            if pmf is not None:
+                pmf = pmf + w * pmf_g
+            hit_frac += w * (hits_g / n_g)
             p_g = min(max(float(pofs_g[0]), 0.0), 1.0)
-            var_str += w * w * p_g * (1.0 - p_g) / n_g
-
-        if uniform is not None:
-            n_u, pofs_u, pmf_u, hits_u = _pool(uniform)
-            lam = n_u / (n_u + n_str)
-            pof_vec = lam * pofs_u + (1.0 - lam) * pof_str
-            pmf = (
-                None
-                if pmf_str is None
-                else lam * pmf_u + (1.0 - lam) * pmf_str
-            )
-            hit_frac = lam * (hits_u / n_u) + (1.0 - lam) * hit_str
-            p_u = min(max(float(pofs_u[0]), 0.0), 1.0)
-            variance = (
-                lam * lam * p_u * (1.0 - p_u) / n_u
-                + (1.0 - lam) * (1.0 - lam) * var_str
-            )
-        else:
-            pof_vec = pof_str
-            pmf = pmf_str
-            hit_frac = hit_str
-            variance = var_str
+            variance += w * w * p_g * (1.0 - p_g) / n_g
 
         return cls(
             particle_name=first.particle_name,

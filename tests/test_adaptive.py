@@ -271,20 +271,16 @@ class TestWeightedMerge:
         )
 
     def test_mixed_uniform_and_stratified(self):
-        # plain shards fold in convexly by particle count against the
-        # stratified estimate
+        # every shard of a stratified point names its stratum: a plain
+        # shard among them is a caller error, in any position
         uniform = self._result(pof_total=0.012, n_particles=1000)
         core = self._result(stratum="core", weight=0.25, pof_total=0.04)
         frame = self._result(
             stratum="frame", weight=0.75, pof_total=0.002, n_particles=2000
         )
-        merged = ArrayPofResult.merge([uniform, core, frame])
-        stratified = 0.25 * 0.04 + 0.75 * 0.002
-        lam = 1000 / 4000
-        assert merged.pof_total == pytest.approx(
-            lam * 0.012 + (1 - lam) * stratified
-        )
-        assert merged.pof_variance is not None
+        for shards in ([uniform, core, frame], [core, frame, uniform]):
+            with pytest.raises(ConfigError, match="uniform"):
+                ArrayPofResult.merge(shards)
 
     def test_merged_result_cannot_be_remerged(self):
         core = self._result(stratum="core", weight=0.5)
@@ -477,8 +473,6 @@ class TestController:
     def test_spectrum_campaign_matches_run_spectrum(
         self, layout, pof_table
     ):
-        from repro.analysis import pof_standard_error
-
         simulator = make_simulator(layout, pof_table)
         spectrum = AlphaEmissionSpectrum()
         n = 8 * DRAW_BLOCK_SIZE
@@ -508,8 +502,8 @@ class TestController:
         result = report.results[0]
         # energy strata were sampled: the merge carries the variance
         assert result.pof_variance is not None
-        se_a = pof_standard_error(result)
-        se_u = pof_standard_error(baseline)
+        se_a = result.standard_error
+        se_u = baseline.standard_error
         width = 3.0 * math.hypot(
             se_a if math.isfinite(se_a) else 0.02,
             se_u if math.isfinite(se_u) else 0.02,
@@ -563,8 +557,6 @@ class TestTrialSavings:
         )
 
     def test_five_fold_savings_at_equal_worst_bin_se(self, simulator):
-        from repro.analysis import pof_standard_error
-
         energies = np.logspace(math.log10(0.8), 1.0, 6)
         bins = [
             AdaptiveBin(ALPHA.name, float(energy), vdd)
@@ -581,7 +573,7 @@ class TestTrialSavings:
             )
             for i, bin_ in enumerate(bins)
         ]
-        uniform_se = [pof_standard_error(result) for result in uniform]
+        uniform_se = [result.standard_error for result in uniform]
         target_se = max(uniform_se)
         index = {bin_.key: i for i, bin_ in enumerate(bins)}
         controller = AdaptiveCampaignController(
@@ -596,7 +588,7 @@ class TestTrialSavings:
         report = controller.run(
             bins, lambda bin_: np.random.SeedSequence([4242, index[bin_.key]])
         )
-        adaptive_se = [pof_standard_error(result) for result in report.results]
+        adaptive_se = [result.standard_error for result in report.results]
 
         assert all(map(math.isfinite, uniform_se + adaptive_se))
         assert report.total_trials * 5 <= self.UNIFORM_TRIALS * len(bins)

@@ -1,7 +1,6 @@
 """Monte Carlo convergence diagnostics."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,23 +12,28 @@ from repro.analysis import (
     allocate_blocks,
     build_energy_tilt,
     estimate_pof_error,
-    pof_standard_error,
     split_blocks_across_strata,
 )
 from repro.errors import ConfigError
+from repro.ser import ArrayPofResult
 
 
 def _result(**overrides):
-    """Duck-typed ArrayPofResult stand-in for the SE estimator."""
+    """An array-MC result whose ``standard_error`` the tests read."""
     base = dict(
+        particle_name="alpha",
+        energy_mev=5.0,
+        vdd_v=0.7,
         n_particles=10000,
         n_array_hits=1200,
+        n_fin_strikes=600,
         pof_total=0.01,
-        degraded=False,
-        pof_variance=None,
+        pof_seu=0.009,
+        pof_mbu=0.001,
+        launch_area_cm2=1e-8,
     )
     base.update(overrides)
-    return SimpleNamespace(**base)
+    return ArrayPofResult(**base)
 
 
 class TestConvergenceEstimate:
@@ -58,37 +62,39 @@ class TestConvergenceEstimate:
 
 
 class TestPofStandardError:
+    """``ArrayPofResult.standard_error``, the one per-result POF SE."""
+
     def test_binomial_bound(self):
         result = _result()
         expected = math.sqrt(0.01 * 0.99 / 10000)
-        assert pof_standard_error(result) == pytest.approx(expected)
+        assert result.standard_error == pytest.approx(expected)
 
     def test_zero_hits_is_nan(self):
         # no hits means p is only known to be "small" -- claiming SE = 0
         # (perfect convergence) would be exactly backwards
         assert math.isnan(
-            pof_standard_error(_result(n_array_hits=0, pof_total=0.0))
+            _result(n_array_hits=0, pof_total=0.0).standard_error
         )
 
     def test_degraded_is_nan(self):
-        assert math.isnan(pof_standard_error(_result(degraded=True)))
+        assert math.isnan(_result(degraded=True).standard_error)
 
     def test_degraded_beats_variance(self):
         # a lost shard taints even an exact stratified variance
         assert math.isnan(
-            pof_standard_error(_result(degraded=True, pof_variance=1e-8))
+            _result(degraded=True, pof_variance=1e-8).standard_error
         )
 
     def test_stratified_variance_used_directly(self):
         result = _result(pof_variance=4e-8)
-        assert pof_standard_error(result) == pytest.approx(2e-4)
+        assert result.standard_error == pytest.approx(2e-4)
 
     def test_negative_variance_clamped(self):
-        assert pof_standard_error(_result(pof_variance=-1e-20)) == 0.0
+        assert _result(pof_variance=-1e-20).standard_error == 0.0
 
     def test_no_particles_raises(self):
         with pytest.raises(ConfigError):
-            pof_standard_error(_result(n_particles=0))
+            _result(n_particles=0).standard_error
 
 
 class TestBinBudgetState:

@@ -13,7 +13,6 @@ plans fork keeps bit-identical FITs with events and trace on.
 """
 
 import json
-import multiprocessing
 import sys
 import threading
 import time
@@ -402,7 +401,7 @@ class TestParallelEvents:
         )
         assert results == [0, 1, 4, 9]
         assert get_event_bus() is None
-        queue = get_lease().event_queue(multiprocessing.get_context(), 2)
+        queue = get_lease().event_queue(2)
         assert queue.empty()
 
 

@@ -679,8 +679,6 @@ class TestDegradedCampaigns:
     ):
         import math
 
-        from repro.analysis.convergence import pof_standard_error
-
         clean = run_campaign(layout, pof_table)
         marker = tmp_path / "killed"
         monkeypatch.setenv(FAULT_ENV, f"array_mc:2:{marker}")
@@ -693,8 +691,8 @@ class TestDegradedCampaigns:
         # a lost draw block means the binomial bound over the surviving
         # particles would *understate* the campaign's uncertainty -- the
         # SE of a degraded result is unknown, not merely wider
-        assert math.isnan(pof_standard_error(degraded))
-        assert math.isfinite(pof_standard_error(clean))
+        assert math.isnan(degraded.standard_error)
+        assert math.isfinite(clean.standard_error)
 
     def test_degraded_lut_not_cached(self, tmp_path, monkeypatch, metrics):
         from repro.io import ArtifactCache

@@ -17,11 +17,13 @@ Covers the contracts of :mod:`repro.ser.fusion` and its flow wiring:
 * the inlined numpy kernels and the vectorized cluster/POF-grouping
   helpers match their sequential/loop references bitwise;
 * observability -- plan counters land in the manifest's ``mc``
-  section, and manifests written before the ``backend`` section was
-  dropped still load and diff.
+  section, manifests written before the ``backend`` section was
+  dropped still load and diff, and each array-MC bin of a flow is
+  recorded once, with its result's standard error.
 """
 
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -31,6 +33,7 @@ import pytest
 from repro import FlowConfig, SerFlow
 from repro.errors import ConfigError, SerializationError, WorkerCrashError
 from repro.layout import SramArrayLayout
+from repro.obs.convergence import get_convergence_tracker, reset_convergence
 from repro.obs.inspect import diff_manifests
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.registry import disable_metrics, enable_metrics, get_registry
@@ -270,6 +273,34 @@ class TestBatchPlan:
         assert counters["array_mc.plan_blocks"] == 2  # 4096 + 904
         assert counters["array_mc.runs"] == 1
         assert not any(name.startswith("backend.") for name in counters)
+
+    def test_execute_records_each_points_standard_error(
+        self, layout, pof_table, monkeypatch
+    ):
+        """The plan records each point once, with ``merged.standard_error``."""
+        from repro.ser import fusion
+
+        recorded = []
+        monkeypatch.setattr(
+            fusion,
+            "record_bin",
+            lambda stage, **fields: recorded.append((stage, fields)),
+        )
+        simulator = make_simulator(layout, pof_table)
+        points = [
+            CampaignPoint.uniform(
+                "alpha", energy, vdd, 5000, np.random.SeedSequence(seed)
+            )
+            for energy, vdd, seed in ((5.0, 0.7, 1), (2.0, 0.9, 2))
+        ]
+        results = BatchPlan(simulator, points).execute()
+        assert [stage for stage, _ in recorded] == ["array-mc", "array-mc"]
+        for (_, fields), result in zip(recorded, results):
+            assert fields["trials"] == result.n_particles
+            assert fields["energy_mev"] == result.energy_mev
+            assert fields["vdd_v"] == result.vdd_v
+            assert math.isfinite(result.standard_error)
+            assert fields["standard_error"] == result.standard_error
 
     def test_campaign_runs_counted(self, layout, pof_table, metrics):
         """Every campaign counts once in array_mc.runs; no backend.* counter."""
@@ -1013,3 +1044,71 @@ class TestPlanObservability:
         diffs, meta = diff_manifests(old_path, new_path)
         assert ("environment.backend", "numpy", "<absent>") in diffs
         assert meta["a"]["command"] == meta["b"]["command"] == "sweep"
+
+
+class TestOneRecordPerBin:
+    """A flow records each array-MC bin once, where its estimate merges."""
+
+    @pytest.mark.parametrize(
+        "adaptive", [False, True], ids=["uniform", "adaptive"]
+    )
+    def test_sweep_records_each_array_bin_once(
+        self, flow_config, adaptive, metrics, clean_engine_state
+    ):
+        config = replace(
+            flow_config,
+            array_rows=4,
+            array_cols=4,
+            # 64k particles: enough work that the array-MC plan forks
+            mc_particles_per_bin=16384,
+            adaptive=(
+                AdaptiveConfig(
+                    target_se=1e-4,
+                    pilot_trials=DRAW_BLOCK_SIZE,
+                    round_blocks=2,
+                    max_rounds=2,
+                )
+                if adaptive
+                else None
+            ),
+        )
+        reset_convergence()
+        try:
+            SerFlow(config, n_jobs=2).sweep()
+            summary = get_convergence_tracker().summary()
+        finally:
+            reset_convergence()
+        snapshot = metrics.snapshot()
+        counters = snapshot["counters"]
+        stage = "adaptive-fit" if adaptive else "array-mc"
+        per_bin = summary["per_bin"]
+        assert {key.split(".")[0] for key in per_bin} == {
+            stage,
+            "yield-lut",
+            "characterize",
+        }
+
+        # one bin per (Vdd, energy), each array trial counted once
+        array = {
+            key: b for key, b in per_bin.items() if key.startswith(f"{stage}.")
+        }
+        assert len(array) == len(config.vdd_list) * config.n_energy_bins
+        assert {key.split(".e=")[0] for key in array} == {
+            f"{stage}.alpha.vdd={vdd:g}" for vdd in config.vdd_list
+        }
+        array_trials = counters[
+            "adaptive.trials" if adaptive else "array_mc.particles"
+        ]
+        assert sum(b["trials"] for b in array.values()) == array_trials
+        if not adaptive:  # the plan ran on the pool, its bins in the parent
+            assert "parallel.speedup.array_mc" in snapshot["gauges"]
+        yield_trials = (
+            config.yield_energy_points * config.yield_trials_per_energy
+        )
+        samples = config.characterization.n_samples * len(config.vdd_list)
+        assert summary["total_trials"] == (
+            array_trials + yield_trials + samples
+        )
+        assert summary["bins"] == (
+            len(array) + config.yield_energy_points + len(config.vdd_list)
+        )

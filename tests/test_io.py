@@ -109,11 +109,7 @@ class TestSaveLoad:
 class TestAtomicWrites:
     def test_no_temp_litter_after_save(self, lut, tmp_path):
         save_artifact(lut, tmp_path / "lut.json")
-        save_artifact(lut, tmp_path / "lut.npz")
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "lut.json",
-            "lut.npz",
-        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lut.json"]
 
     def test_failed_write_leaves_no_trace(self, tmp_path):
         class Broken:

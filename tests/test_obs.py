@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.errors import SerializationError
 from repro.obs import (
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     RunManifest,
@@ -70,29 +69,16 @@ class TestRegistryInstruments:
         assert registry.timer("body").count == 1
         assert registry.timer("body").total_s >= 0.0
 
-    def test_histogram_binning(self):
-        histogram = Histogram("h", edges=(1.0, 10.0, 100.0))
-        for value in (0.5, 5.0, 50.0, 500.0):
-            histogram.observe(value)
-        assert histogram.counts == [1, 1, 1, 1]
-        assert histogram.count == 4
-        assert histogram.mean == pytest.approx(138.875)
-
-    def test_histogram_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(2.0, 1.0))
-
     def test_snapshot_structure(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
         registry.timer("t").observe(0.25)
-        registry.histogram("h", edges=(1.0,)).observe(0.5)
         snap = registry.snapshot()
+        assert set(snap) == {"counters", "gauges", "timers"}
         assert snap["counters"] == {"c": 3}
         assert snap["gauges"] == {"g": 1.5}
         assert snap["timers"]["t"]["count"] == 1
-        assert snap["histograms"]["h"]["counts"] == [1, 0]
         # snapshot must be JSON-serializable as-is
         json.dumps(snap)
 
@@ -119,7 +105,6 @@ class TestEnableDisable:
             "counters": {},
             "gauges": {},
             "timers": {},
-            "histograms": {},
         }
 
     def test_enable_installs_live_registry(self):
@@ -203,7 +188,6 @@ class TestManifest:
         registry.counter("lut_cache.misses").inc(1)
         registry.counter("lut_cache.writes").inc(1)
         registry.gauge("array_mc.rays_per_sec").set(12345.0)
-        registry.gauge("fit.pof_se.alpha.vdd=0.8").set(1e-3)
         registry.timer("stage.fit").observe(2.5)
         return registry
 
@@ -230,7 +214,8 @@ class TestManifest:
             "writes": 1,
             "invalid": 0,
         }
-        assert manifest.convergence == {"alpha.vdd=0.8": 1e-3}
+        # per-bin standard errors live in ``convergence_bins`` alone
+        assert "convergence" not in manifest.to_dict()
         assert manifest.stage_timings_s["fit"]["total_s"] == pytest.approx(2.5)
         assert manifest.metrics["counters"]["array_mc.hits"] == 500
 
@@ -355,9 +340,30 @@ class TestInstrumentedFlow:
         assert manifest.lut_cache["misses"] >= 2
         assert "fit" in manifest.stage_timings_s
         assert "pof-table" in manifest.stage_timings_s
-        assert manifest.convergence  # per-bin POF standard errors
-        for value in manifest.convergence.values():
-            assert math.isfinite(value) and value >= 0
+        # one convergence record per Monte Carlo bin: every array-MC
+        # trial counted once, under its ``array-mc`` bin
+        bins = manifest.convergence_bins
+        per_bin = bins["per_bin"]
+        assert bins["bins"] == len(per_bin) > 0
+        assert bins["total_trials"] == sum(
+            b["trials"] for b in per_bin.values()
+        )
+        stages = {key.split(".")[0] for key in per_bin}
+        assert stages == {"array-mc", "yield-lut", "characterize"}
+        array_bins = [
+            b for key, b in per_bin.items() if key.startswith("array-mc.")
+        ]
+        assert sum(b["trials"] for b in array_bins) == (
+            manifest.mc["array_particles"]
+        )
+        assert all(b["updates"] == 1 for b in per_bin.values())
+        for b in array_bins:
+            se = b["standard_error"]
+            assert math.isnan(se) or (math.isfinite(se) and se >= 0)
+        assert not any(
+            name.startswith("convergence.")
+            for name in manifest.metrics["gauges"]
+        )
         # trace contains the nested stages
         names = {
             json.loads(line)["name"]
@@ -368,7 +374,7 @@ class TestInstrumentedFlow:
 
 
 class TestQuantiles:
-    """Timer/histogram quantiles: the p50/p99 surfaced in manifests."""
+    """Timer quantiles: the p50/p99 surfaced in manifests."""
 
     def test_timer_exact_quantiles_in_snapshot(self):
         timer = MetricsRegistry().timer("t")
@@ -405,31 +411,8 @@ class TestQuantiles:
         assert a.quantile(0.5) == pytest.approx(0.5, abs=0.21)
         assert a.max_s == pytest.approx(0.9)
 
-    def test_histogram_interpolated_quantiles(self):
-        histogram = Histogram("h", edges=(1.0, 2.0, 4.0))
-        for _ in range(50):
-            histogram.observe(1.5)
-        for _ in range(50):
-            histogram.observe(3.0)
-        # p50 lands at the boundary between the two occupied bins
-        assert 1.0 <= histogram.quantile(0.5) <= 2.0
-        assert 2.0 <= histogram.quantile(0.99) <= 4.0
-        snap = histogram.snapshot()
-        assert snap["p50"] == histogram.quantile(0.5)
-        assert snap["p99"] == histogram.quantile(0.99)
-
-    def test_histogram_overflow_bin_reports_last_edge(self):
-        histogram = Histogram("h", edges=(1.0, 2.0))
-        histogram.observe(100.0)
-        assert histogram.quantile(0.5) == 2.0
-
-    def test_histogram_quantile_bounds_checked(self):
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(1.0,)).quantile(1.5)
-
     def test_empty_instruments_report_zero(self):
         assert MetricsRegistry().timer("t").quantile(0.5) == 0.0
-        assert Histogram("h", edges=(1.0,)).quantile(0.5) == 0.0
 
 
 class TestJsonlWriter:
@@ -563,7 +546,7 @@ class TestManifestEnvironment:
         reset_convergence()
         try:
             record_bin(
-                "fit", trials=500, pof=0.2, particle="alpha", vdd_v=0.8
+                "array-mc", trials=500, pof=0.2, particle="alpha", vdd_v=0.8
             )
             manifest = build_manifest(
                 command="fit",
@@ -578,7 +561,56 @@ class TestManifestEnvironment:
         finally:
             reset_convergence()
         bins = manifest.convergence_bins
+        se = (0.2 * 0.8 / 500) ** 0.5
         assert bins["bins"] == 1
         assert bins["total_trials"] == 500
-        assert bins["worst_bin"] == "fit.alpha.vdd=0.8"
-        assert bins["p50_se"] == pytest.approx((0.2 * 0.8 / 500) ** 0.5)
+        assert bins["worst_bin"] == "array-mc.alpha.vdd=0.8"
+        assert bins["p50_se"] == pytest.approx(se)
+        assert bins["per_bin"] == {
+            "array-mc.alpha.vdd=0.8": {
+                "trials": 500,
+                "pof": 0.2,
+                "standard_error": pytest.approx(se),
+                "updates": 1,
+            }
+        }
+        # the tracker is the one store: no per-bin gauge, no histogram
+        assert manifest.metrics == {"counters": {}, "gauges": {}, "timers": {}}
+
+    def test_old_manifest_with_convergence_section_loads_and_diffs(
+        self, tmp_path
+    ):
+        """Manifests written with the dropped ``convergence`` section
+        and ``metrics.histograms`` still load and diff."""
+        from repro.obs.inspect import diff_manifests
+
+        new = build_manifest(
+            command="fit",
+            argv=["fit"],
+            config={"jobs": 2},
+            seed=1,
+            started_at="2026-01-01T00:00:00Z",
+            duration_s=1.0,
+            exit_code=0,
+            version="test",
+        )
+        old = new.to_dict()
+        assert old["schema_version"] == 1
+        old["convergence"] = {"alpha.vdd=0.8": 1e-3}
+        old["metrics"] = dict(
+            old["metrics"],
+            histograms={
+                "convergence.pof_se": {"edges": [1e-3], "counts": [1, 0]}
+            },
+        )
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(old))
+        new_path = new.write(tmp_path / "new.json")
+
+        loaded = RunManifest.from_dict(json.loads(old_path.read_text()))
+        assert loaded.command == "fit"
+        assert "convergence" not in loaded.to_dict()
+        assert "histograms" in loaded.metrics
+        diffs, meta = diff_manifests(old_path, new_path)
+        assert diffs == []
+        assert meta["a"]["command"] == meta["b"]["command"] == "fit"
